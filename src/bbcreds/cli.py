@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from .credential import IssuerKeyPair, generate_issuer_keys
 from .ecc import CodeParams
 from .evaluate import sweep
 from .fextract import ExtractFailure
+from .kdf import SEED_MASK
 from .parties import (
     AgePolicy,
     AlwaysFail,
@@ -34,14 +35,12 @@ from .parties import (
     IssuanceDenied,
     LivenessFailed,
     ProtocolConfig,
-    DEFAULT_CODE,
-    SIGMA_DEFAULT,
     device_authenticate,
     device_enroll,
     rp_check_access,
 )
 from .store import FormatError, decode_record, encode_record
-from .synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine, sample_impostor
+from .synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,16 +59,6 @@ _CONFIG_KEYS = {
     "age_threshold",
     "validity_seconds",
 }
-
-
-@dataclass
-class CliConfig:
-    dim: int = DEFAULT_DIM
-    code: CodeParams = DEFAULT_CODE
-    variant: SketchVariant = SketchVariant.XOR
-    sigma_default: float = SIGMA_DEFAULT
-    age_threshold: int = 18
-    validity_seconds: int = 365 * 86400
 
 
 class CliError(Exception):
@@ -104,41 +93,43 @@ def _parse_variant(value: str) -> SketchVariant:
         raise CliError(f"unknown sketch variant {value!r} (use xor or encrypted)") from None
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig()
-    entries = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy]:
+    """Protocol and issuance settings: defaults, then the config file, then flags."""
+    settings: dict[str, object] = (
+        _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    )
+    flags = {"sigma_default": "sigma", "age_threshold": "threshold", "variant": "variant"}
+    for key, flag in flags.items():
+        if getattr(args, flag, None) is not None:
+            settings[key] = getattr(args, flag)
+    protocol, policy = ProtocolConfig(), AgePolicy()
+    protocol_fields: dict[str, object] = {}
+    policy_fields: dict[str, object] = {}
     try:
-        if "dim" in entries:
-            cfg.dim = int(entries["dim"])
-        if {"code_n", "code_k", "code_t"} & entries.keys():
-            cfg.code = CodeParams(
-                int(entries.get("code_n", cfg.code.n)),
-                int(entries.get("code_k", cfg.code.k)),
-                int(entries.get("code_t", cfg.code.t)),
+        if "dim" in settings:
+            protocol_fields["dim"] = int(settings["dim"])
+        if {"code_n", "code_k", "code_t"} & settings.keys():
+            protocol_fields["code"] = CodeParams(
+                int(settings.get("code_n", protocol.code.n)),
+                int(settings.get("code_k", protocol.code.k)),
+                int(settings.get("code_t", protocol.code.t)),
             )
-        if "variant" in entries:
-            cfg.variant = _parse_variant(entries["variant"])
-        if "sigma_default" in entries:
-            cfg.sigma_default = float(entries["sigma_default"])
-        if "age_threshold" in entries:
-            cfg.age_threshold = int(entries["age_threshold"])
-        if "validity_seconds" in entries:
-            cfg.validity_seconds = int(entries["validity_seconds"])
+        if "variant" in settings:
+            protocol_fields["sketch_variant"] = _parse_variant(str(settings["variant"]))
+        if "sigma_default" in settings:
+            protocol_fields["sigma"] = float(settings["sigma_default"])
+        if "age_threshold" in settings:
+            policy_fields["threshold"] = int(settings["age_threshold"])
+        if "validity_seconds" in settings:
+            policy_fields["validity_seconds"] = int(settings["validity_seconds"])
+        return replace(protocol, **protocol_fields), replace(policy, **policy_fields)
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
-
-    if getattr(args, "sigma", None) is not None:
-        cfg.sigma_default = args.sigma
-    if getattr(args, "threshold", None) is not None:
-        cfg.age_threshold = args.threshold
-    if getattr(args, "variant", None) is not None:
-        cfg.variant = _parse_variant(args.variant)
-    return cfg
 
 
 def _run_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        return args.seed & ((1 << 64) - 1)
+        return args.seed & SEED_MASK
     seed = int.from_bytes(os.urandom(8), "big")
     print(f"seed={seed}")
     return seed
@@ -195,25 +186,15 @@ def cmd_asp_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, policy = _resolve_config(args)
+    cfg = replace(cfg, liveness=_liveness(args))
     keys = _load_issuer_keys(args.keys)
     seed = _run_seed(args)
-    asp = InProcessAsp(
-        keys,
-        AgePolicy(threshold=cfg.age_threshold, validity_seconds=cfg.validity_seconds),
-        now=_clock(args),
-    )
-    protocol = ProtocolConfig(
-        dim=cfg.dim,
-        code=cfg.code,
-        sketch_variant=cfg.variant,
-        sigma=cfg.sigma_default,
-        liveness=_liveness(args),
-    )
+    asp = InProcessAsp(keys, policy, now=_clock(args))
     profile = new_identity(args.identity_seed, cfg.dim)
     try:
         record = device_enroll(
-            profile, asp, protocol, seed, evidence=DateOfBirthEvidence(args.dob)
+            profile, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob)
         )
     except LivenessFailed as exc:
         print(f"liveness check failed: {exc}", file=sys.stderr)
@@ -229,7 +210,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         raise CliError(f"cannot write record: {exc}") from exc
     print(
         f"enrolled: record={args.out} bytes={len(data)} "
-        f"code=({cfg.code.n},{cfg.code.k},{cfg.code.t}) variant={cfg.variant.name}"
+        f"code=({cfg.code.n},{cfg.code.k},{cfg.code.t}) variant={cfg.sketch_variant.name}"
     )
     return EXIT_OK
 
@@ -246,7 +227,7 @@ def _load_record_file(path: str):
 
 
 def cmd_auth(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     record = _load_record_file(args.record)
     issuer_public = _load_issuer_public(args.keys)
     seed = _run_seed(args)
@@ -256,7 +237,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
         sample = sample_impostor(seed, dim)
     else:
         profile = new_identity(args.identity_seed, dim)
-        sample = sample_genuine(profile, NoiseModel(cfg.sigma_default), seed)
+        sample = sample_genuine(profile, NoiseModel(cfg.sigma), seed)
 
     try:
         cred = device_authenticate(sample, record, _liveness(args))
@@ -284,7 +265,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     try:
         sigmas = [float(part) for part in args.sigmas.split(",") if part.strip()]
     except ValueError as exc:
@@ -294,12 +275,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if any(s < 0 for s in sigmas):
         raise CliError("sigmas must be nonnegative")
     seed = _run_seed(args)
-    protocol = ProtocolConfig(
-        dim=cfg.dim, code=cfg.code, sketch_variant=cfg.variant, sigma=cfg.sigma_default
-    )
     try:
         with open(args.out, "w") as sink:
-            rows = sweep(protocol, sigmas, args.trials, seed, sink)
+            rows = sweep(cfg, sigmas, args.trials, seed, sink)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OSError as exc:

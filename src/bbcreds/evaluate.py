@@ -3,8 +3,9 @@
 Genuine trials enroll a fresh identity and authenticate with a new noisy
 capture; impostor trials authenticate unrelated captures against one
 enrolled record. Every trial derives its own sub-seed from the harness
-seed plus the trial index, so reports are pure functions of their inputs
-and trial order cannot change the counts.
+seed under a label naming its kind and index, so reports are pure
+functions of their inputs, trial order cannot change the counts, and the
+reports at seeds S and S+1 share no trial.
 
 Rates carry Wilson 95% intervals, which stay meaningful at the zero
 boundary where these measurements usually sit.
@@ -47,7 +48,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-_MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054
 
 # Fixed issuance clock: evaluation measures the biometric pipeline, so
@@ -142,14 +142,14 @@ def frr_trial(
     index: int,
     asp: InProcessAsp | None = None,
 ) -> TrialOutcome:
-    """One genuine trial: enroll identity ``seed + index``, then authenticate
-    a fresh capture at the given noise level.
+    """One genuine trial: enroll the identity derived from ``seed`` for trial
+    ``index``, then authenticate a fresh capture at the given noise level.
 
     The default ASP is rebuilt deterministically from the seed, so running
     trials individually, reordered, or through ``estimate_frr`` gives the
     same outcomes.
     """
-    base = (seed + index) & _MASK64
+    base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
     trial_cfg = replace(cfg, sigma=sigma)
     profile = new_identity(base, cfg.dim)
     record = device_enroll(
@@ -167,7 +167,7 @@ def frr_trial(
 
 def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> TrialOutcome:
     """One impostor trial against an already enrolled record."""
-    sample = sample_impostor((seed + 1 + index) & _MASK64, cfg.dim)
+    sample = sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
     return _authenticate_outcome(TrialKind.IMPOSTOR, sample, record, cfg)
 
 

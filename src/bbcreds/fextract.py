@@ -136,10 +136,8 @@ _HEADER = struct.Struct(">B16sHHHH")
 
 
 def encode_helper(helper: HelperData) -> bytes:
-    """Canonical helper-data bytes. Only the default (prefix) coordinate
-    selection is representable; the format carries no position list."""
-    if not helper.quant.is_prefix_selection():
-        raise ValueError("canonical encoding supports only prefix coordinate selection")
+    """Canonical helper-data bytes. The quantizer is stored as ``dim`` alone:
+    it always reads the first ``n`` coordinates."""
     head = _HEADER.pack(
         helper.version,
         helper.salt,

@@ -13,9 +13,10 @@ import hashlib
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-__all__ = ["tagged_hash", "hkdf_sha256", "expand_seed", "subseed"]
+__all__ = ["SEED_MASK", "tagged_hash", "hkdf_sha256", "expand_seed", "subseed"]
 
-_SEED_MASK = (1 << 64) - 1
+# Seeds are 64-bit: larger or negative ints are reduced with this mask.
+SEED_MASK = (1 << 64) - 1
 
 
 def tagged_hash(label: str, data: bytes) -> bytes:
@@ -36,7 +37,7 @@ def hkdf_sha256(ikm: bytes, label: str, salt: bytes | None = None, length: int =
 def expand_seed(seed: int, label: str, nbytes: int) -> bytes:
     """Deterministic byte stream from a 64-bit seed, per-label independent."""
     shake = hashlib.shake_256()
-    shake.update(label.encode("ascii") + b"\x00" + (seed & _SEED_MASK).to_bytes(8, "big"))
+    shake.update(label.encode("ascii") + b"\x00" + (seed & SEED_MASK).to_bytes(8, "big"))
     return shake.digest(nbytes)
 
 

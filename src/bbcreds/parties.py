@@ -15,6 +15,7 @@ adapter uses the canonical wire encodings.
 from __future__ import annotations
 
 import enum
+import math
 import random
 import socket
 import socketserver
@@ -48,7 +49,7 @@ from .fextract import StableKey, fe_generate, fe_reproduce
 from .kdf import expand_seed, subseed
 from .quantize import QuantizerConfig
 from .store import DeviceRecord
-from .synthbio import DEFAULT_DIM, Embedding, IdentityProfile, NoiseModel, sample_genuine
+from .synthbio import DEFAULT_DIM, MIN_DIM, Embedding, IdentityProfile, NoiseModel, sample_genuine
 
 __all__ = [
     "DEFAULT_CODE",
@@ -227,19 +228,13 @@ def asp_handle_issuance(
     policy: AgePolicy,
     keys: IssuerKeyPair,
     now: int,
-    seen_nonces: set[bytes] | None = None,
 ) -> IssuanceResponse:
     """Check the age evidence and either sign a credential or deny.
 
     Date-of-birth evidence is evaluated against the policy threshold with
     the inclusive-birthday rule in UTC; on your 18th birthday you are 18.
-    When a nonce set is supplied, repeated request nonces are denied.
+    Replayed nonces are the caller's to refuse (``InProcessAsp.handle``).
     """
-    if seen_nonces is not None:
-        if req.request_nonce in seen_nonces:
-            return IssuanceResponse(reason=DenyReason.REPLAYED_NONCE)
-        seen_nonces.add(req.request_nonce)
-
     if isinstance(req.evidence, AlwaysApproveEvidence):
         pass
     elif isinstance(req.evidence, DateOfBirthEvidence):
@@ -453,6 +448,14 @@ class ProtocolConfig:
     sketch_variant: SketchVariant = SketchVariant.XOR
     sigma: float = SIGMA_DEFAULT
     liveness: LivenessPolicy = field(default_factory=AlwaysPass)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if self.dim < max(MIN_DIM, self.code.n):
+            raise ValueError(
+                f"dim must be >= max({MIN_DIM}, code length {self.code.n}), got {self.dim}"
+            )
 
     def quantizer(self) -> QuantizerConfig:
         return QuantizerConfig.default(self.dim, self.code.n)

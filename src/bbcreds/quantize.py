@@ -1,16 +1,17 @@
 """Sign quantization of embeddings into fixed-length bit strings.
 
-Real-valued embeddings are reduced to one bit per selected coordinate
-(1 iff the coordinate is >= 0). The resulting bit strings feed the
-error-correcting layer, so lengths here are code lengths, not embedding
-dimensions.
+Real-valued embeddings are reduced to one bit per coordinate of a prefix
+(bit i is 1 iff coordinate i is >= 0, for i < code_length). The prefix is
+the only selection: synthetic coordinates are i.i.d., so any fixed subset
+is statistically equivalent, and the helper-data format carries no
+coordinate list. The resulting bit strings feed the error-correcting
+layer, so lengths here are code lengths, not embedding dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -95,48 +96,27 @@ class BitString:
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Which embedding coordinates become bits, and in which order.
-
-    ``selected_positions`` must be strictly increasing indices into the
-    embedding; with i.i.d. coordinates every position is statistically
-    equivalent, so the default is simply the first ``code_length`` ones.
-    """
+    """Quantize the first ``code_length`` coordinates of a ``dim``-d embedding."""
 
     dim: int
     code_length: int
-    selected_positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.code_length <= 0 or self.code_length > self.dim:
             raise ValueError(
                 f"code_length must be in [1, dim]; got {self.code_length} for dim {self.dim}"
             )
-        pos = self.selected_positions
-        if len(pos) != self.code_length:
-            raise ValueError("selected_positions length must equal code_length")
-        if any(p < 0 or p >= self.dim for p in pos):
-            raise ValueError("selected position out of range")
-        if any(a >= b for a, b in zip(pos, pos[1:])):
-            raise ValueError("selected_positions must be strictly increasing")
 
     @classmethod
     def default(cls, dim: int, code_length: int) -> "QuantizerConfig":
-        return cls(dim, code_length, tuple(range(code_length)))
-
-    def is_prefix_selection(self) -> bool:
-        return self.selected_positions == tuple(range(self.code_length))
-
-
-@lru_cache(maxsize=16)
-def _position_array(cfg: QuantizerConfig) -> np.ndarray:
-    return np.asarray(cfg.selected_positions, dtype=np.intp)
+        return cls(dim, code_length)
 
 
 def quantize(e: Embedding, cfg: QuantizerConfig) -> BitString:
-    """Binarize an embedding: bit i is 1 iff the selected coordinate is >= 0."""
+    """Binarize an embedding: bit i is 1 iff coordinate i is >= 0."""
     if e.dim != cfg.dim:
         raise ValueError(f"embedding dim {e.dim} does not match quantizer dim {cfg.dim}")
-    bits = (e.values[_position_array(cfg)] >= 0.0).astype(np.uint8)
+    bits = (e.values[: cfg.code_length] >= 0.0).astype(np.uint8)
     return BitString(np.packbits(bits).tobytes(), cfg.code_length)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kdf import subseed
+from .kdf import SEED_MASK, subseed
 
 __all__ = [
     "DEFAULT_DIM",
@@ -33,8 +33,6 @@ __all__ = [
 
 DEFAULT_DIM = 512
 MIN_DIM = 8
-
-_SEED_MASK = (1 << 64) - 1
 
 _IDENTITY_LABEL = "bbcreds/synthbio/identity/v1"
 _GENUINE_LABEL = "bbcreds/synthbio/genuine/v1"
@@ -95,7 +93,7 @@ def new_identity(seed: int, dim: int = DEFAULT_DIM) -> IdentityProfile:
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
     mean = _normalized(_rng(seed, _IDENTITY_LABEL).standard_normal(dim))
-    return IdentityProfile(mean=mean, seed=seed & _SEED_MASK)
+    return IdentityProfile(mean=mean, seed=seed & SEED_MASK)
 
 
 def sample_genuine(profile: IdentityProfile, noise: NoiseModel, rng_seed: int) -> Embedding:

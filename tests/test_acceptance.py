@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import bbcreds
 from bbcreds.binding import (
     AuthFailure,
     BoundCredential,
@@ -171,7 +172,11 @@ def test_criterion_08_retained_artifact_audit(enrollment):
 
 
 def test_criterion_09_cli_end_to_end(tmp_path):
+    # The CLI subprocess imports the same package as this test, however the
+    # test process found it (PYTHONPATH or pytest's pythonpath setting).
     env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(bbcreds.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
 
     def run(*argv):
         return subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -22,6 +23,14 @@ CHILD_DOB = "2015-06-15"
 KEY_SEED = "11"
 RUN_SEED = "271828"
 IDENTITY_SEED = "31415"
+
+# SHA-256 of the record written by the pinned enrollment in
+# TestEnroll.test_record_bytes_pinned, one per sketch variant. Any change to
+# the on-disk format or to a derivation feeding the record changes these.
+GOLDEN_RECORD_SHA256 = {
+    "xor": "c3c0f2d5b0ea64b0ec27dffd634269008a95949fc5daf324d65c8ecb69a6103e",
+    "encrypted": "0dfca8b6aca012f99b451e5d50353683786510e2ae7bc53a44f8911b1de27389",
+}
 
 
 @pytest.fixture()
@@ -159,6 +168,26 @@ class TestEnroll:
                 == EXIT_OK
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_RECORD_SHA256))
+    def test_record_bytes_pinned(self, tmp_path, variant):
+        prefix = str(tmp_path / "golden")
+        assert main(["asp-keygen", "--out", prefix, "--seed", "1"]) == EXIT_OK
+        path = tmp_path / "golden.bbc"
+        code = main(
+            [
+                "enroll",
+                "--keys", prefix,
+                "--identity-seed", "3",
+                "--dob", "1990-01-01",
+                "--out", str(path),
+                "--seed", "4",
+                "--clock", "1750000000",
+                "--variant", variant,
+            ]
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORD_SHA256[variant]
 
     def test_no_key_material_on_any_stream(self, tmp_path, keys_prefix, capsys):
         path = tmp_path / "scan.bbc"
@@ -422,6 +451,46 @@ class TestConfigFile:
             ]
         )
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("enroll", ["--threshold", "0"]),
+        ("enroll", ["--sigma", "-1"]),
+        ("auth", ["--sigma", "-1"]),
+        ("enroll", ["--config", "dim4.conf"]),
+        ("enroll", ["--sigma", "nan"]),
+    ],
+    ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
+         "enroll-sigma-nan"],
+)
+def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
+                                       command, extra):
+    (tmp_path / "dim4.conf").write_text("dim=4\n")
+    extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra]
+    if command == "enroll":
+        argv = [
+            "enroll",
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--dob", ADULT_DOB,
+            "--out", str(tmp_path / "bad.bbc"),
+            "--seed", RUN_SEED,
+            "--clock", str(NOW),
+        ]
+    else:
+        argv = [
+            "auth",
+            "--record", record_path,
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--seed", "558",
+            "--clock", str(NOW + 10),
+        ]
+    capsys.readouterr()
+    assert main(argv + extra) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from bbcreds import evaluate
 from bbcreds.evaluate import (
     CSV_HEADER,
     Stage,
@@ -16,6 +17,7 @@ from bbcreds.evaluate import (
     wilson_interval,
 )
 from bbcreds.parties import ProtocolConfig
+from bbcreds.synthbio import new_identity, sample_impostor
 
 SEED = 0xE7A1
 
@@ -110,6 +112,26 @@ class TestTrialIndependence:
             o.stage_reached for o in backward
         )
         assert forward == list(reversed(backward))
+
+    def test_adjacent_seeds_share_no_trial(self, cfg, enrollment, monkeypatch):
+        enrolled, impostors = [], []
+
+        def recording_identity(seed, dim):
+            enrolled.append(seed)
+            return new_identity(seed, dim)
+
+        def recording_impostor(seed, dim):
+            impostors.append(seed)
+            return sample_impostor(seed, dim)
+
+        monkeypatch.setattr(evaluate, "new_identity", recording_identity)
+        monkeypatch.setattr(evaluate, "sample_impostor", recording_impostor)
+        for i in range(5):
+            for seed, index in ((SEED, i + 1), (SEED + 1, i)):
+                frr_trial(cfg, 0.003, seed, index)
+                far_trial(enrollment["record"], cfg, seed, index)
+        assert len(set(enrolled)) == len(enrolled) == 10
+        assert len(set(impostors)) == len(impostors) == 10
 
     def test_outcome_invariant(self):
         with pytest.raises(ValueError):

@@ -116,15 +116,6 @@ def test_helper_decoding_is_strict(enrolled):
         decode_helper(bytes([99]) + data[1:])  # unknown version
 
 
-def test_custom_positions_not_encodable():
-    positions = tuple(range(1, 512))
-    quant = QuantizerConfig(512, 511, positions)
-    e = new_identity(5, 512).mean
-    _, helper = fe_generate(e, CODE, quant, 5)
-    with pytest.raises(ValueError):
-        encode_helper(helper)
-
-
 def test_dimension_mismatch_rejected(enrolled):
     _, _, helper = enrolled
     small = new_identity(5, 16).mean

@@ -2,7 +2,6 @@ import threading
 from dataclasses import replace
 from datetime import date
 
-import numpy as np
 import pytest
 
 from bbcreds.binding import AuthFailure, SketchVariant
@@ -386,4 +385,3 @@ class TestRelyingParty:
 def test_protocol_config_quantizer(default_cfg):
     q = default_cfg.quantizer()
     assert q.dim == 512 and q.code_length == default_cfg.code.n
-    assert np.array_equal(q.selected_positions, tuple(range(511)))

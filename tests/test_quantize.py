@@ -47,21 +47,17 @@ class TestBitString:
 
 class TestQuantizerConfig:
     def test_default_is_prefix(self):
-        cfg = QuantizerConfig.default(512, 511)
-        assert cfg.is_prefix_selection()
-        assert cfg.selected_positions[:3] == (0, 1, 2)
-
-    @pytest.mark.parametrize(
-        "positions",
-        [(0, 0, 1), (1, 0, 2), (0, 1, 512), (0, 1)],
-    )
-    def test_bad_positions_rejected(self, positions):
-        with pytest.raises(ValueError):
-            QuantizerConfig(512, 3, positions)
+        # quantize reads exactly the first code_length coordinates, in order.
+        values = np.array([2.0, -1.0, 3.0, -1.0, 5.0, 5.0, -5.0, 5.0])
+        cfg = QuantizerConfig.default(8, 3)
+        assert list(quantize(_embedding(values), cfg).bits()) == [1, 0, 1]
+        values[3:] = -values[3:]
+        assert list(quantize(_embedding(values), cfg).bits()) == [1, 0, 1]
 
     def test_code_length_beyond_dim_rejected(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig.default(8, 9)
+        for code_length in (9, 0):
+            with pytest.raises(ValueError):
+                QuantizerConfig.default(8, code_length)
 
 
 class TestQuantize:
@@ -92,12 +88,6 @@ class TestQuantize:
         p = new_identity(21, 512)
         s = sample_genuine(p, NoiseModel(0.0), 5)
         assert quantize(s, cfg) == quantize(p.mean, cfg)
-
-    def test_selected_positions_honored(self):
-        values = np.full(8, -1.0)
-        values[[1, 5]] = 2.0
-        cfg = QuantizerConfig(8, 3, (1, 4, 5))
-        assert list(quantize(_embedding(values), cfg).bits()) == [1, 0, 1]
 
     def test_dimension_mismatch_rejected(self):
         cfg = QuantizerConfig.default(16, 16)
