@@ -33,7 +33,7 @@ from .credential import (
     verify_agecred,
 )
 from .ecc import CodeParams, decode, encode
-from .evaluate import EvalReport, Stage, TrialOutcome, estimate_far, estimate_frr, sweep
+from .evaluate import EvalReport, estimate_far, estimate_frr, sweep
 from .fextract import (
     ExtractFailure,
     HelperData,

@@ -15,6 +15,7 @@ the key digest and the encrypted credential are safe to store.
 from __future__ import annotations
 
 import enum
+import hmac
 import struct
 from dataclasses import dataclass
 
@@ -202,10 +203,10 @@ def unbind_auth(
 ) -> AgeCred:
     """Recover the credential, or raise AuthFailure at the first failing stage.
 
-    Stage order is part of the contract: (a) key-hash check, (b) secret
+    The stage order is part of the contract: (a) key-hash check, (b) secret
     recovery from the sketch, (c) authenticated decryption, (d) decode.
     """
-    if hash_key(key_candidate).digest != digest.digest:
+    if not hmac.compare_digest(hash_key(key_candidate).digest, digest.digest):
         raise AuthFailure(FailureReason.HASH_MISMATCH)
 
     if sketch.variant is SketchVariant.XOR:

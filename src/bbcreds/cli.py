@@ -267,13 +267,11 @@ def cmd_auth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     try:
-        sigmas = [float(part) for part in args.sigmas.split(",") if part.strip()]
+        sigmas = [NoiseModel(float(part)).sigma for part in args.sigmas.split(",") if part.strip()]
     except ValueError as exc:
         raise CliError(f"bad sigma list: {exc}") from exc
     if not sigmas:
         raise CliError("sigma list is empty")
-    if any(s < 0 for s in sigmas):
-        raise CliError("sigmas must be nonnegative")
     seed = _run_seed(args)
     try:
         with open(args.out, "w") as sink:

@@ -49,6 +49,8 @@ class CodeParams:
             raise ValueError(f"require 0 < k <= n, got k={self.k}, n={self.n}")
         if self.t < 0:
             raise ValueError(f"t must be nonnegative, got {self.t}")
+        # Only parameter sets the codec supports can exist.
+        codec_for(self)
 
 
 def _clmul(a: int, b: int) -> int:
@@ -85,6 +87,8 @@ class BchCodec:
                 f"unsupported codeword length {n}; need 2^m - 1 with m in "
                 f"{sorted(_PRIMITIVE_POLY)}"
             )
+        if 2 * t >= n:
+            raise ValueError(f"t={t} needs 2t < n={n}")
         self.params = params
         self._m = m
         self._n = n

@@ -7,13 +7,19 @@ seed under a label naming its kind and index, so reports are pure
 functions of their inputs, trial order cannot change the counts, and the
 reports at seeds S and S+1 share no trial.
 
+Each trial is counted under the name of the stage that rejected it, in
+the device's own vocabulary: ``"Liveness"`` (LivenessFailed), ``"Extract"``
+(ExtractFailure), a ``FailureReason`` value from the binding layer
+(``"HashMismatch"``, ``"SketchOpenFailed"``, ``"DecryptFailed"``,
+``"MalformedCredential"``), or ``"Success"``. ``OUTCOMES`` lists them in
+chain order; every report's ``stage_counts`` has exactly these keys.
+
 Rates carry Wilson 95% intervals, which stay meaningful at the zero
 boundary where these measurements usually sit.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence
@@ -35,9 +41,7 @@ from .store import DeviceRecord
 from .synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
 
 __all__ = [
-    "Stage",
-    "TrialKind",
-    "TrialOutcome",
+    "OUTCOMES",
     "EvalReport",
     "wilson_interval",
     "estimate_frr",
@@ -57,28 +61,7 @@ _EVAL_CLOCK = 1_750_000_000
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
 
 
-class Stage(enum.Enum):
-    LIVENESS = "Liveness"
-    EXTRACT = "Extract"
-    HASH_CHECK = "HashCheck"
-    DECRYPT = "Decrypt"
-    SUCCESS = "Success"
-
-
-class TrialKind(enum.Enum):
-    GENUINE = "Genuine"
-    IMPOSTOR = "Impostor"
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    kind: TrialKind
-    stage_reached: Stage
-    succeeded: bool
-
-    def __post_init__(self) -> None:
-        if self.succeeded != (self.stage_reached is Stage.SUCCESS):
-            raise ValueError("succeeded exactly when the Success stage is reached")
+OUTCOMES = ("Liveness", "Extract", *(r.value for r in FailureReason), "Success")
 
 
 @dataclass(frozen=True)
@@ -117,22 +100,17 @@ def _eval_asp(seed: int) -> InProcessAsp:
     return InProcessAsp(keys, AgePolicy(), now=_EVAL_CLOCK)
 
 
-def _authenticate_outcome(kind: TrialKind, sample, record: DeviceRecord,
-                          cfg: ProtocolConfig) -> TrialOutcome:
+def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
+    """The name in ``OUTCOMES`` of the stage that rejected, or ``"Success"``."""
     try:
         device_authenticate(sample, record, cfg.liveness)
     except LivenessFailed:
-        return TrialOutcome(kind, Stage.LIVENESS, False)
+        return "Liveness"
     except ExtractFailure:
-        return TrialOutcome(kind, Stage.EXTRACT, False)
+        return "Extract"
     except AuthFailure as failure:
-        stage = (
-            Stage.HASH_CHECK
-            if failure.reason is FailureReason.HASH_MISMATCH
-            else Stage.DECRYPT
-        )
-        return TrialOutcome(kind, stage, False)
-    return TrialOutcome(kind, Stage.SUCCESS, True)
+        return failure.reason.value
+    return "Success"
 
 
 def frr_trial(
@@ -141,7 +119,7 @@ def frr_trial(
     seed: int,
     index: int,
     asp: InProcessAsp | None = None,
-) -> TrialOutcome:
+) -> str:
     """One genuine trial: enroll the identity derived from ``seed`` for trial
     ``index``, then authenticate a fresh capture at the given noise level.
 
@@ -162,30 +140,20 @@ def frr_trial(
     sample = sample_genuine(
         profile, NoiseModel(sigma), subseed(base, "bbcreds/eval/auth/v1")
     )
-    return _authenticate_outcome(TrialKind.GENUINE, sample, record, trial_cfg)
+    return _outcome(sample, record, trial_cfg)
 
 
-def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> TrialOutcome:
+def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> str:
     """One impostor trial against an already enrolled record."""
     sample = sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
-    return _authenticate_outcome(TrialKind.IMPOSTOR, sample, record, cfg)
-
-
-def _stage_tally(outcomes: Sequence[TrialOutcome]) -> dict[str, int]:
-    counts = {stage.value: 0 for stage in Stage}
-    for outcome in outcomes:
-        counts[outcome.stage_reached.value] += 1
-    return counts
+    return _outcome(sample, record, cfg)
 
 
 def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     asp = _eval_asp(seed)
     outcomes = [frr_trial(cfg, sigma, seed, i, asp=asp) for i in range(trials)]
-    failures = sum(not o.succeeded for o in outcomes)
+    counts = {name: outcomes.count(name) for name in OUTCOMES}
+    failures = trials - counts["Success"]
     lo, hi = wilson_interval(failures, trials)
     return EvalReport(
         sigma=sigma,
@@ -197,13 +165,11 @@ def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> Ev
         far_lo=0.0,
         far_hi=0.0,
         seed=seed,
-        stage_counts=_stage_tally(outcomes),
+        stage_counts=counts,
     )
 
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     profile = new_identity(seed, cfg.dim)
     record = device_enroll(
         profile,
@@ -213,7 +179,8 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         evidence=AlwaysApproveEvidence(),
     )
     outcomes = [far_trial(record, cfg, seed, i) for i in range(trials)]
-    accepts = sum(o.succeeded for o in outcomes)
+    counts = {name: outcomes.count(name) for name in OUTCOMES}
+    accepts = counts["Success"]
     lo, hi = wilson_interval(accepts, trials)
     return EvalReport(
         sigma=cfg.sigma,
@@ -225,7 +192,7 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         far_lo=lo,
         far_hi=hi,
         seed=seed,
-        stage_counts=_stage_tally(outcomes),
+        stage_counts=counts,
     )
 
 

@@ -101,8 +101,6 @@ def fe_generate(
     rng_seed: int,
 ) -> tuple[StableKey, HelperData]:
     """Enroll an embedding: returns the stable key and public helper data."""
-    if quant.dim != e.dim:
-        raise ValueError(f"embedding dim {e.dim} does not match quantizer dim {quant.dim}")
     if quant.code_length != code.n:
         raise ValueError(
             f"quantizer emits {quant.code_length} bits but code expects {code.n}"
@@ -121,8 +119,6 @@ def fe_reproduce(e: Embedding, helper: HelperData) -> StableKey:
     impostor may instead yield a wrong key; the binding layer's key-hash
     check rejects that case.
     """
-    if e.dim != helper.quant.dim:
-        raise ValueError(f"embedding dim {e.dim} does not match helper dim {helper.quant.dim}")
     word = quantize(e, helper.quant) ^ helper.offset
     message = codec_for(helper.code).decode(word)
     if message is None:

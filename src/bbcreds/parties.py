@@ -15,7 +15,6 @@ adapter uses the canonical wire encodings.
 from __future__ import annotations
 
 import enum
-import math
 import random
 import socket
 import socketserver
@@ -60,7 +59,6 @@ __all__ = [
     "AlwaysFail",
     "SeededRandom",
     "LivenessPolicy",
-    "LivenessResult",
     "liveness_check",
     "LivenessFailed",
     "DateOfBirthEvidence",
@@ -128,24 +126,18 @@ class SeededRandom:
 LivenessPolicy = Union[AlwaysPass, AlwaysFail, SeededRandom]
 
 
-@dataclass(frozen=True)
-class LivenessResult:
-    passed: bool
-    detail: str
-
-
 class LivenessFailed(Exception):
     """The sample was not accepted as coming from a present person."""
 
 
-def liveness_check(policy: LivenessPolicy) -> LivenessResult:
+def liveness_check(policy: LivenessPolicy) -> bool:
+    """Whether the policy accepts this capture as coming from a present person."""
     if isinstance(policy, AlwaysPass):
-        return LivenessResult(True, "policy AlwaysPass")
+        return True
     if isinstance(policy, AlwaysFail):
-        return LivenessResult(False, "policy AlwaysFail")
+        return False
     if isinstance(policy, SeededRandom):
-        ok = policy.draw()
-        return LivenessResult(ok, f"seeded draw at rate {policy.rate}")
+        return policy.draw()
     raise TypeError(f"unknown liveness policy {policy!r}")
 
 
@@ -365,6 +357,9 @@ def decode_issuance_response(data: bytes) -> IssuanceResponse:
 
 # --- optional socket transport (4-byte big-endian length framing) ------------
 
+# The largest legal message: an issued response carrying one credential.
+_MAX_FRAME = 2 + ENCODED_LEN
+
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack(">I", len(payload)) + payload)
@@ -382,6 +377,8 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 def _recv_frame(sock: socket.socket) -> bytes:
     (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+    if length > _MAX_FRAME:
+        raise ValueError(f"frame of {length} bytes exceeds {_MAX_FRAME}")
     return _recv_exact(sock, length)
 
 
@@ -450,8 +447,7 @@ class ProtocolConfig:
     liveness: LivenessPolicy = field(default_factory=AlwaysPass)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        NoiseModel(self.sigma)  # the one bound on sigma
         if self.dim < max(MIN_DIM, self.code.n):
             raise ValueError(
                 f"dim must be >= max({MIN_DIM}, code length {self.code.n}), got {self.dim}"
@@ -480,9 +476,8 @@ def device_enroll(
     capture = sample_genuine(
         profile, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )
-    gate = liveness_check(cfg.liveness)
-    if not gate.passed:
-        raise LivenessFailed(gate.detail)
+    if not liveness_check(cfg.liveness):
+        raise LivenessFailed(f"policy {type(cfg.liveness).__name__}")
 
     key, helper = fe_generate(
         capture, cfg.code, cfg.quantizer(), subseed(rng_seed, "bbcreds/device/fe/v1")
@@ -517,9 +512,8 @@ def device_authenticate(
     Raises LivenessFailed, ExtractFailure or AuthFailure from the first
     stage that rejects.
     """
-    gate = liveness_check(liveness)
-    if not gate.passed:
-        raise LivenessFailed(gate.detail)
+    if not liveness_check(liveness):
+        raise LivenessFailed(f"policy {type(liveness).__name__}")
     key = fe_reproduce(sample, record.helper)
     return unbind_auth(key, record.sketch, record.digest, record.bound)
 

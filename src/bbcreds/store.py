@@ -78,10 +78,6 @@ class DeviceRecord:
     digest: KeyDigest
     bound: BoundCredential
 
-    def __post_init__(self) -> None:
-        if self.helper.code.n != self.helper.quant.code_length:
-            raise ValueError("helper code length and quantizer output length disagree")
-
 
 def encode_record(record: DeviceRecord) -> bytes:
     out = bytearray(MAGIC)

@@ -80,8 +80,10 @@ class NoiseModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        # At sigma = 1 the noise is sqrt(dim) times the unit signal, so a
+        # capture carries no identity; larger values only risk overflow.
+        if not 0 <= self.sigma <= 1:
+            raise ValueError(f"sigma must be in [0, 1], got {self.sigma}")
 
 
 def _normalized(v: np.ndarray) -> Embedding:

@@ -27,7 +27,7 @@ from bbcreds.binding import (
 )
 from bbcreds.credential import issue_agecred
 from bbcreds.ecc import CodeParams, codec_for
-from bbcreds.evaluate import Stage, estimate_far, estimate_frr
+from bbcreds.evaluate import estimate_far, estimate_frr
 from bbcreds.fextract import StableKey, fe_generate
 from bbcreds.kdf import tagged_hash
 from bbcreds.parties import SIGMA_DEFAULT, ProtocolConfig
@@ -64,7 +64,7 @@ def test_criterion_01_key_size_contract():
 def test_criterion_02_zero_noise_soundness():
     report = estimate_frr(CFG, 0.0, 1000, SEED)
     assert report.frr == 0.0
-    assert report.stage_counts[Stage.SUCCESS.value] == 1000
+    assert report.stage_counts["Success"] == 1000
     _passed(2, "zero-noise-soundness")
 
 
@@ -80,7 +80,7 @@ def test_criterion_03_calibrated_genuine_acceptance():
 def test_criterion_04_impostor_rejection():
     report = estimate_far(CFG, 10000, SEED)
     assert report.far == 0.0
-    allowed = {Stage.EXTRACT.value, Stage.HASH_CHECK.value}
+    allowed = {"Extract", "HashMismatch"}
     observed = {stage for stage, count in report.stage_counts.items() if count > 0}
     assert observed <= allowed, f"impostor failures outside {allowed}: {observed}"
     assert sum(report.stage_counts.values()) == 10000

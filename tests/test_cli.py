@@ -1,5 +1,6 @@
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -286,9 +287,20 @@ class TestAuth:
     def test_liveness_failure(self, record_path, keys_prefix):
         assert self._auth(record_path, keys_prefix, "--liveness", "fail") == EXIT_LIVENESS
 
+    @pytest.mark.parametrize("t", [29, 300])
+    def test_unsupported_code_in_record_is_usage_error(self, tmp_path, record_path,
+                                                       keys_prefix, capsys, t):
+        data = Path(record_path).read_bytes()
+        pos = 4 + 1 + 5 + 1 + 16 + 4  # magic, version, TLV head, helper version, salt, n, k
+        patched = tmp_path / "patched.bbc"
+        patched.write_bytes(data[:pos] + t.to_bytes(2, "big") + data[pos + 2 :])
+        capsys.readouterr()
+        assert self._auth(str(patched), keys_prefix) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad record: InvariantViolation")
+
     def test_corrupt_record_reports_reason(self, tmp_path, record_path, keys_prefix, capsys):
         stub = tmp_path / "cut.bbc"
-        stub.write_bytes(open(record_path, "rb").read()[:60])
+        stub.write_bytes(Path(record_path).read_bytes()[:60])
         code = main(
             [
                 "auth",
@@ -364,7 +376,7 @@ class TestInspect:
 
     def test_truncated_record_fails(self, tmp_path, record_path, capsys):
         stub = tmp_path / "cut.bbc"
-        stub.write_bytes(open(record_path, "rb").read()[:100])
+        stub.write_bytes(Path(record_path).read_bytes()[:100])
         assert main(["inspect", "--record", str(stub)]) == EXIT_USAGE
         assert "Truncated" in capsys.readouterr().err
 
@@ -461,13 +473,18 @@ class TestConfigFile:
         ("auth", ["--sigma", "-1"]),
         ("enroll", ["--config", "dim4.conf"]),
         ("enroll", ["--sigma", "nan"]),
+        ("enroll", ["--sigma", "1e300"]),
+        ("auth", ["--sigma", "1e300"]),
+        ("enroll", ["--config", "bch1023.conf"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
-         "enroll-sigma-nan"],
+         "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
     (tmp_path / "dim4.conf").write_text("dim=4\n")
+    # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
+    (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
     extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra]
     if command == "enroll":
         argv = [

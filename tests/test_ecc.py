@@ -29,6 +29,8 @@ class TestCodeParams:
             CodeParams(15, 16, 2)
         with pytest.raises(ValueError):
             CodeParams(15, 7, -1)
+        with pytest.raises(ValueError):
+            CodeParams(15, 1, 8)  # 2t >= n: no BCH code
 
     def test_unsupported_length_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import socket
+import struct
 import threading
 from dataclasses import replace
 from datetime import date
@@ -23,6 +25,8 @@ from bbcreds.parties import (
     ProtocolConfig,
     SeededRandom,
     SocketAspClient,
+    _MAX_FRAME,
+    _recv_frame,
     age_in_years,
     asp_handle_issuance,
     decode_issuance_request,
@@ -56,22 +60,22 @@ class CountingAsp:
 
 class TestLiveness:
     def test_always_pass(self):
-        assert liveness_check(AlwaysPass()).passed
+        assert liveness_check(AlwaysPass()) is True
 
     def test_always_fail(self):
-        assert not liveness_check(AlwaysFail()).passed
+        assert liveness_check(AlwaysFail()) is False
 
     def test_seeded_rate(self):
         policy = SeededRandom(0.9, seed=77)
-        passes = sum(liveness_check(policy).passed for _ in range(10000))
+        passes = sum(liveness_check(policy) for _ in range(10000))
         assert abs(passes / 10000 - 0.9) <= 0.01
 
     def test_seeded_sequence_reproducible(self):
-        a = [liveness_check(SeededRandom(0.5, seed=3)).passed for _ in range(1)]
-        draws1 = [liveness_check(p).passed for p in [SeededRandom(0.5, 3)] * 1]
+        a = [liveness_check(SeededRandom(0.5, seed=3)) for _ in range(1)]
+        draws1 = [liveness_check(p) for p in [SeededRandom(0.5, 3)] * 1]
         p1, p2 = SeededRandom(0.5, seed=3), SeededRandom(0.5, seed=3)
-        seq1 = [liveness_check(p1).passed for _ in range(100)]
-        seq2 = [liveness_check(p2).passed for _ in range(100)]
+        seq1 = [liveness_check(p1) for _ in range(100)]
+        seq2 = [liveness_check(p2) for _ in range(100)]
         assert seq1 == seq2
         assert a == draws1
 
@@ -236,6 +240,14 @@ class TestSocketTransport:
         cred = device_authenticate(sample, record, AlwaysPass())
         assert cred.age_over == 18
 
+    def test_oversized_frame_rejected_before_payload(self):
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(struct.pack(">I", _MAX_FRAME + 1))
+            left.shutdown(socket.SHUT_WR)  # an uncapped reader fails with ConnectionError
+            with pytest.raises(ValueError):
+                _recv_frame(right)
+
 
 class TestDeviceEnroll:
     def test_record_holds_exactly_the_four_artifacts(self, enrollment):
@@ -260,7 +272,7 @@ class TestDeviceEnroll:
     def test_liveness_failure_precedes_asp_contact(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         cfg = replace(default_cfg, liveness=AlwaysFail())
-        with pytest.raises(LivenessFailed):
+        with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
             device_enroll(new_identity(9, cfg.dim), counting, cfg, rng_seed=1)
         assert counting.calls == 0
 
@@ -331,7 +343,7 @@ class TestDeviceAuthenticate:
         sample = sample_genuine(
             enrollment["profile"], NoiseModel(default_cfg.sigma), 909
         )
-        with pytest.raises(LivenessFailed):
+        with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
             device_authenticate(sample, enrollment["record"], AlwaysFail())
 
     def test_no_asp_contact_after_issuance(self, issuer_keys, default_cfg):

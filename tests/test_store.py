@@ -178,6 +178,17 @@ class TestStrictness:
             decode_record(bytes(out))
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
 
+    @pytest.mark.parametrize("t", [29, 300])
+    def test_unsupported_code_rejected(self, enrollment, t):
+        # t=29 keeps k=259, which that code does not have; t=300 has 2t >= n.
+        data = encode_record(enrollment["record"])
+        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 4  # TLV head, helper version, salt, n, k
+        assert int.from_bytes(data[pos : pos + 2], "big") == 30
+        patched = data[:pos] + t.to_bytes(2, "big") + data[pos + 2 :]
+        with pytest.raises(FormatError) as err:
+            decode_record(patched)
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+
     def test_empty_body_reports_missing_tags(self):
         with pytest.raises(FormatError) as err:
             decode_record(MAGIC + bytes([0x01]))

@@ -132,8 +132,10 @@ def test_impostor_deterministic_and_normalized():
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
+    for sigma in (-0.1, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseModel(sigma)
+    assert NoiseModel(1.0).sigma == 1.0
 
 
 def test_embedding_invariants():
