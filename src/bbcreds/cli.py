@@ -272,6 +272,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"bad sigma list: {exc}") from exc
     if not sigmas:
         raise CliError("sigma list is empty")
+    if args.trials <= 0:
+        # Checked here, not only by wilson_interval, so no CSV is left behind.
+        raise CliError("trials must be positive")
     seed = _run_seed(args)
     try:
         with open(args.out, "w") as sink:

@@ -3,9 +3,23 @@
 Primitive BCH codes of length n = 2^m - 1. The generator polynomial is
 built from the cyclotomic cosets of alpha^1 .. alpha^2t, which guarantees
 a designed distance of 2t+1 and therefore correction of any error pattern
-of weight <= t. Decoding is the classical chain: syndromes, the
-Berlekamp-Massey recursion for the error locator polynomial, and a Chien
-search for its roots.
+of weight <= t. The coset sizes alone give k, so an unsupported (n, k, t)
+is rejected before any table is built.
+
+Decoding is the binary form of the classical chain:
+
+- Syndromes: only the t odd ones, S_1, S_3, .., S_2t-1, each the XOR of
+  one row of a (t, n) table of alpha^(i p) gathered at the word's nonzero
+  bits. The even ones follow from S_2i = S_i^2.
+- Berlekamp-Massey: for a binary word every second discrepancy is zero
+  (Berlekamp 1968), so the recursion runs t steps instead of 2t. Field
+  products are table lookups at a sum of logs, with no reduction mod n.
+- Chien search (Chien 1964): the locator is evaluated at every alpha^s in
+  one gather from a (t+1, n) table of i*s mod n and one XOR over its rows.
+
+For BCH(511, 259, 30) the decoder tables take about 160 KB, built once
+per codec: 30 KB of uint16 field elements for the syndromes and 127 KB of
+int64 exponents for the Chien search.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -16,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -72,6 +87,27 @@ def _poly_mod(a: int, g: int) -> int:
     return a
 
 
+def _cyclotomic_cosets(n: int, t: int) -> list[list[int]]:
+    """Cyclotomic cosets {i, 2i, 4i, ...} mod n that cover 1 .. 2t.
+
+    Their sizes sum to deg g(x) = n - k, so k is known from integer
+    arithmetic alone, before any field table is built.
+    """
+    cosets: list[list[int]] = []
+    covered: set[int] = set()
+    for i in range(1, 2 * t + 1):
+        if i in covered:
+            continue
+        coset = [i]
+        j = 2 * i % n
+        while j != i:
+            coset.append(j)
+            j = 2 * j % n
+        covered.update(coset)
+        cosets.append(coset)
+    return cosets
+
+
 class BchCodec:
     """Encoder/decoder for one (n, k, t) parameter set.
 
@@ -89,14 +125,22 @@ class BchCodec:
             )
         if 2 * t >= n:
             raise ValueError(f"t={t} needs 2t < n={n}")
+        cosets = _cyclotomic_cosets(n, t)
+        actual_k = n - sum(map(len, cosets))
+        if actual_k != k:
+            raise ValueError(
+                f"BCH length {n} with t={t} has k={actual_k}, not k={k}; "
+                f"pick (n, k, t) from the standard tables"
+            )
         self.params = params
-        self._m = m
         self._n = n
 
-        # GF(2^m) log/exp tables. Python lists for scalar hot loops,
-        # numpy mirrors for the vectorized syndrome/Chien passes.
+        # GF(2^m) log/exp tables as Python lists for the scalar loops. exp
+        # holds alpha^0 .. alpha^(n-1) twice, so a sum of two logs indexes it
+        # without % n. log[0] is the sentinel 2n, and exp is 0 from index 2n
+        # on, so any product with zero reads 0 without a branch.
         exp = [0] * n
-        log = [0] * (n + 1)
+        log = [2 * n] * (n + 1)
         x = 1
         for i in range(n):
             exp[i] = x
@@ -104,41 +148,32 @@ class BchCodec:
             x <<= 1
             if x & (1 << m):
                 x ^= _PRIMITIVE_POLY[m]
-        self._exp = exp
+        self._exp = exp + exp + [0] * (2 * n + 1)
         self._log = log
-        self._exp_np = np.asarray(exp, dtype=np.int64)
+        self._generator = self._build_generator(cosets)
 
-        self._generator = self._build_generator(t)
-        actual_k = n - (self._generator.bit_length() - 1)
-        if actual_k != k:
-            raise ValueError(
-                f"BCH length {n} with t={t} has k={actual_k}, not k={k}; "
-                f"pick (n, k, t) from the standard tables"
-            )
+        # Decoder tables. Field elements are below 2^10, so the numpy copy
+        # of exp and everything gathered from it is uint16. Row i of the
+        # syndrome table holds alpha^((2i+1) p) at bit position j, whose
+        # coefficient power is p = n - 1 - j; row i of the Chien table holds
+        # i*s mod n for s = 0 .. n-1.
+        self._exp_np = np.asarray(self._exp, dtype=np.uint16)
+        powers = np.arange(n - 1, -1, -1)
+        odd = np.arange(1, 2 * t, 2)
+        self._syndrome_table = self._exp_np[np.outer(odd, powers) % n]
+        self._chien_table = np.outer(np.arange(t + 1), np.arange(n)) % n
 
     def _gf_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self._n]
+        return self._exp[self._log[a] + self._log[b]]
 
-    def _build_generator(self, t: int) -> int:
+    def _build_generator(self, cosets: list[list[int]]) -> int:
         """lcm of the minimal polynomials of alpha^1 .. alpha^2t."""
-        n, exp, log = self._n, self._exp, self._log
         generator = 1
-        covered: set[int] = set()
-        for i in range(1, 2 * t + 1):
-            if i in covered:
-                continue
-            coset = []
-            j = i
-            while j not in coset:
-                coset.append(j)
-                j = (j * 2) % n
-            covered.update(coset)
+        for coset in cosets:
             # minimal polynomial: product of (x + alpha^j) over the coset
             poly = [1]
             for j in coset:
-                root = exp[j]
+                root = self._exp[j]
                 nxt = [0] * (len(poly) + 1)
                 for d, c in enumerate(poly):
                     nxt[d + 1] ^= c
@@ -158,45 +193,50 @@ class BchCodec:
         shifted = msg.as_int() << (p.n - p.k)
         return BitString.from_int(shifted ^ _poly_mod(shifted, self._generator), p.n)
 
-    def _syndromes(self, powers: np.ndarray) -> np.ndarray:
-        """S_i = word(alpha^i) for i = 1..2t, given the nonzero coefficient powers."""
-        i = np.arange(1, 2 * self.params.t + 1, dtype=np.int64)
-        idx = (i[:, None] * powers[None, :]) % self._n
-        return np.bitwise_xor.reduce(self._exp_np[idx], axis=1)
+    def _locator(self, odd: list[int]) -> list[int]:
+        """Binary Berlekamp-Massey over S_1 .. S_2t, given S_1, S_3, .., S_2t-1.
 
-    def _locator(self, syndromes: np.ndarray) -> tuple[list[int], int]:
-        """Berlekamp-Massey: minimal LFSR generating the syndrome sequence."""
+        A binary word has S_2i = S_i^2, and then every second discrepancy
+        is zero (Berlekamp 1968), so only the t steps r = 0, 2, .., 2t-2
+        run and the correction shift advances by 2 per step. Returns the
+        logs of the locator coefficients up to its length L (zero
+        coefficients as the sentinel log 2n).
+        """
         t2 = 2 * self.params.t
-        s = [int(v) for v in syndromes]
-        cur = [1] + [0] * t2
-        prev = [1] + [0] * t2
+        n, exp, log = self._n, self._exp, self._log
+        # s[i] = S_(i+1) for i < 2t-1; the last step reads no further.
+        s = [0] * (t2 - 1)
+        s[0::2] = odd
+        for j in range(self.params.t - 1):
+            s[2 * j + 1] = exp[2 * log[s[j]]]
+        # rlog[t2 - 2 - i] is the log of s[i].
+        rlog = [log[v] for v in reversed(s)]
+        cur = [0] + [log[0]] * t2
+        prev = [0]
         length = 0
         shift = 1
-        prev_disc = 1
-        for i in range(t2):
-            disc = s[i]
-            for j in range(1, length + 1):
-                if cur[j] and s[i - j]:
-                    disc ^= self._exp[(self._log[cur[j]] + self._log[s[i - j]]) % self._n]
+        prev_log = 0  # log of the discrepancy at which prev was saved
+        for r in range(0, t2, 2):
+            disc = s[r]
+            for v in map(add, cur[1 : length + 1], rlog[t2 - 1 - r :]):
+                disc ^= exp[v]
             if disc == 0:
-                shift += 1
+                shift += 2
                 continue
-            scale = self._exp[(self._log[disc] - self._log[prev_disc]) % self._n]
-            if 2 * length <= i:
-                saved = cur[:]
-                for j in range(0, t2 + 1 - shift):
-                    if prev[j]:
-                        cur[j + shift] ^= self._gf_mul(scale, prev[j])
-                length = i + 1 - length
-                prev = saved
-                prev_disc = disc
-                shift = 1
+            scale = (log[disc] - prev_log) % n
+            saved = None
+            if 2 * length <= r:
+                saved = cur[: length + 1]
+                length = r + 1 - length
+            for j, lp in enumerate(prev, shift):
+                cur[j] = log[exp[cur[j]] ^ exp[scale + lp]]
+            if saved is None:
+                shift += 2
             else:
-                for j in range(0, t2 + 1 - shift):
-                    if prev[j]:
-                        cur[j + shift] ^= self._gf_mul(scale, prev[j])
-                shift += 1
-        return cur[: length + 1], length
+                prev = saved
+                prev_log = log[disc]
+                shift = 2
+        return cur[: length + 1]
 
     def decode(self, word: BitString) -> BitString | None:
         """Correct up to t errors and return the message, or None on failure."""
@@ -204,31 +244,28 @@ class BchCodec:
         if word.n != p.n:
             raise ValueError(f"word length {word.n} does not match n={p.n}")
         bits = word.bits().copy()
-        nonzero = np.nonzero(bits)[0]
-        if nonzero.size == 0:
-            return BitString.from_bits(bits[: p.k])
-        powers = (p.n - 1 - nonzero).astype(np.int64)
-        syndromes = self._syndromes(powers)
-        if not syndromes.any():
+        odd = np.bitwise_xor.reduce(self._syndrome_table[:, np.flatnonzero(bits)], axis=1)
+        if not odd.any():
             return BitString.from_bits(bits[: p.k])
 
-        locator, degree = self._locator(syndromes)
-        if degree == 0 or degree > p.t:
+        locator = self._locator(odd.tolist())
+        degree = len(locator) - 1
+        if degree > p.t:
             return None
 
-        # Chien search: evaluate the locator at alpha^s for every s.
-        s = np.arange(self._n, dtype=np.int64)
-        acc = np.zeros(self._n, dtype=np.int64)
-        for i, coeff in enumerate(locator):
-            if coeff:
-                acc ^= self._exp_np[(self._log[coeff] + i * s) % self._n]
-        roots = np.nonzero(acc == 0)[0]
+        # Chien search: the locator at alpha^s for every s in one gather;
+        # zero coefficients carry the sentinel log and add nothing.
+        logs = np.array(locator)
+        acc = np.bitwise_xor.reduce(
+            self._exp_np[logs[:, None] + self._chien_table[: degree + 1]], axis=0
+        )
+        roots = np.flatnonzero(acc == 0)
         if roots.size != degree:
             return None
 
-        # A root alpha^s corresponds to an error at power (n - s) mod n.
-        error_powers = (self._n - roots) % self._n
-        bits[p.n - 1 - error_powers] ^= 1
+        # A root alpha^s marks an error at power (n - s) mod n, which is
+        # bit (s - 1) mod n.
+        bits[(roots - 1) % p.n] ^= 1
         return BitString.from_bits(bits[: p.k])
 
 

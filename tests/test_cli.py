@@ -362,6 +362,17 @@ class TestEval:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_write_no_file(self, tmp_path, capsys, trials):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["eval", "--sigmas", "0.0", "--trials", trials, "--seed", "1",
+             "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "trials must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInspect:
     def test_shows_metadata_without_plaintext(self, record_path, capsys):

@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from bbcreds import ecc
 from bbcreds.ecc import BchCodec, CodeParams, codec_for, decode, encode
 from bbcreds.quantize import BitString
 
@@ -19,6 +21,73 @@ def _with_flips(word, positions):
     bits = word.bits().copy()
     bits[list(positions)] ^= 1
     return BitString.from_bits(bits)
+
+
+@functools.cache
+def _gf_tables(n):
+    m = n.bit_length()
+    exp, log = [0] * n, [0] * (n + 1)
+    x = 1
+    for i in range(n):
+        exp[i], log[x] = x, i
+        x <<= 1
+        if x & (1 << m):
+            x ^= ecc._PRIMITIVE_POLY[m]
+    return exp, log
+
+
+def _reference_decode(params, word):
+    """The general decoder in plain Python: all 2t syndromes, the 2t-step
+    Berlekamp-Massey recursion and a Chien search with one pass per locator
+    coefficient. ``BchCodec.decode`` must return exactly what this returns."""
+    n, k, t = params.n, params.k, params.t
+    exp, log = _gf_tables(n)
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % n] if a and b else 0
+
+    value = word.as_int()  # binary digit p is the coefficient of x^p
+    powers = [p for p in range(n) if value >> p & 1]
+    s = [0] * (2 * t)
+    for i in range(2 * t):
+        for p in powers:
+            s[i] ^= exp[(i + 1) * p % n]
+    if not any(s):
+        return BitString.from_int(value >> (n - k), k)
+
+    t2 = 2 * t
+    cur, prev = [1] + [0] * t2, [1] + [0] * t2
+    length, shift, prev_disc = 0, 1, 1
+    for r in range(t2):
+        disc = s[r]
+        for j in range(1, length + 1):
+            disc ^= mul(cur[j], s[r - j])
+        if disc == 0:
+            shift += 1
+            continue
+        scale = exp[(log[disc] - log[prev_disc]) % n]
+        saved = cur[:]
+        for j in range(t2 + 1 - shift):
+            cur[j + shift] ^= mul(scale, prev[j])
+        if 2 * length <= r:
+            length = r + 1 - length
+            prev, prev_disc, shift = saved, disc, 1
+        else:
+            shift += 1
+    if length == 0 or length > t:
+        return None
+
+    acc = [0] * n
+    for j, coeff in enumerate(cur[: length + 1]):
+        if coeff:
+            for point in range(n):
+                acc[point] ^= exp[(log[coeff] + j * point) % n]
+    roots = [point for point in range(n) if acc[point] == 0]
+    if len(roots) != length:
+        return None
+    for point in roots:  # a root alpha^s marks an error at power (n - s) mod n
+        value ^= 1 << (n - point) % n
+    return BitString.from_int(value >> (n - k), k)
 
 
 class TestCodeParams:
@@ -40,6 +109,22 @@ class TestCodeParams:
         # 511 with t=30 supports exactly k=259 by the standard tables.
         with pytest.raises(ValueError):
             BchCodec(CodeParams(511, 300, 30))
+
+    @pytest.mark.parametrize(
+        "n, t, k",
+        [(15, 2, 7), (31, 3, 16), (63, 6, 30), (255, 18, 131), (511, 30, 259), (1023, 1, 1013)],
+    )
+    def test_k_from_cyclotomic_cosets(self, n, t, k):
+        assert n - sum(map(len, ecc._cyclotomic_cosets(n, t))) == k
+        assert CodeParams(n, k, t).k == k
+
+    def test_wrong_k_rejected_before_tables(self, monkeypatch):
+        def build_generator(*args):
+            raise AssertionError("generator built for a rejected parameter set")
+
+        monkeypatch.setattr(BchCodec, "_build_generator", build_generator)
+        with pytest.raises(ValueError, match="has k=268"):
+            CodeParams(511, 259, 29)
 
     def test_codec_cache_returns_shared_instance(self):
         assert codec_for(SMALL_CODE) is codec_for(CodeParams(15, 7, 2))
@@ -80,6 +165,46 @@ class TestSmallCodeExhaustive:
                 assert result.n == SMALL_CODE.k
         # bounded-distance decoding: some patterns miscorrect, some fail
         assert "message" in outcomes or "fail" in outcomes
+
+
+class TestReferenceEquality:
+    """The decoder equals the general 2t-step decoder on every word tried,
+    including failures and miscorrections beyond t."""
+
+    def test_every_word_of_small_code(self):
+        codec = codec_for(SMALL_CODE)
+        for value in range(1 << SMALL_CODE.n):
+            word = BitString.from_int(value, SMALL_CODE.n)
+            assert codec.decode(word) == _reference_decode(SMALL_CODE, word)
+
+    @pytest.mark.parametrize(
+        "params, rounds, kinds",
+        [
+            (CodeParams(31, 16, 3), 20, {"correct", "fail", "miscorrect"}),
+            (CodeParams(63, 30, 6), 8, {"correct", "fail", "miscorrect"}),
+            # Beyond t these longer codes almost never land near another codeword.
+            (CodeParams(255, 131, 18), 2, {"correct", "fail"}),
+            (PROD_CODE, 1, {"correct", "fail"}),
+        ],
+        ids=["n31", "n63", "n255", "n511"],
+    )
+    def test_random_words(self, params, rounds, kinds):
+        """Codewords with 0..3t flipped bits, then one uniform random word, per round."""
+        codec = codec_for(params)
+        rng = np.random.default_rng(params.n)
+        seen = set()
+        for _ in range(rounds):
+            for weight in range(3 * params.t + 2):
+                msg = _random_message(rng, params.k)
+                if weight <= 3 * params.t:
+                    positions = rng.choice(params.n, size=weight, replace=False)
+                    word = _with_flips(codec.encode(msg), positions)
+                else:
+                    word = BitString.from_bits(rng.integers(0, 2, size=params.n).astype(np.uint8))
+                result = codec.decode(word)
+                assert result == _reference_decode(params, word)
+                seen.add("fail" if result is None else "correct" if result == msg else "miscorrect")
+        assert seen == kinds
 
 
 class TestZeroCases:

@@ -104,6 +104,33 @@ class TestFar:
             estimate_far(cfg, 999, SEED)
 
 
+# Reports recorded with the general 2t-step BCH decoder. Any change to the
+# decoder's results, failures included, moves one of these.
+PINNED_REPORTS = [
+    (
+        0xACCE97,
+        (0.0, 0.0, 0.0038267584855551234, {"Extract": 1000}),
+        (0.01, 0.0027466581335444384, 0.0357217617161768, {"Extract": 2, "Success": 198}),
+    ),
+    (
+        20250909,
+        (0.0, 0.0, 0.0038267584855551234, {"Extract": 1000}),
+        (0.03, 0.013820314340111346, 0.06389429245451925, {"Extract": 6, "Success": 194}),
+    ),
+]
+
+
+@pytest.mark.parametrize("seed, far, frr", PINNED_REPORTS, ids=["acce97", "20250909"])
+def test_reports_pinned(cfg, seed, far, frr):
+    far_report = estimate_far(cfg, 1000, seed)
+    frr_report = estimate_frr(cfg, 0.004, 200, seed)
+    nonzero = lambda counts: {name: n for name, n in counts.items() if n}
+    assert (far_report.far, far_report.far_lo, far_report.far_hi,
+            nonzero(far_report.stage_counts)) == far
+    assert (frr_report.frr, frr_report.frr_lo, frr_report.frr_hi,
+            nonzero(frr_report.stage_counts)) == frr
+
+
 class TestTrialIndependence:
     def test_frr_outcomes_order_invariant(self, cfg):
         forward = [frr_trial(cfg, 0.004, SEED, i) for i in range(100)]
