@@ -49,17 +49,15 @@ from .parties import (
     InProcessAsp,
     IssuanceDenied,
     IssuanceRequest,
-    IssuanceResponse,
     LivenessFailed,
     ProtocolConfig,
-    SeededRandom,
     device_authenticate,
     device_enroll,
     liveness_check,
     rp_check_access,
 )
 from .quantize import BitString, QuantizerConfig, hamming, quantize
-from .store import DeviceRecord, FormatError, load_record, save_record
+from .store import DeviceRecord, FormatError
 from .synthbio import (
     Embedding,
     IdentityProfile,

@@ -215,7 +215,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_record_file(path: str):
+def _read_record_file(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -228,7 +228,7 @@ def _load_record_file(path: str):
 
 def cmd_auth(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
-    record = _load_record_file(args.record)
+    record = _read_record_file(args.record)
     issuer_public = _load_issuer_public(args.keys)
     seed = _run_seed(args)
     dim = record.helper.quant.dim
@@ -288,7 +288,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    record = _load_record_file(args.record)
+    record = _read_record_file(args.record)
     helper = record.helper
     print(f"record: {args.record}")
     print(f"helper_version={helper.version}")

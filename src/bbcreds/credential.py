@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -25,7 +25,6 @@ from .kdf import expand_seed, tagged_hash
 __all__ = [
     "CRED_VERSION",
     "ENCODED_LEN",
-    "SIGNED_PREFIX_LEN",
     "AgeCred",
     "IssuerKeyPair",
     "RejectReason",
@@ -45,7 +44,6 @@ CRED_VERSION = 1
 _LAYOUT = struct.Struct(">B16s16sBQQ64s")
 _PREFIX = struct.Struct(">B16s16sBQQ")
 ENCODED_LEN = _LAYOUT.size
-SIGNED_PREFIX_LEN = _PREFIX.size
 
 _ISSUER_ID_LABEL = "bbcreds/issuer-id/v1"
 _KEYGEN_LABEL = "bbcreds/issuer-keygen/v1"
@@ -88,13 +86,16 @@ class IssuerKeyPair:
 
     public: bytes
     private: bytes
+    # The loaded signing key, kept so that issuance does not parse it again.
+    signer: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.public) != 32 or len(self.private) != 32:
             raise ValueError("Ed25519 keys are 32 bytes each")
-        probe = Ed25519PrivateKey.from_private_bytes(self.private)
-        if probe.public_key().public_bytes_raw() != self.public:
+        signer = Ed25519PrivateKey.from_private_bytes(self.private)
+        if signer.public_key().public_bytes_raw() != self.public:
             raise ValueError("public key does not belong to the private key")
+        object.__setattr__(self, "signer", signer)
 
 
 class RejectReason(enum.Enum):
@@ -170,9 +171,7 @@ def issue_agecred(
         expires_at=issued_at + validity_seconds,
         signature=bytes(64),
     )
-    signature = Ed25519PrivateKey.from_private_bytes(keys.private).sign(
-        _signed_prefix(unsigned)
-    )
+    signature = keys.signer.sign(_signed_prefix(unsigned))
     return AgeCred(
         unsigned.version,
         unsigned.issuer_id,

@@ -6,18 +6,14 @@ bytes that ever cross to the ASP are the issuance request fields. Post
 issuance, authentication is entirely device-local and the relying party
 sees only the recovered credential.
 
-The ASP transport is an abstract request/response interface: anything
-with a ``handle(IssuanceRequest) -> IssuanceResponse`` method works. An
-in-process implementation is the default; a framed localhost-socket
-adapter uses the canonical wire encodings.
+The ASP is reached through anything with a ``handle(IssuanceRequest) ->
+AgeCred`` method that raises ``IssuanceDenied`` on refusal;
+``InProcessAsp`` is that implementation.
 """
 
 from __future__ import annotations
 
 import enum
-import random
-import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -35,11 +31,8 @@ from .binding import (
 )
 from .credential import (
     AgeCred,
-    ENCODED_LEN,
     IssuerKeyPair,
     RejectReason,
-    decode_agecred,
-    encode_agecred,
     issue_agecred,
     verify_agecred,
 )
@@ -57,7 +50,6 @@ __all__ = [
     "ProtocolConfig",
     "AlwaysPass",
     "AlwaysFail",
-    "SeededRandom",
     "LivenessPolicy",
     "liveness_check",
     "LivenessFailed",
@@ -65,7 +57,6 @@ __all__ = [
     "AlwaysApproveEvidence",
     "Evidence",
     "IssuanceRequest",
-    "IssuanceResponse",
     "DenyReason",
     "IssuanceDenied",
     "AgePolicy",
@@ -73,16 +64,11 @@ __all__ = [
     "asp_handle_issuance",
     "AspAccess",
     "InProcessAsp",
-    "AspSocketServer",
-    "SocketAspClient",
     "AccessDecision",
     "device_enroll",
     "device_authenticate",
     "rp_check_access",
     "encode_issuance_request",
-    "decode_issuance_request",
-    "encode_issuance_response",
-    "decode_issuance_response",
 ]
 
 # Production operating point. The code is the largest-t length-511 BCH code
@@ -108,22 +94,7 @@ class AlwaysFail:
     pass
 
 
-class SeededRandom:
-    """Passes a seeded fraction ``rate`` of checks; the draw sequence is a
-    pure function of the seed, so runs are reproducible."""
-
-    def __init__(self, rate: float, seed: int):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        self.seed = seed
-        self._stream = random.Random(seed)
-
-    def draw(self) -> bool:
-        return self._stream.random() < self.rate
-
-
-LivenessPolicy = Union[AlwaysPass, AlwaysFail, SeededRandom]
+LivenessPolicy = Union[AlwaysPass, AlwaysFail]
 
 
 class LivenessFailed(Exception):
@@ -136,8 +107,6 @@ def liveness_check(policy: LivenessPolicy) -> bool:
         return True
     if isinstance(policy, AlwaysFail):
         return False
-    if isinstance(policy, SeededRandom):
-        return policy.draw()
     raise TypeError(f"unknown liveness policy {policy!r}")
 
 
@@ -178,20 +147,6 @@ class DenyReason(enum.Enum):
     REPLAYED_NONCE = "ReplayedNonce"
 
 
-@dataclass(frozen=True)
-class IssuanceResponse:
-    credential: AgeCred | None = None
-    reason: DenyReason | None = None
-
-    def __post_init__(self) -> None:
-        if (self.credential is None) == (self.reason is None):
-            raise ValueError("exactly one of credential and reason must be set")
-
-    @property
-    def issued(self) -> bool:
-        return self.credential is not None
-
-
 class IssuanceDenied(Exception):
     def __init__(self, reason: DenyReason):
         super().__init__(reason.value)
@@ -220,8 +175,8 @@ def asp_handle_issuance(
     policy: AgePolicy,
     keys: IssuerKeyPair,
     now: int,
-) -> IssuanceResponse:
-    """Check the age evidence and either sign a credential or deny.
+) -> AgeCred:
+    """Check the age evidence and sign a credential, or raise IssuanceDenied.
 
     Date-of-birth evidence is evaluated against the policy threshold with
     the inclusive-birthday rule in UTC; on your 18th birthday you are 18.
@@ -232,24 +187,23 @@ def asp_handle_issuance(
     elif isinstance(req.evidence, DateOfBirthEvidence):
         today = datetime.fromtimestamp(now, tz=timezone.utc).date()
         if req.evidence.dob > today:
-            return IssuanceResponse(reason=DenyReason.BAD_EVIDENCE)
+            raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
         if age_in_years(req.evidence.dob, today) < policy.threshold:
-            return IssuanceResponse(reason=DenyReason.UNDER_AGE)
+            raise IssuanceDenied(DenyReason.UNDER_AGE)
     else:
-        return IssuanceResponse(reason=DenyReason.BAD_EVIDENCE)
+        raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
 
-    cred = issue_agecred(
+    return issue_agecred(
         keys,
         subject_id=req.subject_id,
         age_over=policy.threshold,
         issued_at=now,
         validity_seconds=policy.validity_seconds,
     )
-    return IssuanceResponse(credential=cred)
 
 
 class AspAccess(Protocol):
-    def handle(self, req: IssuanceRequest) -> IssuanceResponse: ...
+    def handle(self, req: IssuanceRequest) -> AgeCred: ...
 
 
 class InProcessAsp:
@@ -266,28 +220,20 @@ class InProcessAsp:
         self._seen: set[bytes] = set()
         self._lock = threading.Lock()
 
-    def handle(self, req: IssuanceRequest) -> IssuanceResponse:
+    def handle(self, req: IssuanceRequest) -> AgeCred:
         with self._lock:
             if req.request_nonce in self._seen:
-                return IssuanceResponse(reason=DenyReason.REPLAYED_NONCE)
+                raise IssuanceDenied(DenyReason.REPLAYED_NONCE)
             self._seen.add(req.request_nonce)
         return asp_handle_issuance(req, self._policy, self._keys, self._now)
 
 
-# --- canonical wire encodings ------------------------------------------------
+# --- canonical request encoding ----------------------------------------------
 
 _EVIDENCE_DOB = 1
 _EVIDENCE_ALWAYS = 2
 _DOB_LAYOUT = struct.Struct(">HBB")
 _REQ_HEAD = struct.Struct(">B16sBH")
-
-_STATUS_ISSUED = 0x00
-_STATUS_BY_REASON = {
-    DenyReason.UNDER_AGE: 0x01,
-    DenyReason.BAD_EVIDENCE: 0x02,
-    DenyReason.REPLAYED_NONCE: 0x03,
-}
-_REASON_BY_STATUS = {v: k for k, v in _STATUS_BY_REASON.items()}
 
 
 def encode_issuance_request(req: IssuanceRequest) -> bytes:
@@ -304,133 +250,6 @@ def encode_issuance_request(req: IssuanceRequest) -> bytes:
         + body
         + req.request_nonce
     )
-
-
-def decode_issuance_request(data: bytes) -> IssuanceRequest:
-    if len(data) < _REQ_HEAD.size:
-        raise ValueError(f"request truncated at {len(data)} bytes")
-    version, subject_id, tag, length = _REQ_HEAD.unpack_from(data)
-    if version != REQUEST_VERSION:
-        raise ValueError(f"unsupported request version {version}")
-    if len(data) != _REQ_HEAD.size + length + 16:
-        raise ValueError("request length does not match evidence length field")
-    body = data[_REQ_HEAD.size : _REQ_HEAD.size + length]
-    nonce = data[_REQ_HEAD.size + length :]
-    evidence: Evidence
-    if tag == _EVIDENCE_DOB:
-        if length != _DOB_LAYOUT.size:
-            raise ValueError("date-of-birth evidence must be 4 bytes")
-        year, month, day = _DOB_LAYOUT.unpack(body)
-        evidence = DateOfBirthEvidence(date(year, month, day))
-    elif tag == _EVIDENCE_ALWAYS:
-        if length != 0:
-            raise ValueError("always-approve evidence carries no bytes")
-        evidence = AlwaysApproveEvidence()
-    else:
-        raise ValueError(f"unknown evidence tag {tag}")
-    return IssuanceRequest(subject_id=subject_id, evidence=evidence, request_nonce=nonce)
-
-
-def encode_issuance_response(resp: IssuanceResponse) -> bytes:
-    if resp.issued:
-        assert resp.credential is not None
-        return bytes([REQUEST_VERSION, _STATUS_ISSUED]) + encode_agecred(resp.credential)
-    return bytes([REQUEST_VERSION, _STATUS_BY_REASON[resp.reason]])
-
-
-def decode_issuance_response(data: bytes) -> IssuanceResponse:
-    if len(data) < 2:
-        raise ValueError(f"response truncated at {len(data)} bytes")
-    if data[0] != REQUEST_VERSION:
-        raise ValueError(f"unsupported response version {data[0]}")
-    status = data[1]
-    if status == _STATUS_ISSUED:
-        if len(data) != 2 + ENCODED_LEN:
-            raise ValueError("issued response must carry exactly one credential")
-        return IssuanceResponse(credential=decode_agecred(data[2:]))
-    if status not in _REASON_BY_STATUS:
-        raise ValueError(f"unknown response status {status}")
-    if len(data) != 2:
-        raise ValueError("denial response carries no credential")
-    return IssuanceResponse(reason=_REASON_BY_STATUS[status])
-
-
-# --- optional socket transport (4-byte big-endian length framing) ------------
-
-# The largest legal message: an issued response carrying one credential.
-_MAX_FRAME = 2 + ENCODED_LEN
-
-
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < count:
-        part = sock.recv(count - len(chunks))
-        if not part:
-            raise ConnectionError("peer closed mid-frame")
-        chunks += part
-    return bytes(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
-    if length > _MAX_FRAME:
-        raise ValueError(f"frame of {length} bytes exceeds {_MAX_FRAME}")
-    return _recv_exact(sock, length)
-
-
-class AspSocketServer:
-    """Serves an ASP over localhost TCP with length-prefixed frames."""
-
-    def __init__(self, asp: AspAccess, host: str = "127.0.0.1", port: int = 0):
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                try:
-                    req = decode_issuance_request(_recv_frame(self.request))
-                    resp = outer._asp.handle(req)
-                except (ValueError, ConnectionError):
-                    self.request.close()
-                    return
-                _send_frame(self.request, encode_issuance_response(resp))
-
-        self._asp = asp
-        self._server = socketserver.ThreadingTCPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "AspSocketServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SocketAspClient:
-    """Issuance access over the framed socket transport."""
-
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
-        self._addr = (host, port)
-        self._timeout = timeout
-
-    def handle(self, req: IssuanceRequest) -> IssuanceResponse:
-        with socket.create_connection(self._addr, timeout=self._timeout) as sock:
-            _send_frame(sock, encode_issuance_request(req))
-            return decode_issuance_response(_recv_frame(sock))
 
 
 # --- device role --------------------------------------------------------------
@@ -488,14 +307,11 @@ def device_enroll(
         evidence=evidence,
         request_nonce=expand_seed(rng_seed, "bbcreds/device/nonce/v1", 16),
     )
-    response = asp.handle(request)
-    if not response.issued:
-        assert response.reason is not None
-        raise IssuanceDenied(response.reason)
+    cred = asp.handle(request)
 
     bind_seed = subseed(rng_seed, "bbcreds/device/bind/v1")
     sketch, digest, bound = bind_enroll(
-        key, response.credential, cfg.sketch_variant, bind_seed
+        key, cred, cfg.sketch_variant, bind_seed
     )
     if secret_observer is not None:
         secret_observer(key, derive_stable_secret(bind_seed))

@@ -83,15 +83,11 @@ class BitString:
     def __xor__(self, other: "BitString") -> "BitString":
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return BitString(bytes(a ^ b for a, b in zip(self.data, other.data)), self.n)
+        value = int.from_bytes(self.data, "big") ^ int.from_bytes(other.data, "big")
+        return BitString(value.to_bytes(len(self.data), "big"), self.n)
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(j)
-        return (self.data[j // 8] >> (7 - j % 8)) & 1
 
 
 @dataclass(frozen=True)

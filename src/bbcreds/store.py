@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 from .binding import (
     BoundCredential,
@@ -30,19 +29,15 @@ from .fextract import HelperData, decode_helper, encode_helper
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
-    "RECORD_EXTENSION",
     "DeviceRecord",
     "FormatReason",
     "FormatError",
     "encode_record",
     "decode_record",
-    "save_record",
-    "load_record",
 ]
 
 MAGIC = b"BBC1"
 FORMAT_VERSION = 0x01
-RECORD_EXTENSION = ".bbc"
 
 _TAG_HELPER = 0x01
 _TAG_SKETCH = 0x02
@@ -148,14 +143,3 @@ def decode_record(data: bytes) -> DeviceRecord:
     except ValueError as exc:
         raise FormatError(FormatReason.INVARIANT_VIOLATION, pos, str(exc)) from exc
     return record
-
-
-def save_record(record: DeviceRecord, destination: BinaryIO) -> int:
-    """Write the canonical record bytes; returns the byte count."""
-    data = encode_record(record)
-    destination.write(data)
-    return len(data)
-
-
-def load_record(source: BinaryIO) -> DeviceRecord:
-    return decode_record(source.read())

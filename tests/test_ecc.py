@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -156,15 +157,21 @@ class TestSmallCodeExhaustive:
     def test_beyond_radius_never_crashes(self):
         codec = codec_for(SMALL_CODE)
         rng = np.random.default_rng(7)
-        cw = codec.encode(_random_message(rng, SMALL_CODE.k))
-        outcomes = set()
+        message = _random_message(rng, SMALL_CODE.k)
+        cw = codec.encode(message)
+        outcomes = collections.Counter()
         for positions in itertools.combinations(range(SMALL_CODE.n), SMALL_CODE.t + 1):
             result = codec.decode(_with_flips(cw, positions))
-            outcomes.add("fail" if result is None else "message")
-            if result is not None:
+            if result is None:
+                outcomes["fail"] += 1
+            else:
                 assert result.n == SMALL_CODE.k
-        # bounded-distance decoding: some patterns miscorrect, some fail
-        assert "message" in outcomes or "fail" in outcomes
+                outcomes["original" if result == message else "miscorrect"] += 1
+        # With minimum distance 5, a 3-bit error e miscorrects exactly when e
+        # lies inside the support of one of the 18 weight-5 codewords: 10
+        # patterns each, 180 in all. The other C(15, 3) - 180 = 275 patterns
+        # fail, and no pattern decodes back to the original message.
+        assert outcomes == {"fail": 275, "miscorrect": 180}
 
 
 class TestReferenceEquality:

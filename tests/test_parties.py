@@ -1,5 +1,3 @@
-import socket
-import struct
 import threading
 from dataclasses import replace
 from datetime import date
@@ -14,27 +12,18 @@ from bbcreds.parties import (
     AlwaysApproveEvidence,
     AlwaysFail,
     AlwaysPass,
-    AspSocketServer,
     DateOfBirthEvidence,
     DenyReason,
     InProcessAsp,
     IssuanceDenied,
     IssuanceRequest,
-    IssuanceResponse,
     LivenessFailed,
     ProtocolConfig,
-    SeededRandom,
-    SocketAspClient,
-    _MAX_FRAME,
-    _recv_frame,
     age_in_years,
     asp_handle_issuance,
-    decode_issuance_request,
-    decode_issuance_response,
     device_authenticate,
     device_enroll,
     encode_issuance_request,
-    encode_issuance_response,
     liveness_check,
     rp_check_access,
 )
@@ -50,10 +39,12 @@ class CountingAsp:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.requests = []
         self.raw_requests = []
 
     def handle(self, req):
         self.calls += 1
+        self.requests.append(req)
         self.raw_requests.append(encode_issuance_request(req))
         return self.inner.handle(req)
 
@@ -65,23 +56,6 @@ class TestLiveness:
     def test_always_fail(self):
         assert liveness_check(AlwaysFail()) is False
 
-    def test_seeded_rate(self):
-        policy = SeededRandom(0.9, seed=77)
-        passes = sum(liveness_check(policy) for _ in range(10000))
-        assert abs(passes / 10000 - 0.9) <= 0.01
-
-    def test_seeded_sequence_reproducible(self):
-        a = [liveness_check(SeededRandom(0.5, seed=3)) for _ in range(1)]
-        draws1 = [liveness_check(p) for p in [SeededRandom(0.5, 3)] * 1]
-        p1, p2 = SeededRandom(0.5, seed=3), SeededRandom(0.5, seed=3)
-        seq1 = [liveness_check(p1) for _ in range(100)]
-        seq2 = [liveness_check(p2) for _ in range(100)]
-        assert seq1 == seq2
-        assert a == draws1
-
-    def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            SeededRandom(1.5, seed=1)
 
 
 class TestAgeArithmetic:
@@ -100,53 +74,57 @@ class TestIssuance:
 
     def test_dob_exactly_threshold_is_issued(self, issuer_keys):
         dob = date(TODAY.year - 18, TODAY.month, TODAY.day)
-        resp = asp_handle_issuance(
+        cred = asp_handle_issuance(
             self._request(DateOfBirthEvidence(dob)), AgePolicy(18), issuer_keys, NOW
         )
-        assert resp.issued
-        assert resp.credential.age_over == 18
-        assert resp.credential.subject_id == b"\x02" * 16
+        assert cred.age_over == 18
+        assert cred.subject_id == b"\x02" * 16
 
     def test_one_day_short_is_denied(self, issuer_keys):
         dob = date(TODAY.year - 18, TODAY.month, TODAY.day + 1)
-        resp = asp_handle_issuance(
-            self._request(DateOfBirthEvidence(dob)), AgePolicy(18), issuer_keys, NOW
-        )
-        assert resp.reason is DenyReason.UNDER_AGE
+        with pytest.raises(IssuanceDenied) as err:
+            asp_handle_issuance(
+                self._request(DateOfBirthEvidence(dob)), AgePolicy(18), issuer_keys, NOW
+            )
+        assert err.value.reason is DenyReason.UNDER_AGE
 
     def test_always_approve(self, issuer_keys):
-        resp = asp_handle_issuance(
+        cred = asp_handle_issuance(
             self._request(AlwaysApproveEvidence()), AgePolicy(18), issuer_keys, NOW
         )
-        assert resp.issued
+        assert cred.age_over == 18
+        assert cred.expires_at == NOW + AgePolicy().validity_seconds
 
     def test_future_dob_is_bad_evidence(self, issuer_keys):
-        resp = asp_handle_issuance(
-            self._request(DateOfBirthEvidence(date(2030, 1, 1))),
-            AgePolicy(18),
-            issuer_keys,
-            NOW,
-        )
-        assert resp.reason is DenyReason.BAD_EVIDENCE
+        with pytest.raises(IssuanceDenied) as err:
+            asp_handle_issuance(
+                self._request(DateOfBirthEvidence(date(2030, 1, 1))),
+                AgePolicy(18),
+                issuer_keys,
+                NOW,
+            )
+        assert err.value.reason is DenyReason.BAD_EVIDENCE
 
     def test_unknown_evidence_is_bad_evidence(self, issuer_keys):
-        resp = asp_handle_issuance(
-            self._request("totally not evidence"), AgePolicy(18), issuer_keys, NOW
-        )
-        assert resp.reason is DenyReason.BAD_EVIDENCE
+        with pytest.raises(IssuanceDenied) as err:
+            asp_handle_issuance(
+                self._request("totally not evidence"), AgePolicy(18), issuer_keys, NOW
+            )
+        assert err.value.reason is DenyReason.BAD_EVIDENCE
 
     def test_nonce_replay_denied(self, asp):
         first = asp.handle(self._request(AlwaysApproveEvidence()))
-        assert first.issued
-        second = asp.handle(self._request(AlwaysApproveEvidence()))
-        assert second.reason is DenyReason.REPLAYED_NONCE
+        assert first.subject_id == b"\x02" * 16
+        with pytest.raises(IssuanceDenied) as err:
+            asp.handle(self._request(AlwaysApproveEvidence()))
+        assert err.value.reason is DenyReason.REPLAYED_NONCE
 
     def test_concurrent_requests_unique_nonces(self, asp):
         results = []
 
         def worker(i):
             req = self._request(AlwaysApproveEvidence(), nonce=i.to_bytes(16, "big"))
-            results.append(asp.handle(req).issued)
+            results.append(asp.handle(req).age_over == 18)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(64)]
         for t in threads:
@@ -154,12 +132,6 @@ class TestIssuance:
         for t in threads:
             t.join()
         assert all(results) and len(results) == 64
-
-    def test_response_invariant(self):
-        with pytest.raises(ValueError):
-            IssuanceResponse()
-        with pytest.raises(ValueError):
-            IssuanceResponse(credential=None, reason=None)
 
 
 class TestWireEncodings:
@@ -171,7 +143,11 @@ class TestWireEncodings:
         )
         data = encode_issuance_request(req)
         assert len(data) == 1 + 16 + 1 + 2 + 4 + 16
-        assert decode_issuance_request(data) == req
+        # version | subject | evidence tag | evidence length | year month day | nonce
+        assert data == (
+            b"\x01" + bytes(range(16)) + b"\x01\x00\x04" + b"\x07\xd1\x02\x1c"
+            + bytes(range(16, 32))
+        )
 
     def test_request_roundtrip_always(self):
         req = IssuanceRequest(
@@ -181,72 +157,7 @@ class TestWireEncodings:
         )
         data = encode_issuance_request(req)
         assert len(data) == 1 + 16 + 1 + 2 + 0 + 16
-        assert decode_issuance_request(data) == req
-
-    def test_request_strict_parse(self):
-        req = IssuanceRequest(
-            subject_id=bytes(16),
-            evidence=AlwaysApproveEvidence(),
-            request_nonce=bytes(16),
-        )
-        data = encode_issuance_request(req)
-        with pytest.raises(ValueError):
-            decode_issuance_request(data[:-1])
-        with pytest.raises(ValueError):
-            decode_issuance_request(bytes([9]) + data[1:])
-
-    def test_response_roundtrip(self, issuer_keys):
-        issued = asp_handle_issuance(
-            IssuanceRequest(bytes(16), AlwaysApproveEvidence(), bytes(16)),
-            AgePolicy(18),
-            issuer_keys,
-            NOW,
-        )
-        data = encode_issuance_response(issued)
-        assert len(data) == 2 + 114 and data[1] == 0
-        assert decode_issuance_response(data) == issued
-
-        denied = IssuanceResponse(reason=DenyReason.UNDER_AGE)
-        data = encode_issuance_response(denied)
-        assert data == bytes([1, 1])
-        assert decode_issuance_response(data) == denied
-
-    def test_response_strict_parse(self):
-        with pytest.raises(ValueError):
-            decode_issuance_response(bytes([1, 0]))  # issued without credential
-        with pytest.raises(ValueError):
-            decode_issuance_response(bytes([1, 9]))  # unknown status
-
-
-class TestSocketTransport:
-    def test_issuance_over_localhost(self, issuer_keys):
-        inner = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
-        with AspSocketServer(inner) as server:
-            host, port = server.address
-            client = SocketAspClient(host, port)
-            req = IssuanceRequest(bytes(16), AlwaysApproveEvidence(), bytes(16))
-            resp = client.handle(req)
-            assert resp.issued
-            replay = client.handle(req)
-            assert replay.reason is DenyReason.REPLAYED_NONCE
-
-    def test_socket_enrollment_end_to_end(self, issuer_keys, default_cfg):
-        inner = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
-        profile = new_identity(5150, default_cfg.dim)
-        with AspSocketServer(inner) as server:
-            client = SocketAspClient(*server.address)
-            record = device_enroll(profile, client, default_cfg, rng_seed=404)
-        sample = sample_genuine(profile, NoiseModel(default_cfg.sigma), 11)
-        cred = device_authenticate(sample, record, AlwaysPass())
-        assert cred.age_over == 18
-
-    def test_oversized_frame_rejected_before_payload(self):
-        left, right = socket.socketpair()
-        with left, right:
-            left.sendall(struct.pack(">I", _MAX_FRAME + 1))
-            left.shutdown(socket.SHUT_WR)  # an uncapped reader fails with ConnectionError
-            with pytest.raises(ValueError):
-                _recv_frame(right)
+        assert data == b"\x01" + bytes(16) + b"\x02\x00\x00" + bytes(16)
 
 
 class TestDeviceEnroll:
@@ -303,8 +214,7 @@ class TestDeviceEnroll:
         raw = counting.raw_requests[0]
         # Fixed-size request: nothing but subject, evidence tag, nonce.
         assert len(raw) == 1 + 16 + 1 + 2 + 0 + 16
-        parsed = decode_issuance_request(raw)
-        assert isinstance(parsed.evidence, AlwaysApproveEvidence)
+        assert isinstance(counting.requests[0].evidence, AlwaysApproveEvidence)
         assert secrets["key"].key not in raw
         assert secrets["secret"].secret not in raw
         assert profile.mean.values.tobytes() not in raw

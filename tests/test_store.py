@@ -1,13 +1,23 @@
-import io
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbcreds.binding import BoundCredential, KeyDigest, Sketch, SketchVariant
+from bbcreds.binding import (
+    BoundCredential,
+    KeyDigest,
+    Sketch,
+    SketchVariant,
+    decode_bound,
+    decode_sketch,
+    encode_bound,
+    encode_sketch,
+)
+from bbcreds.credential import decode_agecred, encode_agecred, generate_issuer_keys, issue_agecred
 from bbcreds.ecc import CodeParams
-from bbcreds.fextract import HelperData
+from bbcreds.fextract import HelperData, decode_helper, encode_helper
 from bbcreds.quantize import BitString, QuantizerConfig
 from bbcreds.store import (
     DeviceRecord,
@@ -16,8 +26,6 @@ from bbcreds.store import (
     MAGIC,
     decode_record,
     encode_record,
-    load_record,
-    save_record,
 )
 
 
@@ -64,14 +72,6 @@ class TestRoundtrip:
         for _ in range(100):
             record = _random_record()
             assert decode_record(encode_record(record)) == record
-
-    def test_file_objects(self, tmp_path, enrollment):
-        path = tmp_path / "probe.bbc"
-        with open(path, "wb") as sink:
-            count = save_record(enrollment["record"], sink)
-        assert count == path.stat().st_size
-        with open(path, "rb") as source:
-            assert load_record(source) == enrollment["record"]
 
     @settings(max_examples=30)
     @given(st.data())
@@ -201,7 +201,50 @@ class TestNoSecretsAtRest:
         assert enrollment["key"].key not in data
         assert enrollment["secret"].secret not in data
 
-    def test_stream_writer_returns_byte_count(self, enrollment):
-        sink = io.BytesIO()
-        count = save_record(enrollment["record"], sink)
-        assert count == len(sink.getvalue())
+
+def _parser_corpus():
+    """Each parser of retained bytes with its encoder and canonical inputs."""
+    records = [_random_record(random.Random(seed).randbytes) for seed in range(4)]
+    cred = issue_agecred(generate_issuer_keys(seed=5), bytes(range(16)), 18, 1_750_000_000, 86400)
+    return [
+        (decode_record, encode_record, [encode_record(r) for r in records]),
+        (decode_helper, encode_helper, [encode_helper(r.helper) for r in records]),
+        (decode_sketch, encode_sketch, [encode_sketch(r.sketch) for r in records]),
+        (decode_bound, encode_bound, [encode_bound(r.bound) for r in records]),
+        (decode_agecred, encode_agecred, [encode_agecred(cred)]),
+    ]
+
+
+_PARSER_CORPUS = _parser_corpus()
+
+
+@st.composite
+def _mutated_encodings(draw):
+    decode, encode, bases = draw(st.sampled_from(_PARSER_CORPUS))
+    data = bytearray(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("set", "insert", "delete", "truncate")))
+        if op == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+        elif op == "delete":
+            del data[pos : pos + draw(st.integers(1, 8))]
+        else:
+            del data[pos:]
+    return decode, encode, bytes(data)
+
+
+class TestFailClosed:
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_encodings())
+    def test_mutated_bytes_reject_or_reencode_exactly(self, case):
+        # Only the documented rejection types may escape a parser, and any
+        # input it accepts must be the canonical encoding of what it returns.
+        decode, encode, data = case
+        try:
+            value = decode(data)
+        except (FormatError, ValueError):
+            return
+        assert encode(value) == data
