@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -76,7 +76,7 @@ class SketchVariant(enum.Enum):
 class StableSecret:
     """Random 32-byte secret that encrypts the credential; never stored."""
 
-    secret: bytes
+    secret: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.secret) != SECRET_BYTES:

@@ -85,7 +85,7 @@ class IssuerKeyPair:
     """Ed25519 signing identity of the attribute service provider."""
 
     public: bytes
-    private: bytes
+    private: bytes = field(repr=False)
     # The loaded signing key, kept so that issuance does not parse it again.
     signer: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 

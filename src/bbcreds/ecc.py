@@ -17,9 +17,25 @@ Decoding is the binary form of the classical chain:
 - Chien search (Chien 1964): the locator is evaluated at every alpha^s in
   one gather from a (t+1, n) table of i*s mod n and one XOR over its rows.
 
-For BCH(511, 259, 30) the decoder tables take about 160 KB, built once
-per codec: 30 KB of uint16 field elements for the syndromes and 127 KB of
-int64 exponents for the Chien search.
+Two decoders run that chain. ``decode`` takes one word, with the
+Berlekamp-Massey steps in plain Python; it serves every single sample,
+which is the device's path. ``decode_batch`` takes a (B, n) bit matrix
+and runs each stage over a chunk of rows at once: syndromes from
+byte-wise tables, the t steps with masked per-row updates, and one Chien
+gather per locator coefficient for all rows. Its cost is numpy calls more
+than arithmetic, so it pays only for many words. On a 2-core machine at
+n=511, t=30, a batch of one took 1.0 ms for a word with 8 errors and
+1.3 ms for a random word, against 97 and 218 us for ``decode``; a batch
+of 1024 random words took 92 us per word. Single samples therefore go
+through ``decode`` and the evaluation reports through ``decode_batch``,
+and no option chooses between them.
+
+For BCH(511, 259, 30) the tables take about 185 KB, built once per
+codec: 30 KB of uint16 field elements for the scalar syndromes, 127 KB of
+int64 exponents for both Chien searches, 4 KB each of numpy exp and log
+tables, and for the batch syndromes a 15 KB byte table and 4 KB of byte
+offsets. A batch's largest temporaries, in the Chien search, take about
+15 bytes per row and bit position: 0.5 MB for a 64-row chunk.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -49,6 +65,10 @@ _PRIMITIVE_POLY = {
     9: 0b1000010001,
     10: 0b10000001001,
 }
+
+# Rows decode_batch works on at once; its temporaries grow with this and
+# not with the batch. Fewer rows pay more numpy calls per row.
+_BATCH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -163,6 +183,22 @@ class BchCodec:
         self._syndrome_table = self._exp_np[np.outer(odd, powers) % n]
         self._chien_table = np.outer(np.arange(t + 1), np.arange(n)) % n
 
+        # Batch tables. A packed word's byte b holds bits 8b .. 8b+7, MSB
+        # first, at powers n-1-8b-r for r = 0 .. 7, so its share of S_i is
+        # alpha^(i(n-1-8b)) times the XOR of alpha^(-i r) over its set bits.
+        # Row v of the byte table holds the log of that XOR for byte value v
+        # and each odd i; row b of the shift table holds the log of
+        # alpha^(i(n-1-8b)). Both are uint16, and so is their sum (< 3n).
+        self._log_np = np.asarray(log, dtype=np.int64)
+        set_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        inverse = self._exp_np[np.outer(-np.arange(8), odd) % n]
+        byte_values = np.bitwise_xor.reduce(
+            np.where(set_bits[:, :, None], inverse[None], 0), axis=1
+        )
+        self._syndrome_bytes = self._log_np[byte_values].astype(np.uint16)
+        starts = n - 1 - 8 * np.arange((n + 7) // 8)
+        self._syndrome_shift = (np.outer(starts, odd) % n).astype(np.uint16)[:, None, :]
+
     def _gf_mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
 
@@ -267,6 +303,115 @@ class BchCodec:
         # bit (s - 1) mod n.
         bits[(roots - 1) % p.n] ^= 1
         return BitString.from_bits(bits[: p.k])
+
+    def decode_batch(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode each row of a (B, n) 0/1 matrix as ``decode`` would.
+
+        Returns ``ok``, a bool array of shape (B,), and the messages, a
+        uint8 array of shape (B, k) whose rows are zero where ``ok`` is
+        false. Row i equals ``decode`` on row i, failures and
+        miscorrections included. Rows are decoded _BATCH_CHUNK at a time,
+        so memory does not grow with B.
+        """
+        p = self.params
+        words = np.asarray(words)
+        if words.ndim != 2 or words.shape[1] != p.n:
+            raise ValueError(f"words must have shape (B, {p.n}), got {words.shape}")
+        if words.dtype.kind not in "biu" or (
+            words.size and (words.min() < 0 or words.max() > 1)
+        ):
+            raise ValueError("words must hold only the bits 0 and 1")
+        words = words.astype(np.uint8)
+        ok = np.zeros(len(words), dtype=bool)
+        messages = np.zeros((len(words), p.k), dtype=np.uint8)
+        for start in range(0, len(words), _BATCH_CHUNK):
+            chunk = words[start : start + _BATCH_CHUNK]
+            length, locators = self._locators(self._odd_syndromes(chunk))
+            roots = self._chien(locators)
+            lanes = (length <= p.t) & (roots.sum(axis=1) == length)
+            # A root alpha^s flips bit (s - 1) mod n.
+            flips = np.roll(roots[lanes], -1, axis=1)
+            ok[start : start + len(chunk)] = lanes
+            messages[start : start + len(chunk)][lanes] = chunk[lanes, : p.k] ^ flips[:, : p.k]
+        return ok, messages
+
+    def _odd_syndromes(self, words: np.ndarray) -> np.ndarray:
+        """S_1, S_3, .., S_2t-1 of each row, as a (rows, t) array.
+
+        Bytes are taken 16 at a time, which keeps the gather index near the
+        size of the Chien search's.
+        """
+        packed = np.packbits(words, axis=1).T
+        odd = np.zeros((len(words), self.params.t), dtype=np.uint16)
+        for first in range(0, len(packed), 16):
+            logs = self._syndrome_bytes[packed[first : first + 16]]
+            logs += self._syndrome_shift[first : first + 16]
+            odd ^= np.bitwise_xor.reduce(self._exp_np.take(logs), axis=0)
+        return odd
+
+    def _locators(self, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_locator`` over every row at once, with masked per-row updates.
+
+        Returns each row's locator length L and a (rows, 2t+1) array of
+        coefficient logs, the sentinel 2n beyond L.
+        """
+        n, t = self._n, self.params.t
+        t2 = 2 * t
+        exp, log = self._exp_np, self._log_np
+        rows = len(odd)
+        # S_e = S_o^(2^a) for e = o 2^a with o odd, so log S_e = 2^a log S_o;
+        # 2^a is the lowest set bit of e.
+        e = np.arange(1, t2)
+        power = e & -e
+        odd_logs = log[odd][:, e // power // 2]
+        slog = np.where(odd_logs == 2 * n, 2 * n, odd_logs * power % n)
+        rlog = slog[:, ::-1]
+        # cur holds the locator's coefficients and cur_log their logs. prev
+        # holds the logs of x^shift times the polynomial saved at the last
+        # length change: every row's shift grows by 2 or restarts at 2 on
+        # each step, so one two-column slice moves all rows at once.
+        width = t2 + 1
+        cur = np.zeros((rows, width), dtype=np.uint16)
+        cur[:, 0] = 1
+        cur_log = np.full((rows, width), 2 * n)
+        cur_log[:, 0] = 0
+        prev = np.full((rows, width), 2 * n)
+        prev[:, 1:2] = 0  # x^1; with t = 0 no step runs and no column 1 exists
+        length = np.zeros(rows, dtype=np.int64)
+        prev_log = np.zeros(rows, dtype=np.int64)
+        for r in range(0, t2, 2):
+            terms = exp[cur_log[:, 1 : r + 1] + rlog[:, t2 - 1 - r :]]
+            disc = odd[:, r // 2] ^ np.bitwise_xor.reduce(terms, axis=1)
+            disc_log = log[disc]
+            nonzero = disc != 0
+            grow = nonzero & (2 * length <= r)
+            scale = np.where(nonzero, (disc_log - prev_log) % n, 2 * n)
+            # After step r the locator has degree at most L <= r + 1.
+            top = r + 2
+            cur[:, :top] ^= exp[scale[:, None] + prev[:, :top]]
+            saved = np.where(grow[:, None], cur_log, prev)
+            prev[:, 2:] = saved[:, :-2]
+            prev[:, :2] = 2 * n
+            cur_log[:, :top] = log[cur[:, :top]]
+            prev_log = np.where(grow, disc_log, prev_log)
+            length = np.where(grow, r + 1 - length, length)
+        return length, cur_log
+
+    def _chien(self, locators: np.ndarray) -> np.ndarray:
+        """(rows, n) bool: whether alpha^s is a root of each row's locator.
+
+        Reads coefficients 0 .. t only; a row with a longer locator fails
+        on its length whatever this returns. Logs and exponents sum below
+        3n, so the gather indices fit int16.
+        """
+        coefficients = locators[:, : self.params.t + 1].astype(np.int16)
+        index = np.empty((len(locators), self._n), dtype=np.int16)
+        term = np.empty((len(locators), self._n), dtype=np.uint16)
+        acc = np.zeros((len(locators), self._n), dtype=np.uint16)
+        for j, row in enumerate(self._chien_table.astype(np.int16)):
+            np.add(coefficients[:, j, None], row, out=index)
+            acc ^= self._exp_np.take(index, out=term)
+        return acc == 0
 
 
 @lru_cache(maxsize=8)

@@ -3,9 +3,17 @@
 Genuine trials enroll a fresh identity and authenticate with a new noisy
 capture; impostor trials authenticate unrelated captures against one
 enrolled record. Every trial derives its own sub-seed from the harness
-seed under a label naming its kind and index, so reports are pure
-functions of their inputs, trial order cannot change the counts, and the
+seed under a label naming its kind and index, so each trial is a pure
+function of (seed, index), trial order cannot change the counts, and the
 reports at seeds S and S+1 share no trial.
+
+``frr_trial`` and ``far_trial`` run one trial through
+``device_authenticate``. The reports draw the same trials a chunk at a
+time and pass the chunk's samples through the device's stages in one
+go: the liveness gate per trial, one batched key reproduction
+(``fe_reproduce_batch``, which decodes with ``BchCodec.decode_batch``),
+then ``unbind_auth`` for each key that came out. Each report's counts
+equal the tally of the single-trial functions over the same indices.
 
 Each trial is counted under the name of the stage that rejected it, in
 the device's own vocabulary: ``"Liveness"`` (LivenessFailed), ``"Extract"``
@@ -22,23 +30,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
-from .binding import AuthFailure, FailureReason
+from .binding import AuthFailure, FailureReason, unbind_auth
 from .credential import generate_issuer_keys
-from .fextract import ExtractFailure
+from .fextract import ExtractFailure, fe_reproduce_batch
 from .kdf import subseed
 from .parties import (
     AgePolicy,
     AlwaysApproveEvidence,
     InProcessAsp,
     LivenessFailed,
+    LivenessPolicy,
     ProtocolConfig,
     device_authenticate,
     device_enroll,
+    liveness_check,
 )
 from .store import DeviceRecord
-from .synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
+from .synthbio import Embedding, NoiseModel, new_identity, sample_genuine, sample_impostor
 
 __all__ = [
     "OUTCOMES",
@@ -59,6 +69,10 @@ _Z95 = 1.959963984540054
 _EVAL_CLOCK = 1_750_000_000
 
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
+
+# Trials a report draws and decodes together. Memory grows with it (a
+# sample is 4 KB at dim 512) and not with the number of trials.
+_CHUNK = 64
 
 
 OUTCOMES = ("Liveness", "Extract", *(r.value for r in FailureReason), "Success")
@@ -113,6 +127,64 @@ def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
     return "Success"
 
 
+def _tally(
+    trial: Callable[[int], tuple[Embedding, DeviceRecord]],
+    trials: int,
+    liveness: LivenessPolicy,
+) -> dict[str, int]:
+    """``_outcome`` counts of trials 0 .. trials-1, each the (sample,
+    record) pair ``trial(index)`` returns.
+
+    Trials run _CHUNK at a time through the device's own stages: the
+    liveness gate, one batched key reproduction and ``unbind_auth`` for
+    each key that came out.
+    """
+    counts = dict.fromkeys(OUTCOMES, 0)
+    for start in range(0, trials, _CHUNK):
+        live = []
+        for index in range(start, min(start + _CHUNK, trials)):
+            sample, record = trial(index)
+            if liveness_check(liveness):
+                live.append((sample, record))
+            else:
+                counts["Liveness"] += 1
+        keys = fe_reproduce_batch([s for s, _ in live], [r.helper for _, r in live])
+        for (_, record), key in zip(live, keys):
+            if key is None:
+                counts["Extract"] += 1
+                continue
+            try:
+                unbind_auth(key, record.sketch, record.digest, record.bound)
+            except AuthFailure as failure:
+                counts[failure.reason.value] += 1
+            else:
+                counts["Success"] += 1
+    return counts
+
+
+def _genuine_trial(
+    cfg: ProtocolConfig, sigma: float, seed: int, index: int, asp: InProcessAsp
+) -> tuple[Embedding, DeviceRecord]:
+    """Genuine trial ``index``: its enrolled record and fresh capture."""
+    base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
+    profile = new_identity(base, cfg.dim)
+    record = device_enroll(
+        profile,
+        asp,
+        replace(cfg, sigma=sigma),
+        subseed(base, "bbcreds/eval/enroll/v1"),
+        evidence=AlwaysApproveEvidence(),
+    )
+    sample = sample_genuine(
+        profile, NoiseModel(sigma), subseed(base, "bbcreds/eval/auth/v1")
+    )
+    return sample, record
+
+
+def _impostor_sample(cfg: ProtocolConfig, seed: int, index: int) -> Embedding:
+    return sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
+
+
 def frr_trial(
     cfg: ProtocolConfig,
     sigma: float,
@@ -127,32 +199,22 @@ def frr_trial(
     trials individually, reordered, or through ``estimate_frr`` gives the
     same outcomes.
     """
-    base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
-    trial_cfg = replace(cfg, sigma=sigma)
-    profile = new_identity(base, cfg.dim)
-    record = device_enroll(
-        profile,
-        asp if asp is not None else _eval_asp(seed),
-        trial_cfg,
-        subseed(base, "bbcreds/eval/enroll/v1"),
-        evidence=AlwaysApproveEvidence(),
+    sample, record = _genuine_trial(
+        cfg, sigma, seed, index, asp if asp is not None else _eval_asp(seed)
     )
-    sample = sample_genuine(
-        profile, NoiseModel(sigma), subseed(base, "bbcreds/eval/auth/v1")
-    )
-    return _outcome(sample, record, trial_cfg)
+    return _outcome(sample, record, cfg)
 
 
 def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> str:
     """One impostor trial against an already enrolled record."""
-    sample = sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
-    return _outcome(sample, record, cfg)
+    return _outcome(_impostor_sample(cfg, seed, index), record, cfg)
 
 
 def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
     asp = _eval_asp(seed)
-    outcomes = [frr_trial(cfg, sigma, seed, i, asp=asp) for i in range(trials)]
-    counts = {name: outcomes.count(name) for name in OUTCOMES}
+    counts = _tally(
+        lambda i: _genuine_trial(cfg, sigma, seed, i, asp), trials, cfg.liveness
+    )
     failures = trials - counts["Success"]
     lo, hi = wilson_interval(failures, trials)
     return EvalReport(
@@ -178,8 +240,9 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         subseed(seed, "bbcreds/eval/enroll/v1"),
         evidence=AlwaysApproveEvidence(),
     )
-    outcomes = [far_trial(record, cfg, seed, i) for i in range(trials)]
-    counts = {name: outcomes.count(name) for name in OUTCOMES}
+    counts = _tally(
+        lambda i: (_impostor_sample(cfg, seed, i), record), trials, cfg.liveness
+    )
     accepts = counts["Success"]
     lo, hi = wilson_interval(accepts, trials)
     return EvalReport(

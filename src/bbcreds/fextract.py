@@ -10,8 +10,11 @@ reveals neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 import struct
+
+import numpy as np
 
 from .ecc import CodeParams, codec_for
 from .kdf import expand_seed, hkdf_sha256
@@ -27,6 +30,7 @@ __all__ = [
     "ExtractFailure",
     "fe_generate",
     "fe_reproduce",
+    "fe_reproduce_batch",
     "encode_helper",
     "decode_helper",
 ]
@@ -47,7 +51,7 @@ class ExtractFailure(Exception):
 class StableKey:
     """256-bit key reproducibly derived from a person's biometric."""
 
-    key: bytes
+    key: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.key) != KEY_BYTES:
@@ -124,6 +128,31 @@ def fe_reproduce(e: Embedding, helper: HelperData) -> StableKey:
     if message is None:
         raise ExtractFailure("bit noise beyond the code's correction radius")
     return _derive_key(message, helper.salt)
+
+
+def fe_reproduce_batch(
+    samples: Sequence[Embedding], helpers: Sequence[HelperData]
+) -> list[StableKey | None]:
+    """``fe_reproduce`` of each sample against its own helper data, with one
+    batched decode for all of them.
+
+    Entry i is the key ``fe_reproduce(samples[i], helpers[i])`` returns, or
+    None where it raises ExtractFailure. The helpers must share one code.
+    """
+    if len(samples) != len(helpers):
+        raise ValueError(f"{len(samples)} samples but {len(helpers)} helpers")
+    if not helpers:
+        return []
+    code = helpers[0].code
+    if any(h.code != code for h in helpers):
+        raise ValueError("helpers must all use one code")
+    words = b"".join((quantize(e, h.quant) ^ h.offset).data for e, h in zip(samples, helpers))
+    packed = np.frombuffer(words, dtype=np.uint8).reshape(len(helpers), -1)
+    ok, messages = codec_for(code).decode_batch(np.unpackbits(packed, axis=1)[:, : code.n])
+    return [
+        _derive_key(BitString.from_bits(message), h.salt) if decoded else None
+        for decoded, message, h in zip(ok, messages, helpers)
+    ]
 
 
 # Canonical byte encoding, consumed by the device-record store:

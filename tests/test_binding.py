@@ -23,7 +23,7 @@ from bbcreds.binding import (
     hash_key,
     unbind_auth,
 )
-from bbcreds.credential import issue_agecred
+from bbcreds.credential import generate_issuer_keys, issue_agecred
 from bbcreds.fextract import StableKey
 from bbcreds.kdf import tagged_hash
 
@@ -240,3 +240,19 @@ class TestTypeInvariants:
             BoundCredential(nonce=bytes(11), ciphertext=bytes(130))
         with pytest.raises(ValueError):
             BoundCredential(nonce=bytes(12), ciphertext=bytes(129))
+
+
+@pytest.mark.parametrize(
+    "holder, secret",
+    [
+        (generate_issuer_keys(seed=1), lambda keys: keys.private),
+        (StableKey(bytes(range(32))), lambda key: key.key),
+        (derive_stable_secret(7), lambda secret: secret.secret),
+    ],
+    ids=["issuer-private-key", "stable-key", "stable-secret"],
+)
+def test_secrets_stay_out_of_repr(holder, secret):
+    # A traceback, log line or debugger view formats these with repr.
+    text = repr(holder)
+    assert repr(secret(holder)) not in text
+    assert secret(holder).hex() not in text

@@ -214,6 +214,100 @@ class TestReferenceEquality:
         assert seen == kinds
 
 
+def _decode_rows(codec, words):
+    """``decode`` on each row, in ``decode_batch``'s output form."""
+    ok = np.zeros(len(words), dtype=bool)
+    messages = np.zeros((len(words), codec.params.k), dtype=np.uint8)
+    for i, row in enumerate(words):
+        result = codec.decode(BitString.from_bits(row))
+        if result is not None:
+            ok[i], messages[i] = True, result.bits()
+    return ok, messages
+
+
+def _assert_batch_equals_decode(codec, words):
+    ok, messages = codec.decode_batch(words)
+    expected_ok, expected_messages = _decode_rows(codec, words)
+    assert ok.dtype == bool and messages.dtype == np.uint8
+    assert messages.shape == (len(words), codec.params.k)
+    assert np.array_equal(ok, expected_ok)
+    assert np.array_equal(messages, expected_messages)
+    return ok, messages
+
+
+class TestBatchEquality:
+    """``decode_batch`` equals ``decode`` lane by lane, failures and
+    miscorrections included."""
+
+    def test_every_word_of_small_code_in_one_call(self):
+        codec = codec_for(SMALL_CODE)
+        n = SMALL_CODE.n
+        values = np.arange(1 << n)[:, None]
+        words = (values >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+        ok, messages = _assert_batch_equals_decode(codec, words)
+        # Each of the 2^7 codewords has 1 + 15 + 105 words within t=2, and
+        # they are disjoint, so exactly 128 * 121 words decode.
+        assert ok.sum() == (1 << SMALL_CODE.k) * 121
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CodeParams(31, 16, 3),
+            CodeParams(63, 30, 6),
+            CodeParams(255, 131, 18),
+            PROD_CODE,
+            # Edge cases: no correction at all, and the longest supported length.
+            CodeParams(15, 15, 0),
+            CodeParams(1023, 1013, 1),
+        ],
+        ids=["n31", "n63", "n255", "n511", "n15-t0", "n1023-t1"],
+    )
+    def test_flipped_codewords_and_random_words(self, params):
+        """Codewords with 0..3t flipped bits, then uniform random words."""
+        codec = codec_for(params)
+        rng = np.random.default_rng(params.n + 1)
+        words = []
+        for weight in range(3 * params.t + 1):
+            for _ in range(4):
+                word = codec.encode(_random_message(rng, params.k)).bits().copy()
+                word[rng.choice(params.n, size=weight, replace=False)] ^= 1
+                words.append(word)
+        words += list(rng.integers(0, 2, size=(20, params.n), dtype=np.uint8))
+        ok, _ = _assert_batch_equals_decode(codec, np.array(words))
+        assert ok[: 4 * (params.t + 1)].all()
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, ecc._BATCH_CHUNK - 1, ecc._BATCH_CHUNK + 1, 1000]
+    )
+    def test_batch_sizes(self, size):
+        codec = codec_for(CodeParams(63, 30, 6))
+        rng = np.random.default_rng(size)
+        words = np.array(
+            [codec.encode(_random_message(rng, 30)).bits() for _ in range(size)], dtype=np.uint8
+        ).reshape(size, 63)
+        # Every fourth row gets t flips, the rest beyond-radius noise.
+        for i in range(size):
+            words[i, rng.choice(63, size=6 if i % 4 == 0 else 9, replace=False)] ^= 1
+        _assert_batch_equals_decode(codec, words)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            np.zeros(15, dtype=np.uint8),
+            np.zeros((1, 1, 15), dtype=np.uint8),
+            np.zeros((2, 14), dtype=np.uint8),
+            np.zeros((2, 16), dtype=np.uint8),
+            np.full((2, 15), 2, dtype=np.uint8),
+            np.full((2, 15), -1, dtype=np.int64),
+            np.zeros((2, 15), dtype=np.float64),
+        ],
+        ids=["1-d", "3-d", "narrow", "wide", "two", "negative", "float"],
+    )
+    def test_malformed_words_rejected(self, words):
+        with pytest.raises(ValueError):
+            codec_for(SMALL_CODE).decode_batch(words)
+
+
 class TestZeroCases:
     @pytest.mark.parametrize("params", [SMALL_CODE, PROD_CODE])
     def test_zero_message_zero_codeword(self, params):

@@ -16,7 +16,7 @@ from bbcreds.evaluate import (
     sweep,
     wilson_interval,
 )
-from bbcreds.parties import ProtocolConfig
+from bbcreds.parties import AlwaysFail, AlwaysPass, ProtocolConfig
 from bbcreds.synthbio import new_identity, sample_impostor
 
 SEED = 0xE7A1
@@ -157,6 +157,54 @@ class TestTrialIndependence:
                 far_trial(enrollment["record"], cfg, seed, index)
         assert len(set(enrolled)) == len(enrolled) == 10
         assert len(set(impostors)) == len(impostors) == 10
+
+
+def _capture_enrollments(monkeypatch, liveness=None):
+    """Record every record the harness enrolls, optionally enrolling under
+    another liveness policy than the one authentication uses."""
+    records = []
+    enroll = evaluate.device_enroll
+
+    def recording_enroll(profile, asp, cfg, rng_seed, **kw):
+        if liveness is not None:
+            cfg = replace(cfg, liveness=liveness)
+        records.append(enroll(profile, asp, cfg, rng_seed, **kw))
+        return records[-1]
+
+    monkeypatch.setattr(evaluate, "device_enroll", recording_enroll)
+    return records
+
+
+class TestBatchedReportsEqualTrials:
+    """Reports decode their trials in batches; each count must equal the
+    tally of the single-trial functions, which authenticate one by one."""
+
+    @pytest.mark.parametrize("seed", [SEED, 0xACCE97])
+    def test_far(self, cfg, monkeypatch, seed):
+        records = _capture_enrollments(monkeypatch)
+        report = estimate_far(cfg, 1000, seed)
+        (record,) = records
+        trials = Counter(far_trial(record, cfg, seed, i) for i in range(1000))
+        assert Counter(report.stage_counts) == trials
+
+    def test_frr_with_mixed_outcomes(self, cfg):
+        report = estimate_frr(cfg, 0.005, 200, SEED)
+        trials = Counter(frr_trial(cfg, 0.005, SEED, i) for i in range(200))
+        assert Counter(report.stage_counts) == trials
+        assert trials["Extract"] and trials["Success"]
+
+    def test_liveness_failure(self, cfg, monkeypatch):
+        # Enrollment passes liveness, so authentication is what fails it.
+        records = _capture_enrollments(monkeypatch, liveness=AlwaysPass())
+        failing = replace(cfg, liveness=AlwaysFail())
+        far = estimate_far(failing, 1000, SEED)
+        frr = estimate_frr(failing, 0.003, 100, SEED)
+        assert Counter(far.stage_counts) == Counter(
+            far_trial(records[0], failing, SEED, i) for i in range(1000)
+        ) == {"Liveness": 1000}
+        assert Counter(frr.stage_counts) == Counter(
+            frr_trial(failing, 0.003, SEED, i) for i in range(100)
+        ) == {"Liveness": 100}
 
 
 class TestSweep:
