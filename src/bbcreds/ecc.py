@@ -14,28 +14,35 @@ Decoding is the binary form of the classical chain:
 - Berlekamp-Massey: for a binary word every second discrepancy is zero
   (Berlekamp 1968), so the recursion runs t steps instead of 2t. Field
   products are table lookups at a sum of logs, with no reduction mod n.
-- Chien search (Chien 1964): the locator is evaluated at every alpha^s in
-  one gather from a (t+1, n) table of i*s mod n and one XOR over its rows.
+- Root search: the locator is evaluated at every alpha^s, as in Chien's
+  search (Chien 1964), but by table. lambda_j alpha^(j s) is GF(2)-linear
+  in the bits of lambda_j, so each half of a coefficient's bits indexes a
+  precomputed row that holds its share at every s as m bit planes of
+  uint64 words ("Four Russians", Arlazarov et al. 1970). The XOR of
+  2(L+1) rows is the locator's value everywhere, a root is a position
+  clear in all m planes, and a popcount gives the number of roots.
 
-Two decoders run that chain. ``decode`` takes one word, with the
-Berlekamp-Massey steps in plain Python; it serves every single sample,
-which is the device's path. ``decode_batch`` takes a (B, n) bit matrix
-and runs each stage over a chunk of rows at once: syndromes from
-byte-wise tables, the t steps with masked per-row updates, and one Chien
-gather per locator coefficient for all rows. Its cost is numpy calls more
-than arithmetic, so it pays only for many words. On a 2-core machine at
-n=511, t=30, a batch of one took 1.0 ms for a word with 8 errors and
-1.3 ms for a random word, against 97 and 218 us for ``decode``; a batch
-of 1024 random words took 92 us per word. Single samples therefore go
-through ``decode`` and the evaluation reports through ``decode_batch``,
-and no option chooses between them.
+Two decoders run that chain and share its root search. ``decode`` takes
+one word, with the Berlekamp-Massey steps in plain Python; it serves
+every single sample, which is the device's path. ``decode_batch`` takes
+a (B, n) bit matrix and runs each stage over a chunk of rows at once:
+syndromes from byte-wise tables, the t steps with masked per-row
+updates, and the root search with one gather per half-coefficient for
+all rows. Its cost is numpy calls more than arithmetic, so it pays only
+for many words. On a 2-core machine at n=511, t=30, a batch of one took
+0.70 ms for a word with 8 errors and 0.73 ms for a random word, against
+95 and 131 us for ``decode``; a batch of 1024 random words took 28 us per
+word. Single samples therefore go through ``decode`` and the evaluation
+reports through ``decode_batch``, and no option chooses between them.
 
-For BCH(511, 259, 30) the tables take about 185 KB, built once per
-codec: 30 KB of uint16 field elements for the scalar syndromes, 127 KB of
-int64 exponents for both Chien searches, 4 KB each of numpy exp and log
-tables, and for the batch syndromes a 15 KB byte table and 4 KB of byte
-offsets. A batch's largest temporaries, in the Chien search, take about
-15 bytes per row and bit position: 0.5 MB for a 64-row chunk.
+For BCH(511, 259, 30) the tables take about 0.9 MB, built once per codec
+in about 5 ms: 837 KiB of root-search rows (31 coefficients, 48 rows
+each of 9 planes of 8 words), 8 KB mapping each field element to its two
+rows, 30 KB of uint16 field elements for the scalar syndromes, 4 KB each
+of numpy exp and log tables, and for the batch syndromes a 15 KB byte
+table and 4 KB of byte offsets. The root search holds 576 bytes per row.
+A 256-row chunk of ``decode_batch`` peaks at about 1.1 MB of
+temporaries, most of it Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -68,7 +75,12 @@ _PRIMITIVE_POLY = {
 
 # Rows decode_batch works on at once; its temporaries grow with this and
 # not with the batch. Fewer rows pay more numpy calls per row.
-_BATCH_CHUNK = 64
+_BATCH_CHUNK = 256
+
+# Table rows _roots gathers per call, which bounds its temporaries: one
+# locator of up to 32 coefficients (64 rows) takes one call, and a chunk
+# of 64 or more locators one row of each per call.
+_ROOT_GATHER = 64
 
 
 @dataclass(frozen=True)
@@ -175,13 +187,12 @@ class BchCodec:
         # Decoder tables. Field elements are below 2^10, so the numpy copy
         # of exp and everything gathered from it is uint16. Row i of the
         # syndrome table holds alpha^((2i+1) p) at bit position j, whose
-        # coefficient power is p = n - 1 - j; row i of the Chien table holds
-        # i*s mod n for s = 0 .. n-1.
+        # coefficient power is p = n - 1 - j.
         self._exp_np = np.asarray(self._exp, dtype=np.uint16)
         powers = np.arange(n - 1, -1, -1)
         odd = np.arange(1, 2 * t, 2)
         self._syndrome_table = self._exp_np[np.outer(odd, powers) % n]
-        self._chien_table = np.outer(np.arange(t + 1), np.arange(n)) % n
+        self._build_root_tables(m)
 
         # Batch tables. A packed word's byte b holds bits 8b .. 8b+7, MSB
         # first, at powers n-1-8b-r for r = 0 .. 7, so its share of S_i is
@@ -198,6 +209,45 @@ class BchCodec:
         self._syndrome_bytes = self._log_np[byte_values].astype(np.uint16)
         starts = n - 1 - 8 * np.arange((n + 7) // 8)
         self._syndrome_shift = (np.outer(starts, odd) % n).astype(np.uint16)[:, None, :]
+
+    def _build_root_tables(self, m: int) -> None:
+        """Tables for ``_roots``, built one coefficient at a time.
+
+        Bit position c of a root mask stands for alpha^s with s = (c + 1)
+        mod n, because a root alpha^s marks an error at word bit (s - 1)
+        mod n; so the mask's set bits are the error positions themselves.
+        lambda_j alpha^(j s) is GF(2)-linear in the m bits of lambda_j, and
+        the h = ceil(m/2) low bits and the m - h high bits each index a
+        table row that holds their share at every s, as m bit planes of
+        ``words`` uint64 words. Rows j E .. j E + 2^h - 1 serve the low
+        half of lambda_j and the next 2^(m-h) its high half, E rows per j.
+        """
+        n, t = self._n, self.params.t
+        low = (m + 1) // 2
+        entries = (1 << low) + (1 << (m - low))
+        words = (n + 63) // 64
+        value = np.arange(1 << m)
+        self._root_halves = np.stack((value & (1 << low) - 1, (1 << low) + (value >> low)), 1)
+        self._root_offsets = np.arange(t + 1)[:, None] * entries
+        table = np.zeros((t + 1, entries, m * words), dtype=np.uint64)
+        powers = np.outer(np.arange(t + 1), np.arange(n) + 1) % n
+        planes = np.zeros((m, m, 64 * words), dtype=np.uint8)
+        for rows, power in zip(table, powers):
+            # Row b of basis holds alpha^b alpha^(j s), the share of bit b
+            # of lambda_j (exp holds every power twice, so b + (j s mod n)
+            # needs no reduction); each half's rows are the XOR spans of
+            # its bits' rows, built by doubling.
+            basis = self._exp_np[np.arange(m)[:, None] + power]
+            planes[:, :, :n] = basis[:, None, :] >> np.arange(m, dtype=np.uint16)[:, None] & 1
+            packed = np.packbits(planes, axis=2, bitorder="little").view("<u8").reshape(m, -1)
+            for first, bits in ((0, range(low)), (1 << low, range(low, m))):
+                for size, b in enumerate(bits):
+                    span = rows[first : first + (1 << size)]
+                    rows[first + (1 << size) : first + (2 << size)] = span ^ packed[b]
+        self._root_table = table.reshape(-1, m * words)
+        self._root_valid = np.packbits(
+            np.arange(64 * words) < n, bitorder="little"
+        ).view("<u8").astype(np.uint64)
 
     def _gf_mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
@@ -288,20 +338,10 @@ class BchCodec:
         degree = len(locator) - 1
         if degree > p.t:
             return None
-
-        # Chien search: the locator at alpha^s for every s in one gather;
-        # zero coefficients carry the sentinel log and add nothing.
-        logs = np.array(locator)
-        acc = np.bitwise_xor.reduce(
-            self._exp_np[logs[:, None] + self._chien_table[: degree + 1]], axis=0
-        )
-        roots = np.flatnonzero(acc == 0)
-        if roots.size != degree:
+        roots = self._roots(self._exp_np[locator][None])
+        if np.bitwise_count(roots).sum() != degree:
             return None
-
-        # A root alpha^s marks an error at power (n - s) mod n, which is
-        # bit (s - 1) mod n.
-        bits[(roots - 1) % p.n] ^= 1
+        bits[: p.k] ^= self._positions(roots, p.k)[0]
         return BitString.from_bits(bits[: p.k])
 
     def decode_batch(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,25 +367,25 @@ class BchCodec:
         for start in range(0, len(words), _BATCH_CHUNK):
             chunk = words[start : start + _BATCH_CHUNK]
             length, locators = self._locators(self._odd_syndromes(chunk))
-            roots = self._chien(locators)
-            lanes = (length <= p.t) & (roots.sum(axis=1) == length)
-            # A root alpha^s flips bit (s - 1) mod n.
-            flips = np.roll(roots[lanes], -1, axis=1)
+            # A locator longer than t fails on its length whatever its roots.
+            roots = self._roots(locators[:, : p.t + 1])
+            lanes = (length <= p.t) & (np.bitwise_count(roots).sum(axis=1) == length)
+            flips = self._positions(roots[lanes], p.k)
             ok[start : start + len(chunk)] = lanes
-            messages[start : start + len(chunk)][lanes] = chunk[lanes, : p.k] ^ flips[:, : p.k]
+            messages[start : start + len(chunk)][lanes] = chunk[lanes, : p.k] ^ flips
         return ok, messages
 
     def _odd_syndromes(self, words: np.ndarray) -> np.ndarray:
         """S_1, S_3, .., S_2t-1 of each row, as a (rows, t) array.
 
-        Bytes are taken 16 at a time, which keeps the gather index near the
-        size of the Chien search's.
+        Bytes are taken 4 at a time: numpy widens the gather index to
+        int64, which for a 256-row chunk at t=30 is then 240 KB.
         """
         packed = np.packbits(words, axis=1).T
         odd = np.zeros((len(words), self.params.t), dtype=np.uint16)
-        for first in range(0, len(packed), 16):
-            logs = self._syndrome_bytes[packed[first : first + 16]]
-            logs += self._syndrome_shift[first : first + 16]
+        for first in range(0, len(packed), 4):
+            logs = self._syndrome_bytes[packed[first : first + 4]]
+            logs += self._syndrome_shift[first : first + 4]
             odd ^= np.bitwise_xor.reduce(self._exp_np.take(logs), axis=0)
         return odd
 
@@ -353,7 +393,7 @@ class BchCodec:
         """``_locator`` over every row at once, with masked per-row updates.
 
         Returns each row's locator length L and a (rows, 2t+1) array of
-        coefficient logs, the sentinel 2n beyond L.
+        its coefficients, zero beyond L.
         """
         n, t = self._n, self.params.t
         t2 = 2 * t
@@ -395,23 +435,36 @@ class BchCodec:
             cur_log[:, :top] = log[cur[:, :top]]
             prev_log = np.where(grow, disc_log, prev_log)
             length = np.where(grow, r + 1 - length, length)
-        return length, cur_log
+        return length, cur
 
-    def _chien(self, locators: np.ndarray) -> np.ndarray:
-        """(rows, n) bool: whether alpha^s is a root of each row's locator.
+    def _roots(self, coefficients: np.ndarray) -> np.ndarray:
+        """Root masks of the locators in the rows of ``coefficients``.
 
-        Reads coefficients 0 .. t only; a row with a longer locator fails
-        on its length whatever this returns. Logs and exponents sum below
-        3n, so the gather indices fit int16.
+        Row i of ``coefficients`` holds a locator's coefficient values,
+        lowest degree first; rows may stop anywhere, since missing
+        coefficients are zero. Returns a (rows, words) uint64 array whose
+        bit c (word c // 64, bit c % 64) is set when alpha^((c + 1) mod n)
+        is a root. Each coefficient reads two table rows, one per half of
+        its bits, and the rows' XOR holds the locator's value at every
+        alpha^s as m bit planes; a root is a position clear in all of them.
         """
-        coefficients = locators[:, : self.params.t + 1].astype(np.int16)
-        index = np.empty((len(locators), self._n), dtype=np.int16)
-        term = np.empty((len(locators), self._n), dtype=np.uint16)
-        acc = np.zeros((len(locators), self._n), dtype=np.uint16)
-        for j, row in enumerate(self._chien_table.astype(np.int16)):
-            np.add(coefficients[:, j, None], row, out=index)
-            acc ^= self._exp_np.take(index, out=term)
-        return acc == 0
+        rows, count = coefficients.shape
+        index = self._root_halves[coefficients] + self._root_offsets[:count]
+        index = index.reshape(rows, 2 * count)
+        values = np.zeros((rows, self._root_table.shape[1]), dtype=np.uint64)
+        step = max(1, _ROOT_GATHER // rows)
+        for first in range(0, 2 * count, step):
+            terms = self._root_table.take(index[:, first : first + step], axis=0)
+            values ^= np.bitwise_xor.reduce(terms, axis=1)
+        planes = values.reshape(rows, -1, self._root_valid.size)
+        return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
+
+    @staticmethod
+    def _positions(roots: np.ndarray, count: int) -> np.ndarray:
+        """Bits 0 .. count-1 of each root mask as a (rows, count) 0/1 array."""
+        return np.unpackbits(
+            roots.astype("<u8").view(np.uint8), axis=1, count=count, bitorder="little"
+        )
 
 
 @lru_cache(maxsize=8)

@@ -2,10 +2,12 @@
 
 Genuine trials enroll a fresh identity and authenticate with a new noisy
 capture; impostor trials authenticate unrelated captures against one
-enrolled record. Every trial derives its own sub-seed from the harness
-seed under a label naming its kind and index, so each trial is a pure
-function of (seed, index), trial order cannot change the counts, and the
-reports at seeds S and S+1 share no trial.
+enrolled record. Enrollment always passes liveness, so the configured
+liveness policy gates only each trial's authentication. Every trial
+derives its own sub-seed from the harness seed under a label naming its
+kind and index, so each trial is a pure function of (seed, index), trial
+order cannot change the counts, and the reports at seeds S and S+1 share
+no trial.
 
 ``frr_trial`` and ``far_trial`` run one trial through
 ``device_authenticate``. The reports draw the same trials a chunk at a
@@ -39,6 +41,7 @@ from .kdf import subseed
 from .parties import (
     AgePolicy,
     AlwaysApproveEvidence,
+    AlwaysPass,
     InProcessAsp,
     LivenessFailed,
     LivenessPolicy,
@@ -70,9 +73,10 @@ _EVAL_CLOCK = 1_750_000_000
 
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
 
-# Trials a report draws and decodes together. Memory grows with it (a
-# sample is 4 KB at dim 512) and not with the number of trials.
-_CHUNK = 64
+# Trials a report draws and decodes together, one decode_batch chunk
+# (ecc._BATCH_CHUNK). Memory grows with it (256 samples take 1 MiB at
+# dim 512) and not with the number of trials.
+_CHUNK = 256
 
 
 OUTCOMES = ("Liveness", "Extract", *(r.value for r in FailureReason), "Success")
@@ -171,7 +175,7 @@ def _genuine_trial(
     record = device_enroll(
         profile,
         asp,
-        replace(cfg, sigma=sigma),
+        replace(cfg, sigma=sigma, liveness=AlwaysPass()),
         subseed(base, "bbcreds/eval/enroll/v1"),
         evidence=AlwaysApproveEvidence(),
     )
@@ -236,7 +240,7 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     record = device_enroll(
         profile,
         _eval_asp(seed),
-        cfg,
+        replace(cfg, liveness=AlwaysPass()),
         subseed(seed, "bbcreds/eval/enroll/v1"),
         evidence=AlwaysApproveEvidence(),
     )

@@ -308,6 +308,57 @@ class TestBatchEquality:
             codec_for(SMALL_CODE).decode_batch(words)
 
 
+def _brute_force_roots(n, coefficients):
+    """Whether alpha^((c + 1) mod n) is a root of each row's locator, for
+    c = 0 .. n-1, from the plain-Python field tables."""
+    exp, log = map(np.array, _gf_tables(n))
+    s = (np.arange(n) + 1) % n
+    value = np.zeros((len(coefficients), n), dtype=np.int64)
+    for j, column in enumerate(coefficients.T.astype(np.int64)):
+        term = exp[(log[column][:, None] + j * s) % n]
+        value ^= np.where(column[:, None] != 0, term, 0)
+    return value == 0
+
+
+class TestRootSearch:
+    """``_roots`` equals a brute-force evaluation of the locator at every
+    alpha^s, for coefficient values Berlekamp-Massey never produces."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CodeParams(7, 4, 1),
+            SMALL_CODE,
+            CodeParams(31, 16, 3),
+            CodeParams(63, 30, 6),
+            CodeParams(127, 64, 10),
+            CodeParams(255, 131, 18),
+            PROD_CODE,
+            CodeParams(1023, 923, 10),
+        ],
+        ids=lambda p: f"m{p.n.bit_length()}",
+    )
+    def test_matches_brute_force(self, params):
+        n, t = params.n, params.t
+        codec = codec_for(params)
+        rng = np.random.default_rng(n)
+        # Every field element, so every low and high half and zero, in each
+        # coefficient, then random rows with about half their coefficients zero.
+        every = np.array([rng.permutation(n + 1) for _ in range(t + 1)]).T
+        sparse = rng.integers(0, n + 1, size=(64, t + 1)) * rng.integers(0, 2, size=(64, t + 1))
+        coefficients = np.vstack([every, sparse]).astype(np.uint16)
+
+        masks = codec._roots(coefficients)
+        bits = codec._positions(masks, 64 * masks.shape[1])
+        assert (bits[:, :n] == _brute_force_roots(n, coefficients)).all()
+        assert not bits[:, n:].any()
+        # Single rows that stop after a random coefficient, as decode passes them.
+        for i in rng.choice(len(coefficients), size=32, replace=False):
+            row = coefficients[i : i + 1, : rng.integers(1, t + 2)]
+            bits = codec._positions(codec._roots(row), n)
+            assert (bits == _brute_force_roots(n, row)).all()
+
+
 class TestZeroCases:
     @pytest.mark.parametrize("params", [SMALL_CODE, PROD_CODE])
     def test_zero_message_zero_codeword(self, params):

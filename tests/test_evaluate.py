@@ -16,10 +16,11 @@ from bbcreds.evaluate import (
     sweep,
     wilson_interval,
 )
-from bbcreds.parties import AlwaysFail, AlwaysPass, ProtocolConfig
+from bbcreds.parties import AlwaysFail, ProtocolConfig
 from bbcreds.synthbio import new_identity, sample_impostor
 
 SEED = 0xE7A1
+ZERO_COUNTS = dict.fromkeys(OUTCOMES, 0)
 
 
 @pytest.fixture(scope="module")
@@ -159,15 +160,12 @@ class TestTrialIndependence:
         assert len(set(impostors)) == len(impostors) == 10
 
 
-def _capture_enrollments(monkeypatch, liveness=None):
-    """Record every record the harness enrolls, optionally enrolling under
-    another liveness policy than the one authentication uses."""
+def _capture_enrollments(monkeypatch):
+    """Record every record the harness enrolls."""
     records = []
     enroll = evaluate.device_enroll
 
     def recording_enroll(profile, asp, cfg, rng_seed, **kw):
-        if liveness is not None:
-            cfg = replace(cfg, liveness=liveness)
         records.append(enroll(profile, asp, cfg, rng_seed, **kw))
         return records[-1]
 
@@ -188,14 +186,16 @@ class TestBatchedReportsEqualTrials:
         assert Counter(report.stage_counts) == trials
 
     def test_frr_with_mixed_outcomes(self, cfg):
-        report = estimate_frr(cfg, 0.005, 200, SEED)
-        trials = Counter(frr_trial(cfg, 0.005, SEED, i) for i in range(200))
-        assert Counter(report.stage_counts) == trials
-        assert trials["Extract"] and trials["Success"]
+        # 200 trials fit in one chunk; _CHUNK + 1 crosses a chunk boundary.
+        for count in (200, evaluate._CHUNK + 1):
+            report = estimate_frr(cfg, 0.005, count, SEED)
+            trials = Counter(frr_trial(cfg, 0.005, SEED, i) for i in range(count))
+            assert Counter(report.stage_counts) == trials
+            assert trials["Extract"] and trials["Success"]
 
     def test_liveness_failure(self, cfg, monkeypatch):
-        # Enrollment passes liveness, so authentication is what fails it.
-        records = _capture_enrollments(monkeypatch, liveness=AlwaysPass())
+        # The harness enrolls under AlwaysPass, so authentication is what fails.
+        records = _capture_enrollments(monkeypatch)
         failing = replace(cfg, liveness=AlwaysFail())
         far = estimate_far(failing, 1000, SEED)
         frr = estimate_frr(failing, 0.003, 100, SEED)
@@ -230,6 +230,14 @@ class TestSweep:
     def test_empty_sigmas_rejected(self, cfg):
         with pytest.raises(ValueError):
             sweep(cfg, [], 100, SEED, io.StringIO())
+
+
+def test_liveness_policy_gates_authentication_only(cfg):
+    failing = replace(cfg, liveness=AlwaysFail())
+    assert estimate_far(failing, 1000, SEED).stage_counts == {**ZERO_COUNTS, "Liveness": 1000}
+    assert estimate_frr(failing, 0.003, 100, SEED).stage_counts == {
+        **ZERO_COUNTS, "Liveness": 100
+    }
 
 
 def test_far_trial_composable(cfg, enrollment):
