@@ -9,8 +9,8 @@ is rejected before any table is built.
 Decoding is the binary form of the classical chain:
 
 - Syndromes: only the t odd ones, S_1, S_3, .., S_2t-1, each the XOR of
-  one row of a (t, n) table of alpha^(i p) gathered at the word's nonzero
-  bits. The even ones follow from S_2i = S_i^2.
+  one byte-table entry per byte of the packed word. The even ones follow
+  from S_2i = S_i^2.
 - Berlekamp-Massey: for a binary word every second discrepancy is zero
   (Berlekamp 1968), so the recursion runs t steps instead of 2t. Field
   products are table lookups at a sum of logs, with no reduction mod n.
@@ -21,27 +21,25 @@ Decoding is the binary form of the classical chain:
   uint64 words ("Four Russians", Arlazarov et al. 1970). The XOR of
   2(L+1) rows is the locator's value everywhere, a root is a position
   clear in all m planes, and a popcount gives the number of roots.
+- Correction: the root mask is packed like the word, so the message is
+  the XOR of the two on the word's first bytes.
 
-Two decoders run that chain and share its root search. ``decode`` takes
-one word, with the Berlekamp-Massey steps in plain Python; it serves
-every single sample, which is the device's path. ``decode_batch`` takes
-a (B, n) bit matrix and runs each stage over a chunk of rows at once:
-syndromes from byte-wise tables, the t steps with masked per-row
-updates, and the root search with one gather per half-coefficient for
-all rows. Its cost is numpy calls more than arithmetic, so it pays only
-for many words. On a 2-core machine at n=511, t=30, a batch of one took
-0.70 ms for a word with 8 errors and 0.73 ms for a random word, against
-95 and 131 us for ``decode``; a batch of 1024 random words took 28 us per
-word. Single samples therefore go through ``decode`` and the evaluation
-reports through ``decode_batch``, and no option chooses between them.
+One pipeline runs that chain on a chunk of packed words at once.
+``decode`` passes it one word, the device's path, and ``decode_batch``
+packs a (B, n) bit matrix once and passes it up to _BATCH_CHUNK rows at
+a time. Berlekamp-Massey is the only stage with two forms, chosen by
+the chunk's row count: its t steps in plain Python for one row, and with
+masked per-row updates for two or more. The masked form costs numpy
+calls more than arithmetic: on a 2-core machine at n=511, t=30, one row
+took 1.3 ms in it against 81 to 198 us in Python. Every other stage
+costs no more on one row in numpy.
 
-For BCH(511, 259, 30) the tables take about 0.9 MB, built once per codec
-in about 5 ms: 837 KiB of root-search rows (31 coefficients, 48 rows
-each of 9 planes of 8 words), 8 KB mapping each field element to its two
-rows, 30 KB of uint16 field elements for the scalar syndromes, 4 KB each
-of numpy exp and log tables, and for the batch syndromes a 15 KB byte
-table and 4 KB of byte offsets. The root search holds 576 bytes per row.
-A 256-row chunk of ``decode_batch`` peaks at about 1.1 MB of
+For BCH(511, 259, 30) the tables take about 0.87 MB, built once per
+codec in about 5 ms: 837 KiB of root-search rows (31 coefficients, 48
+rows each of 9 planes of 8 words), 8 KB mapping each field element to
+its two rows, 4 KB each of numpy exp and log tables, and for the
+syndromes a 15 KB byte table and 4 KB of byte offsets. The root search
+holds 576 bytes per row. A 256-row chunk peaks at about 0.9 MiB of
 temporaries, most of it Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
@@ -79,7 +77,8 @@ _BATCH_CHUNK = 256
 
 # Table rows _roots gathers per call, which bounds its temporaries: one
 # locator of up to 32 coefficients (64 rows) takes one call, and a chunk
-# of 64 or more locators one row of each per call.
+# of 64 or more locators one row of each per call. _odd_syndromes gathers
+# packed bytes under the same budget, but at least 4 at a time.
 _ROOT_GATHER = 64
 
 
@@ -185,22 +184,18 @@ class BchCodec:
         self._generator = self._build_generator(cosets)
 
         # Decoder tables. Field elements are below 2^10, so the numpy copy
-        # of exp and everything gathered from it is uint16. Row i of the
-        # syndrome table holds alpha^((2i+1) p) at bit position j, whose
-        # coefficient power is p = n - 1 - j.
+        # of exp and everything gathered from it is uint16.
         self._exp_np = np.asarray(self._exp, dtype=np.uint16)
-        powers = np.arange(n - 1, -1, -1)
-        odd = np.arange(1, 2 * t, 2)
-        self._syndrome_table = self._exp_np[np.outer(odd, powers) % n]
+        self._log_np = np.asarray(log, dtype=np.int64)
         self._build_root_tables(m)
 
-        # Batch tables. A packed word's byte b holds bits 8b .. 8b+7, MSB
+        # Syndrome tables. A packed word's byte b holds bits 8b .. 8b+7, MSB
         # first, at powers n-1-8b-r for r = 0 .. 7, so its share of S_i is
         # alpha^(i(n-1-8b)) times the XOR of alpha^(-i r) over its set bits.
         # Row v of the byte table holds the log of that XOR for byte value v
         # and each odd i; row b of the shift table holds the log of
         # alpha^(i(n-1-8b)). Both are uint16, and so is their sum (< 3n).
-        self._log_np = np.asarray(log, dtype=np.int64)
+        odd = np.arange(1, 2 * t, 2)
         set_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
         inverse = self._exp_np[np.outer(-np.arange(8), odd) % n]
         byte_values = np.bitwise_xor.reduce(
@@ -216,6 +211,8 @@ class BchCodec:
         Bit position c of a root mask stands for alpha^s with s = (c + 1)
         mod n, because a root alpha^s marks an error at word bit (s - 1)
         mod n; so the mask's set bits are the error positions themselves.
+        Its bytes are packed like ``BitString`` data, MSB first, so the
+        mask's first bytes XOR straight onto a packed word's message bytes.
         lambda_j alpha^(j s) is GF(2)-linear in the m bits of lambda_j, and
         the h = ceil(m/2) low bits and the m - h high bits each index a
         table row that holds their share at every s, as m bit planes of
@@ -239,15 +236,13 @@ class BchCodec:
             # its bits' rows, built by doubling.
             basis = self._exp_np[np.arange(m)[:, None] + power]
             planes[:, :, :n] = basis[:, None, :] >> np.arange(m, dtype=np.uint16)[:, None] & 1
-            packed = np.packbits(planes, axis=2, bitorder="little").view("<u8").reshape(m, -1)
+            packed = np.packbits(planes, axis=2).view(np.uint64).reshape(m, -1)
             for first, bits in ((0, range(low)), (1 << low, range(low, m))):
                 for size, b in enumerate(bits):
                     span = rows[first : first + (1 << size)]
                     rows[first + (1 << size) : first + (2 << size)] = span ^ packed[b]
         self._root_table = table.reshape(-1, m * words)
-        self._root_valid = np.packbits(
-            np.arange(64 * words) < n, bitorder="little"
-        ).view("<u8").astype(np.uint64)
+        self._root_valid = np.packbits(np.arange(64 * words) < n).view(np.uint64)
 
     def _gf_mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
@@ -329,20 +324,8 @@ class BchCodec:
         p = self.params
         if word.n != p.n:
             raise ValueError(f"word length {word.n} does not match n={p.n}")
-        bits = word.bits().copy()
-        odd = np.bitwise_xor.reduce(self._syndrome_table[:, np.flatnonzero(bits)], axis=1)
-        if not odd.any():
-            return BitString.from_bits(bits[: p.k])
-
-        locator = self._locator(odd.tolist())
-        degree = len(locator) - 1
-        if degree > p.t:
-            return None
-        roots = self._roots(self._exp_np[locator][None])
-        if np.bitwise_count(roots).sum() != degree:
-            return None
-        bits[: p.k] ^= self._positions(roots, p.k)[0]
-        return BitString.from_bits(bits[: p.k])
+        ok, messages = self._decode_rows(np.frombuffer(word.data, np.uint8)[None])
+        return BitString(messages[0].tobytes(), p.k) if ok[0] else None
 
     def decode_batch(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row of a (B, n) 0/1 matrix as ``decode`` would.
@@ -350,8 +333,9 @@ class BchCodec:
         Returns ``ok``, a bool array of shape (B,), and the messages, a
         uint8 array of shape (B, k) whose rows are zero where ``ok`` is
         false. Row i equals ``decode`` on row i, failures and
-        miscorrections included. Rows are decoded _BATCH_CHUNK at a time,
-        so memory does not grow with B.
+        miscorrections included, because both run ``_decode_rows``: the
+        rows are packed once and decoded _BATCH_CHUNK at a time, so memory
+        does not grow with B.
         """
         p = self.params
         words = np.asarray(words)
@@ -361,31 +345,53 @@ class BchCodec:
             words.size and (words.min() < 0 or words.max() > 1)
         ):
             raise ValueError("words must hold only the bits 0 and 1")
-        words = words.astype(np.uint8)
+        packed = np.packbits(words, axis=1)
         ok = np.zeros(len(words), dtype=bool)
-        messages = np.zeros((len(words), p.k), dtype=np.uint8)
+        messages = np.zeros((len(words), (p.k + 7) // 8), dtype=np.uint8)
         for start in range(0, len(words), _BATCH_CHUNK):
-            chunk = words[start : start + _BATCH_CHUNK]
-            length, locators = self._locators(self._odd_syndromes(chunk))
-            # A locator longer than t fails on its length whatever its roots.
-            roots = self._roots(locators[:, : p.t + 1])
-            lanes = (length <= p.t) & (np.bitwise_count(roots).sum(axis=1) == length)
-            flips = self._positions(roots[lanes], p.k)
-            ok[start : start + len(chunk)] = lanes
-            messages[start : start + len(chunk)][lanes] = chunk[lanes, : p.k] ^ flips
+            chunk = slice(start, start + _BATCH_CHUNK)
+            ok[chunk], messages[chunk] = self._decode_rows(packed[chunk])
+        return ok, self._positions(messages, p.k)
+
+    def _decode_rows(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode rows of packed word bytes, in the ``BitString`` format.
+
+        Returns the ok mask and the packed messages, zero where a row
+        fails. Berlekamp-Massey is the one stage with two forms: one row
+        runs the plain-Python ``_locator``, whose t steps cost less than
+        the numpy calls of ``_locators``; two or more rows run
+        ``_locators``.
+        """
+        p = self.params
+        odd = self._odd_syndromes(packed)
+        if len(packed) == 1:
+            locator = self._locator(odd[0].tolist())
+            length = len(locator) - 1
+            locators = self._exp_np[locator[: p.t + 1]][None]
+        else:
+            length, locators = self._locators(odd)
+            locators = locators[:, : p.t + 1]
+        # A locator longer than t fails on its length whatever its roots.
+        roots = self._roots(locators)
+        ok = (length <= p.t) & (np.bitwise_count(roots).sum(axis=1) == length)
+        size = (p.k + 7) // 8
+        messages = np.where(ok[:, None], packed[:, :size] ^ roots.view(np.uint8)[:, :size], 0)
+        messages[:, -1] &= 0xFF << (-p.k % 8) & 0xFF  # parity bits past k
         return ok, messages
 
-    def _odd_syndromes(self, words: np.ndarray) -> np.ndarray:
-        """S_1, S_3, .., S_2t-1 of each row, as a (rows, t) array.
+    def _odd_syndromes(self, packed: np.ndarray) -> np.ndarray:
+        """S_1, S_3, .., S_2t-1 of each row of packed bytes, as a (rows, t) array.
 
-        Bytes are taken 4 at a time: numpy widens the gather index to
-        int64, which for a 256-row chunk at t=30 is then 240 KB.
+        Bytes are gathered under the same budget as ``_roots``: numpy
+        widens the gather index to int64, so one row takes all 64 bytes of
+        a 511-bit word at once and a 256-row chunk 4 bytes per call.
         """
-        packed = np.packbits(words, axis=1).T
-        odd = np.zeros((len(words), self.params.t), dtype=np.uint16)
-        for first in range(0, len(packed), 4):
-            logs = self._syndrome_bytes[packed[first : first + 4]]
-            logs += self._syndrome_shift[first : first + 4]
+        columns = packed.T
+        odd = np.zeros((len(packed), self.params.t), dtype=np.uint16)
+        step = max(4, _ROOT_GATHER // len(packed))
+        for first in range(0, len(columns), step):
+            logs = self._syndrome_bytes[columns[first : first + step]]
+            logs += self._syndrome_shift[first : first + step]
             odd ^= np.bitwise_xor.reduce(self._exp_np.take(logs), axis=0)
         return odd
 
@@ -460,11 +466,10 @@ class BchCodec:
         return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
 
     @staticmethod
-    def _positions(roots: np.ndarray, count: int) -> np.ndarray:
-        """Bits 0 .. count-1 of each root mask as a (rows, count) 0/1 array."""
-        return np.unpackbits(
-            roots.astype("<u8").view(np.uint8), axis=1, count=count, bitorder="little"
-        )
+    def _positions(packed: np.ndarray, count: int) -> np.ndarray:
+        """Bits 0 .. count-1 of each row of packed bytes or root masks, as a
+        (rows, count) 0/1 array."""
+        return np.unpackbits(packed.view(np.uint8), axis=1, count=count)
 
 
 @lru_cache(maxsize=8)

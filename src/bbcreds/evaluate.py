@@ -36,6 +36,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 from .binding import AuthFailure, FailureReason, unbind_auth
 from .credential import generate_issuer_keys
+from .ecc import _BATCH_CHUNK
 from .fextract import ExtractFailure, fe_reproduce_batch
 from .kdf import subseed
 from .parties import (
@@ -73,11 +74,6 @@ _EVAL_CLOCK = 1_750_000_000
 
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
 
-# Trials a report draws and decodes together, one decode_batch chunk
-# (ecc._BATCH_CHUNK). Memory grows with it (256 samples take 1 MiB at
-# dim 512) and not with the number of trials.
-_CHUNK = 256
-
 
 OUTCOMES = ("Liveness", "Extract", *(r.value for r in FailureReason), "Success")
 
@@ -96,13 +92,14 @@ class EvalReport:
     stage_counts: Mapping[str, int]
 
 
-def wilson_interval(count: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(count: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion count/trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= count <= trials:
         raise ValueError("count must be within [0, trials]")
     p = count / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
@@ -139,14 +136,16 @@ def _tally(
     """``_outcome`` counts of trials 0 .. trials-1, each the (sample,
     record) pair ``trial(index)`` returns.
 
-    Trials run _CHUNK at a time through the device's own stages: the
-    liveness gate, one batched key reproduction and ``unbind_auth`` for
-    each key that came out.
+    Trials run one ``decode_batch`` chunk (_BATCH_CHUNK) at a time
+    through the device's own stages: the liveness gate, one batched key
+    reproduction and ``unbind_auth`` for each key that came out. Memory
+    grows with the chunk (256 samples take 1 MiB at dim 512) and not with
+    the number of trials.
     """
     counts = dict.fromkeys(OUTCOMES, 0)
-    for start in range(0, trials, _CHUNK):
+    for start in range(0, trials, _BATCH_CHUNK):
         live = []
-        for index in range(start, min(start + _CHUNK, trials)):
+        for index in range(start, min(start + _BATCH_CHUNK, trials)):
             sample, record = trial(index)
             if liveness_check(liveness):
                 live.append((sample, record))
@@ -189,23 +188,15 @@ def _impostor_sample(cfg: ProtocolConfig, seed: int, index: int) -> Embedding:
     return sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
 
 
-def frr_trial(
-    cfg: ProtocolConfig,
-    sigma: float,
-    seed: int,
-    index: int,
-    asp: InProcessAsp | None = None,
-) -> str:
+def frr_trial(cfg: ProtocolConfig, sigma: float, seed: int, index: int) -> str:
     """One genuine trial: enroll the identity derived from ``seed`` for trial
     ``index``, then authenticate a fresh capture at the given noise level.
 
-    The default ASP is rebuilt deterministically from the seed, so running
-    trials individually, reordered, or through ``estimate_frr`` gives the
-    same outcomes.
+    The ASP is rebuilt deterministically from the seed, so running trials
+    individually, reordered, or through ``estimate_frr`` gives the same
+    outcomes.
     """
-    sample, record = _genuine_trial(
-        cfg, sigma, seed, index, asp if asp is not None else _eval_asp(seed)
-    )
+    sample, record = _genuine_trial(cfg, sigma, seed, index, _eval_asp(seed))
     return _outcome(sample, record, cfg)
 
 

@@ -30,6 +30,7 @@ from .binding import (
     unbind_auth,
 )
 from .credential import (
+    MAX_AGE_OVER,
     AgeCred,
     IssuerKeyPair,
     RejectReason,
@@ -159,8 +160,8 @@ class AgePolicy:
     validity_seconds: int = 365 * 86400
 
     def __post_init__(self) -> None:
-        if not 0 < self.threshold < 150:
-            raise ValueError(f"threshold must be in (0, 150), got {self.threshold}")
+        if not 0 < self.threshold < MAX_AGE_OVER:
+            raise ValueError(f"threshold must be in (0, {MAX_AGE_OVER}), got {self.threshold}")
         if self.validity_seconds <= 0:
             raise ValueError("validity_seconds must be positive")
 

@@ -277,7 +277,7 @@ class TestBatchEquality:
         assert ok[: 4 * (params.t + 1)].all()
 
     @pytest.mark.parametrize(
-        "size", [0, 1, ecc._BATCH_CHUNK - 1, ecc._BATCH_CHUNK + 1, 1000]
+        "size", [0, 1, 2, ecc._BATCH_CHUNK - 1, ecc._BATCH_CHUNK + 1, 1000]
     )
     def test_batch_sizes(self, size):
         codec = codec_for(CodeParams(63, 30, 6))

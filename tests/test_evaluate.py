@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from bbcreds import evaluate
+from bbcreds import ecc, evaluate
 from bbcreds.binding import SketchVariant
 from bbcreds.evaluate import (
     CSV_HEADER,
@@ -186,8 +186,8 @@ class TestBatchedReportsEqualTrials:
         assert Counter(report.stage_counts) == trials
 
     def test_frr_with_mixed_outcomes(self, cfg):
-        # 200 trials fit in one chunk; _CHUNK + 1 crosses a chunk boundary.
-        for count in (200, evaluate._CHUNK + 1):
+        # 200 trials fit in one chunk; _BATCH_CHUNK + 1 crosses a chunk boundary.
+        for count in (200, ecc._BATCH_CHUNK + 1):
             report = estimate_frr(cfg, 0.005, count, SEED)
             trials = Counter(frr_trial(cfg, 0.005, SEED, i) for i in range(count))
             assert Counter(report.stage_counts) == trials
