@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .binding import AuthFailure, SketchVariant
@@ -136,7 +136,16 @@ def _run_seed(args: argparse.Namespace) -> int:
 
 
 def _clock(args: argparse.Namespace) -> int:
-    return args.clock if args.clock is not None else int(time.time())
+    """--clock, or else the current time, in unix seconds.
+
+    The ASP reads the clock as a UTC calendar date and the credential
+    stores it unsigned, so it must fall between 1970 and the end of 9999.
+    """
+    clock = args.clock if args.clock is not None else int(time.time())
+    latest = int(datetime.max.replace(tzinfo=timezone.utc).timestamp())
+    if not 0 <= clock <= latest:
+        raise CliError(f"clock must be in [0, {latest}] (1970 to 9999), got {clock}")
+    return clock
 
 
 def _liveness(args: argparse.Namespace):

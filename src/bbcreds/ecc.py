@@ -14,6 +14,9 @@ Decoding is the binary form of the classical chain:
 - Berlekamp-Massey: for a binary word every second discrepancy is zero
   (Berlekamp 1968), so the recursion runs t steps instead of 2t. Field
   products are table lookups at a sum of logs, with no reduction mod n.
+  Over many rows it touches live columns only: a locator of length L
+  has L + 1 coefficients, so each step reaches no further than the
+  longest locator of the chunk.
 - Root search: the locator is evaluated at every alpha^s, as in Chien's
   search (Chien 1964), but by table. lambda_j alpha^(j s) is GF(2)-linear
   in the bits of lambda_j, so each half of a coefficient's bits indexes a
@@ -26,8 +29,10 @@ Decoding is the binary form of the classical chain:
 
 One pipeline runs that chain on a chunk of packed words at once.
 ``decode`` passes it one word, the device's path, and ``decode_batch``
-packs a (B, n) bit matrix once and passes it up to _BATCH_CHUNK rows at
-a time. Berlekamp-Massey is the only stage with two forms, chosen by
+passes it up to _BATCH_CHUNK rows of a (B, ceil(n/8)) byte matrix at a
+time. Words and messages stay packed in the ``BitString`` byte layout
+throughout, so a caller that holds packed rows never unpacks a bit.
+Berlekamp-Massey is the only stage with two forms, chosen by
 the chunk's row count: its t steps in plain Python for one row, and with
 masked per-row updates for two or more. The masked form costs numpy
 calls more than arithmetic: on a 2-core machine at n=511, t=30, one row
@@ -39,8 +44,8 @@ codec in about 5 ms: 837 KiB of root-search rows (31 coefficients, 48
 rows each of 9 planes of 8 words), 8 KB mapping each field element to
 its two rows, 4 KB each of numpy exp and log tables, and for the
 syndromes a 15 KB byte table and 4 KB of byte offsets. The root search
-holds 576 bytes per row. A 256-row chunk peaks at about 0.9 MiB of
-temporaries, most of it Berlekamp-Massey's int64 log arrays.
+holds 576 bytes per row. A 256-row chunk of random words peaks at about
+0.85 MiB of temporaries, most of it Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -328,30 +333,32 @@ class BchCodec:
         return BitString(messages[0].tobytes(), p.k) if ok[0] else None
 
     def decode_batch(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decode each row of a (B, n) 0/1 matrix as ``decode`` would.
+        """Decode each row of packed words as ``decode`` would.
 
-        Returns ``ok``, a bool array of shape (B,), and the messages, a
-        uint8 array of shape (B, k) whose rows are zero where ``ok`` is
-        false. Row i equals ``decode`` on row i, failures and
-        miscorrections included, because both run ``_decode_rows``: the
-        rows are packed once and decoded _BATCH_CHUNK at a time, so memory
-        does not grow with B.
+        ``words`` is a (B, ceil(n/8)) uint8 array whose row i holds the
+        ``BitString`` bytes of word i, pad bits zero. Returns ``ok``, a
+        bool array of shape (B,), and the messages, a (B, ceil(k/8)) uint8
+        array whose row i holds the ``BitString`` bytes of message i, or
+        zeros where ``ok`` is false. Row i equals ``decode`` on row i,
+        failures and miscorrections included, because both run
+        ``_decode_rows``: the rows are decoded _BATCH_CHUNK at a time, so
+        memory does not grow with B.
         """
         p = self.params
         words = np.asarray(words)
-        if words.ndim != 2 or words.shape[1] != p.n:
-            raise ValueError(f"words must have shape (B, {p.n}), got {words.shape}")
-        if words.dtype.kind not in "biu" or (
-            words.size and (words.min() < 0 or words.max() > 1)
-        ):
-            raise ValueError("words must hold only the bits 0 and 1")
-        packed = np.packbits(words, axis=1)
+        size = (p.n + 7) // 8
+        if words.ndim != 2 or words.shape[1] != size or words.dtype != np.uint8:
+            raise ValueError(
+                f"words must be a (B, {size}) uint8 array, got {words.dtype} {words.shape}"
+            )
+        if (words[:, -1] & (1 << -p.n % 8) - 1).any():
+            raise ValueError("padding bits beyond n must be zero")
         ok = np.zeros(len(words), dtype=bool)
         messages = np.zeros((len(words), (p.k + 7) // 8), dtype=np.uint8)
         for start in range(0, len(words), _BATCH_CHUNK):
             chunk = slice(start, start + _BATCH_CHUNK)
-            ok[chunk], messages[chunk] = self._decode_rows(packed[chunk])
-        return ok, self._positions(messages, p.k)
+            ok[chunk], messages[chunk] = self._decode_rows(words[chunk])
+        return ok, messages
 
     def _decode_rows(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode rows of packed word bytes, in the ``BitString`` format.
@@ -398,8 +405,15 @@ class BchCodec:
     def _locators(self, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_locator`` over every row at once, with masked per-row updates.
 
-        Returns each row's locator length L and a (rows, 2t+1) array of
-        its coefficients, zero beyond L.
+        Returns each row's locator length L and a (rows, max L + 1) array
+        of its coefficients, zero beyond L.
+
+        Only live columns are computed. A row's coefficients past its
+        length are zero, so step r sums the discrepancy over columns 1 ..
+        min(r, longest), where longest is the largest L of any row so far.
+        The correction x^shift B(x) has degree at most r + 1 - L, which is
+        at most the row's new length (Massey 1969), so the update and its
+        log gather stop at the new longest length.
         """
         n, t = self._n, self.params.t
         t2 = 2 * t
@@ -425,23 +439,26 @@ class BchCodec:
         prev[:, 1:2] = 0  # x^1; with t = 0 no step runs and no column 1 exists
         length = np.zeros(rows, dtype=np.int64)
         prev_log = np.zeros(rows, dtype=np.int64)
+        longest = 0
         for r in range(0, t2, 2):
-            terms = exp[cur_log[:, 1 : r + 1] + rlog[:, t2 - 1 - r :]]
+            live = min(r, longest)
+            first = t2 - 1 - r
+            terms = exp[cur_log[:, 1 : live + 1] + rlog[:, first : first + live]]
             disc = odd[:, r // 2] ^ np.bitwise_xor.reduce(terms, axis=1)
             disc_log = log[disc]
             nonzero = disc != 0
             grow = nonzero & (2 * length <= r)
             scale = np.where(nonzero, (disc_log - prev_log) % n, 2 * n)
-            # After step r the locator has degree at most L <= r + 1.
-            top = r + 2
+            length = np.where(grow, r + 1 - length, length)
+            longest = int(length.max())
+            top = longest + 1
             cur[:, :top] ^= exp[scale[:, None] + prev[:, :top]]
             saved = np.where(grow[:, None], cur_log, prev)
             prev[:, 2:] = saved[:, :-2]
             prev[:, :2] = 2 * n
             cur_log[:, :top] = log[cur[:, :top]]
             prev_log = np.where(grow, disc_log, prev_log)
-            length = np.where(grow, r + 1 - length, length)
-        return length, cur
+        return length, cur[:, : longest + 1]
 
     def _roots(self, coefficients: np.ndarray) -> np.ndarray:
         """Root masks of the locators in the rows of ``coefficients``.
@@ -464,12 +481,6 @@ class BchCodec:
             values ^= np.bitwise_xor.reduce(terms, axis=1)
         planes = values.reshape(rows, -1, self._root_valid.size)
         return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
-
-    @staticmethod
-    def _positions(packed: np.ndarray, count: int) -> np.ndarray:
-        """Bits 0 .. count-1 of each row of packed bytes or root masks, as a
-        (rows, count) 0/1 array."""
-        return np.unpackbits(packed.view(np.uint8), axis=1, count=count)
 
 
 @lru_cache(maxsize=8)

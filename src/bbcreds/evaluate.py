@@ -11,11 +11,13 @@ no trial.
 
 ``frr_trial`` and ``far_trial`` run one trial through
 ``device_authenticate``. The reports draw the same trials a chunk at a
-time and pass the chunk's samples through the device's stages in one
-go: the liveness gate per trial, one batched key reproduction
-(``fe_reproduce_batch``, which decodes with ``BchCodec.decode_batch``),
-then ``unbind_auth`` for each key that came out. Each report's counts
-equal the tally of the single-trial functions over the same indices.
+time as the rows of one sample matrix (``sample_impostors`` for FAR, the
+stacked genuine captures for FRR) and pass it through the device's
+stages in one go: the liveness gate per trial, one batched key
+reproduction (``fe_reproduce_batch``, which decodes with
+``BchCodec.decode_batch``), then ``unbind_auth`` for each key that came
+out. Each report's counts equal the tally of the single-trial functions
+over the same indices.
 
 Each trial is counted under the name of the stage that rejected it, in
 the device's own vocabulary: ``"Liveness"`` (LivenessFailed), ``"Extract"``
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .binding import AuthFailure, FailureReason, unbind_auth
 from .credential import generate_issuer_keys
@@ -52,7 +56,14 @@ from .parties import (
     liveness_check,
 )
 from .store import DeviceRecord
-from .synthbio import Embedding, NoiseModel, new_identity, sample_genuine, sample_impostor
+from .synthbio import (
+    Embedding,
+    NoiseModel,
+    new_identity,
+    sample_genuine,
+    sample_impostor,
+    sample_impostors,
+)
 
 __all__ = [
     "OUTCOMES",
@@ -129,30 +140,32 @@ def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
 
 
 def _tally(
-    trial: Callable[[int], tuple[Embedding, DeviceRecord]],
+    draw: Callable[[list[int]], tuple[np.ndarray, list[DeviceRecord]]],
     trials: int,
     liveness: LivenessPolicy,
 ) -> dict[str, int]:
-    """``_outcome`` counts of trials 0 .. trials-1, each the (sample,
-    record) pair ``trial(index)`` returns.
+    """``_outcome`` counts of trials 0 .. trials-1. ``draw(indices)`` returns
+    those trials' samples as the rows of one (len(indices), dim) matrix and
+    the record each one authenticates against.
 
     Trials run one ``decode_batch`` chunk (_BATCH_CHUNK) at a time
-    through the device's own stages: the liveness gate, one batched key
+    through the device's own stages: the liveness gate per trial, then
+    for the trials it passes one sample matrix, one batched key
     reproduction and ``unbind_auth`` for each key that came out. Memory
     grows with the chunk (256 samples take 1 MiB at dim 512) and not with
     the number of trials.
     """
     counts = dict.fromkeys(OUTCOMES, 0)
     for start in range(0, trials, _BATCH_CHUNK):
-        live = []
-        for index in range(start, min(start + _BATCH_CHUNK, trials)):
-            sample, record = trial(index)
-            if liveness_check(liveness):
-                live.append((sample, record))
-            else:
-                counts["Liveness"] += 1
-        keys = fe_reproduce_batch([s for s, _ in live], [r.helper for _, r in live])
-        for (_, record), key in zip(live, keys):
+        chunk = range(start, min(start + _BATCH_CHUNK, trials))
+        live = [index for index in chunk if liveness_check(liveness)]
+        counts["Liveness"] += len(chunk) - len(live)
+        if not live:
+            continue
+        samples, records = draw(live)
+        keys = fe_reproduce_batch(samples, [record.helper for record in records])
+        del samples  # the next chunk's matrix is drawn without this one alive
+        for record, key in zip(records, keys):
             if key is None:
                 counts["Extract"] += 1
                 continue
@@ -184,8 +197,8 @@ def _genuine_trial(
     return sample, record
 
 
-def _impostor_sample(cfg: ProtocolConfig, seed: int, index: int) -> Embedding:
-    return sample_impostor(subseed(seed, f"bbcreds/eval/impostor/{index}/v1"), cfg.dim)
+def _impostor_seed(seed: int, index: int) -> int:
+    return subseed(seed, f"bbcreds/eval/impostor/{index}/v1")
 
 
 def frr_trial(cfg: ProtocolConfig, sigma: float, seed: int, index: int) -> str:
@@ -202,14 +215,17 @@ def frr_trial(cfg: ProtocolConfig, sigma: float, seed: int, index: int) -> str:
 
 def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> str:
     """One impostor trial against an already enrolled record."""
-    return _outcome(_impostor_sample(cfg, seed, index), record, cfg)
+    return _outcome(sample_impostor(_impostor_seed(seed, index), cfg.dim), record, cfg)
 
 
 def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
     asp = _eval_asp(seed)
-    counts = _tally(
-        lambda i: _genuine_trial(cfg, sigma, seed, i, asp), trials, cfg.liveness
-    )
+
+    def draw(indices: list[int]) -> tuple[np.ndarray, list[DeviceRecord]]:
+        pairs = [_genuine_trial(cfg, sigma, seed, i, asp) for i in indices]
+        return np.stack([sample.values for sample, _ in pairs]), [r for _, r in pairs]
+
+    counts = _tally(draw, trials, cfg.liveness)
     failures = trials - counts["Success"]
     lo, hi = wilson_interval(failures, trials)
     return EvalReport(
@@ -236,7 +252,12 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         evidence=AlwaysApproveEvidence(),
     )
     counts = _tally(
-        lambda i: (_impostor_sample(cfg, seed, i), record), trials, cfg.liveness
+        lambda indices: (
+            sample_impostors([_impostor_seed(seed, i) for i in indices], cfg.dim),
+            [record] * len(indices),
+        ),
+        trials,
+        cfg.liveness,
     )
     accepts = counts["Success"]
     lo, hi = wilson_interval(accepts, trials)

@@ -6,6 +6,12 @@ quantizes a fresh sample, XORs the offset back and decodes, which strips
 any bit noise up to the code's correction radius. The key is derived from
 the random message (not from the biometric bits), so the helper data
 reveals neither.
+
+``fe_reproduce`` takes one ``Embedding``, the device's path.
+``fe_reproduce_batch`` takes the rows of a sample matrix, as the
+evaluation harness draws them, and keeps them packed bytes from
+quantization (``quantize_rows``) through one ``decode_batch`` call to the
+key derivation.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import numpy as np
 
 from .ecc import CodeParams, codec_for
 from .kdf import expand_seed, hkdf_sha256
-from .quantize import BitString, QuantizerConfig, quantize
-from .synthbio import Embedding
+from .quantize import BitString, QuantizerConfig, quantize, quantize_rows
+from .synthbio import Embedding, _check_unit_rows
 
 __all__ = [
     "KEY_BYTES",
@@ -131,26 +137,31 @@ def fe_reproduce(e: Embedding, helper: HelperData) -> StableKey:
 
 
 def fe_reproduce_batch(
-    samples: Sequence[Embedding], helpers: Sequence[HelperData]
+    samples: np.ndarray, helpers: Sequence[HelperData]
 ) -> list[StableKey | None]:
-    """``fe_reproduce`` of each sample against its own helper data, with one
-    batched decode for all of them.
+    """``fe_reproduce`` of each row of a (rows, dim) sample matrix against
+    its own helper data, with one batched decode for all of them.
 
-    Entry i is the key ``fe_reproduce(samples[i], helpers[i])`` returns, or
-    None where it raises ExtractFailure. The helpers must share one code.
+    Entry i is the key ``fe_reproduce(Embedding(samples[i]), helpers[i])``
+    returns, or None where it raises ExtractFailure. Every row must be a
+    valid embedding, and the helpers must share one code and quantizer.
+    The rows stay packed from quantization to the keys: each is XORed
+    with its offset bytes, decoded, and its message bytes are the key
+    material.
     """
     if len(samples) != len(helpers):
         raise ValueError(f"{len(samples)} samples but {len(helpers)} helpers")
     if not helpers:
         return []
-    code = helpers[0].code
-    if any(h.code != code for h in helpers):
-        raise ValueError("helpers must all use one code")
-    words = b"".join((quantize(e, h.quant) ^ h.offset).data for e, h in zip(samples, helpers))
-    packed = np.frombuffer(words, dtype=np.uint8).reshape(len(helpers), -1)
-    ok, messages = codec_for(code).decode_batch(np.unpackbits(packed, axis=1)[:, : code.n])
+    code, quant = helpers[0].code, helpers[0].quant
+    if any(h.code != code or h.quant != quant for h in helpers):
+        raise ValueError("helpers must all use one code and quantizer")
+    words = quantize_rows(samples, quant)  # checks the shape first
+    _check_unit_rows(samples)
+    offsets = np.frombuffer(b"".join(h.offset.data for h in helpers), dtype=np.uint8)
+    ok, messages = codec_for(code).decode_batch(words ^ offsets.reshape(words.shape))
     return [
-        _derive_key(BitString.from_bits(message), h.salt) if decoded else None
+        _derive_key(BitString(message.tobytes(), code.k), h.salt) if decoded else None
         for decoded, message, h in zip(ok, messages, helpers)
     ]
 

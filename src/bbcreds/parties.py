@@ -162,8 +162,10 @@ class AgePolicy:
     def __post_init__(self) -> None:
         if not 0 < self.threshold < MAX_AGE_OVER:
             raise ValueError(f"threshold must be in (0, {MAX_AGE_OVER}), got {self.threshold}")
-        if self.validity_seconds <= 0:
-            raise ValueError("validity_seconds must be positive")
+        # Below 2^63, expires_at = issued_at + validity_seconds fits the
+        # credential's unsigned 64-bit field for any issuance clock below 2^63.
+        if not 0 < self.validity_seconds < 1 << 63:
+            raise ValueError(f"validity_seconds must be in (0, 2^63), got {self.validity_seconds}")
 
 
 def age_in_years(dob: date, on: date) -> int:

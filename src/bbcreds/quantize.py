@@ -17,7 +17,7 @@ import numpy as np
 
 from .synthbio import Embedding
 
-__all__ = ["BitString", "QuantizerConfig", "quantize", "hamming"]
+__all__ = ["BitString", "QuantizerConfig", "quantize", "quantize_rows", "hamming"]
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,16 @@ class QuantizerConfig:
 
 def quantize(e: Embedding, cfg: QuantizerConfig) -> BitString:
     """Binarize an embedding: bit i is 1 iff coordinate i is >= 0."""
-    if e.dim != cfg.dim:
-        raise ValueError(f"embedding dim {e.dim} does not match quantizer dim {cfg.dim}")
-    bits = (e.values[: cfg.code_length] >= 0.0).astype(np.uint8)
-    return BitString(np.packbits(bits).tobytes(), cfg.code_length)
+    return BitString(quantize_rows(e.values[None], cfg).tobytes(), cfg.code_length)
+
+
+def quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """``quantize`` of each row of a (rows, dim) array, packed: row i holds
+    the ``BitString`` bytes of row i's bits. The values are not checked
+    for unit norm."""
+    if values.ndim != 2 or values.shape[1] != cfg.dim:
+        raise ValueError(f"quantizer takes (rows, {cfg.dim}) values, got shape {values.shape}")
+    return np.packbits(values[:, : cfg.code_length] >= 0.0, axis=1)
 
 
 def hamming(a: BitString, b: BitString) -> int:

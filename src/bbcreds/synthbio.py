@@ -14,7 +14,9 @@ seeded ``s`` is unrelated to either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "new_identity",
     "sample_genuine",
     "sample_impostor",
+    "sample_impostors",
 ]
 
 DEFAULT_DIM = 512
@@ -43,6 +46,18 @@ def _rng(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(subseed(seed, label))
 
 
+def _check_unit_rows(values: np.ndarray) -> None:
+    """Raise ValueError unless every row of a 2-d float array is finite and
+    unit norm. ``Embedding`` checks its vector as one row."""
+    for square in np.vecdot(values, values).tolist():
+        norm = math.sqrt(square)
+        # A NaN or infinite value makes its row's norm fail this test too.
+        if not abs(norm - 1.0) <= 1e-6:
+            if not np.isfinite(values).all():
+                raise ValueError("embedding values must be finite")
+            raise ValueError(f"embedding must be unit norm (got {norm:.8f})")
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Unit-norm real vector standing in for a biometric template."""
@@ -54,11 +69,7 @@ class Embedding:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("embedding must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("embedding values must be finite")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"embedding must be unit norm (got {norm:.8f})")
+        _check_unit_rows(v[None])
 
     @property
     def dim(self) -> int:
@@ -112,6 +123,19 @@ def sample_genuine(profile: IdentityProfile, noise: NoiseModel, rng_seed: int) -
 
 def sample_impostor(rng_seed: int, dim: int = DEFAULT_DIM) -> Embedding:
     """An identity-independent capture: a fresh normalized Gaussian vector."""
+    return Embedding(sample_impostors([rng_seed], dim)[0])
+
+
+def sample_impostors(rng_seeds: Sequence[int], dim: int = DEFAULT_DIM) -> np.ndarray:
+    """``sample_impostor`` for each seed, as the rows of one (len(rng_seeds),
+    dim) array: row i holds the values ``sample_impostor(rng_seeds[i], dim)``
+    has. Each row is drawn from its seed's own stream, and the rows are
+    normalized and checked together."""
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    return _normalized(_rng(rng_seed, _IMPOSTOR_LABEL).standard_normal(dim))
+    values = np.empty((len(rng_seeds), dim))
+    for seed, row in zip(rng_seeds, values):
+        _rng(seed, _IMPOSTOR_LABEL).standard_normal(out=row)
+    values /= np.sqrt(np.vecdot(values, values))[:, None]
+    _check_unit_rows(values)
+    return values

@@ -487,15 +487,24 @@ class TestConfigFile:
         ("enroll", ["--sigma", "1e300"]),
         ("auth", ["--sigma", "1e300"]),
         ("enroll", ["--config", "bch1023.conf"]),
+        # issued_at and expires_at are unsigned 64-bit fields, and the ASP
+        # reads the clock as a calendar date.
+        ("enroll", ["--clock", str(1 << 64)]),
+        ("enroll", ["--clock", "99999999999999"]),
+        ("enroll", ["--clock", "-5", "--dob", "1940-01-01"]),
+        ("enroll", ["--config", "validity.conf"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
-         "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023"],
+         "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
+         "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
+         "config-validity-huge"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
     (tmp_path / "dim4.conf").write_text("dim=4\n")
     # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
     (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
+    (tmp_path / "validity.conf").write_text("validity_seconds=99999999999999999999\n")
     extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra]
     if command == "enroll":
         argv = [
@@ -519,6 +528,7 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
     capsys.readouterr()
     assert main(argv + extra) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "bad.bbc").exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -226,7 +226,11 @@ def _decode_rows(codec, words):
 
 
 def _assert_batch_equals_decode(codec, words):
-    ok, messages = codec.decode_batch(words)
+    """``decode_batch`` on the packed rows of a (B, n) 0/1 matrix; returns
+    its ok mask and its messages unpacked to a (B, k) 0/1 matrix."""
+    ok, packed = codec.decode_batch(np.packbits(words, axis=1))
+    assert packed.dtype == np.uint8 and packed.shape == (len(words), (codec.params.k + 7) // 8)
+    messages = np.unpackbits(packed, axis=1, count=codec.params.k)
     expected_ok, expected_messages = _decode_rows(codec, words)
     assert ok.dtype == bool and messages.dtype == np.uint8
     assert messages.shape == (len(words), codec.params.k)
@@ -276,6 +280,48 @@ class TestBatchEquality:
         ok, _ = _assert_batch_equals_decode(codec, np.array(words))
         assert ok[: 4 * (params.t + 1)].all()
 
+    def test_zero_first_syndrome(self):
+        """Errors with S_1 = 0 make the first discrepancy zero, so every
+        locator of the chunk starts growing late and Berlekamp-Massey runs
+        its first steps on the fewest live columns."""
+        codec = codec_for(PROD_CODE)
+        n, t = PROD_CODE.n, PROD_CODE.t
+        exp, log = _gf_tables(n)
+        rng = np.random.default_rng(2 * n)
+
+        def triple(taken):
+            # alpha^a + alpha^b = alpha^c, so the three powers add nothing to S_1.
+            while True:
+                a, b = rng.choice(n, size=2, replace=False).tolist()
+                powers = {a, b, log[exp[a] ^ exp[b]]}
+                if not powers & taken:
+                    return powers
+
+        def codeword_with_flips(powers):
+            word = codec.encode(_random_message(rng, PROD_CODE.k)).bits().copy()
+            word[[n - 1 - p for p in powers]] ^= 1  # bit j carries alpha^(n-1-j)
+            return word
+
+        zero = []  # up to t + 6 errors, all in triples
+        for count in range(1, t // 3 + 3):
+            for _ in range(4):
+                powers = set()
+                for _ in range(count):
+                    powers |= triple(powers)
+                zero.append(codeword_with_flips(powers))
+        zero = np.array(zero)
+        assert not codec._odd_syndromes(np.packbits(zero, axis=1))[:, 0].any()
+        ok, _ = _assert_batch_equals_decode(codec, zero)
+        assert ok[: 4 * (t // 3)].all()
+
+        late = []  # one triple, then up to t - 3 further flips
+        for extra in range(t - 2):
+            powers = triple(set())
+            others = rng.choice(sorted(set(range(n)) - powers), size=extra, replace=False)
+            late.append(codeword_with_flips(powers | set(others.tolist())))
+        ok, _ = _assert_batch_equals_decode(codec, np.array(late))
+        assert ok.all()
+
     @pytest.mark.parametrize(
         "size", [0, 1, 2, ecc._BATCH_CHUNK - 1, ecc._BATCH_CHUNK + 1, 1000]
     )
@@ -293,15 +339,17 @@ class TestBatchEquality:
     @pytest.mark.parametrize(
         "words",
         [
-            np.zeros(15, dtype=np.uint8),
-            np.zeros((1, 1, 15), dtype=np.uint8),
-            np.zeros((2, 14), dtype=np.uint8),
-            np.zeros((2, 16), dtype=np.uint8),
-            np.full((2, 15), 2, dtype=np.uint8),
-            np.full((2, 15), -1, dtype=np.int64),
-            np.zeros((2, 15), dtype=np.float64),
+            # Packed (15, 7, 2) words take 2 bytes, the last bit of each row padding.
+            np.zeros(2, dtype=np.uint8),
+            np.zeros((1, 1, 2), dtype=np.uint8),
+            np.zeros((2, 1), dtype=np.uint8),
+            np.zeros((2, 3), dtype=np.uint8),
+            np.array([[0, 0], [0, 1]], dtype=np.uint8),
+            np.full((2, 2), 0xFF, dtype=np.uint8),
+            np.full((2, 2), -1, dtype=np.int64),
+            np.zeros((2, 2), dtype=np.float64),
         ],
-        ids=["1-d", "3-d", "narrow", "wide", "two", "negative", "float"],
+        ids=["1-d", "3-d", "narrow", "wide", "pad-bit", "pad-all", "negative", "float"],
     )
     def test_malformed_words_rejected(self, words):
         with pytest.raises(ValueError):
@@ -349,13 +397,13 @@ class TestRootSearch:
         coefficients = np.vstack([every, sparse]).astype(np.uint16)
 
         masks = codec._roots(coefficients)
-        bits = codec._positions(masks, 64 * masks.shape[1])
+        bits = np.unpackbits(masks.view(np.uint8), axis=1)
         assert (bits[:, :n] == _brute_force_roots(n, coefficients)).all()
         assert not bits[:, n:].any()
         # Single rows that stop after a random coefficient, as decode passes them.
         for i in rng.choice(len(coefficients), size=32, replace=False):
             row = coefficients[i : i + 1, : rng.integers(1, t + 2)]
-            bits = codec._positions(codec._roots(row), n)
+            bits = np.unpackbits(codec._roots(row).view(np.uint8), axis=1, count=n)
             assert (bits == _brute_force_roots(n, row)).all()
 
 

@@ -10,9 +10,17 @@ from bbcreds.fextract import (
     encode_helper,
     fe_generate,
     fe_reproduce,
+    fe_reproduce_batch,
 )
 from bbcreds.quantize import BitString, QuantizerConfig, hamming, quantize
-from bbcreds.synthbio import Embedding, new_identity, sample_impostor
+from bbcreds.synthbio import (
+    Embedding,
+    NoiseModel,
+    new_identity,
+    sample_genuine,
+    sample_impostor,
+    sample_impostors,
+)
 
 CODE = CodeParams(511, 259, 30)
 QCFG = QuantizerConfig.default(512, 511)
@@ -89,6 +97,57 @@ def test_impostors_rejected_or_wrong_key(enrolled):
         except ExtractFailure:
             pass
     assert bad == 0  # tolerance per contract: at most 1 in 10000
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """A sample matrix and its helpers: genuine captures of two identities
+    at sigma 0.003 and 0.005, each against an enrollment from a capture at
+    the same sigma, then impostors against two of those enrollments."""
+    profiles = [new_identity(2001, 512), new_identity(2002, 512)]
+    rows, helpers = [], []
+    for sigma in (0.003, 0.005):
+        for profile in profiles:
+            capture = sample_genuine(profile, NoiseModel(sigma), 1000)
+            helper = fe_generate(capture, CODE, QCFG, rng_seed=profile.seed)[1]
+            for seed in range(30):
+                rows.append(sample_genuine(profile, NoiseModel(sigma), seed).values)
+                helpers.append(helper)
+    for i, helper in enumerate((helpers[0], helpers[-1])):
+        rows += list(sample_impostors(range(100 * i, 100 * i + 20), 512))
+        helpers += [helper] * 20
+    return np.array(rows), helpers
+
+
+def test_batch_equals_one_by_one(batch):
+    samples, helpers = batch
+    expected = []
+    for row, helper in zip(samples, helpers):
+        try:
+            expected.append(fe_reproduce(Embedding(row), helper))
+        except ExtractFailure:
+            expected.append(None)
+    assert fe_reproduce_batch(samples, helpers) == expected
+    genuine, impostor = expected[:120], expected[120:]
+    assert None in genuine and genuine.count(None) < len(genuine)
+    assert impostor == [None] * 40
+
+
+def test_batch_rejects_bad_input(batch):
+    samples, helpers = batch
+    nan, scaled = samples.copy(), samples.copy()
+    nan[3, 7] = np.nan
+    scaled[3] *= 2
+    other_code = fe_generate(new_identity(7, 512).mean, CodeParams(511, 268, 29), QCFG, 1)[1]
+    for bad_samples, bad_helpers in [
+        (nan, helpers),
+        (scaled, helpers),
+        (samples[:, :511], helpers),
+        (samples, helpers[:-1] + [other_code]),
+        (samples[:-1], helpers),
+    ]:
+        with pytest.raises(ValueError):
+            fe_reproduce_batch(bad_samples, bad_helpers)
 
 
 def test_key_never_windows_into_helper():

@@ -9,6 +9,7 @@ from bbcreds.synthbio import (
     new_identity,
     sample_genuine,
     sample_impostor,
+    sample_impostors,
 )
 
 QCFG = QuantizerConfig.default(512, 511)
@@ -129,6 +130,18 @@ def test_impostor_deterministic_and_normalized():
     b = sample_impostor(42, 512)
     assert np.array_equal(a.values, b.values)
     assert abs(np.linalg.norm(a.values) - 1.0) <= 1e-6
+
+
+def test_impostor_rows_are_single_samples():
+    # Each row comes from its own seed's stream, whatever else is in the list.
+    seeds = [5, 42, 7, 42]
+    rows = sample_impostors(seeds, 64)
+    assert rows.shape == (4, 64)
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, sample_impostor(seed, 64).values)
+    assert sample_impostors([], 64).shape == (0, 64)
+    with pytest.raises(ValueError):
+        sample_impostors([1], 7)
 
 
 def test_negative_sigma_rejected():
