@@ -150,9 +150,16 @@ def hash_key(k: StableKey) -> KeyDigest:
     return KeyDigest(tagged_hash(KEYHASH_LABEL, k.key))
 
 
+def _enroll_draw(rng_seed: int) -> tuple[StableSecret, bytes, bytes]:
+    """The secret, credential nonce and sketch nonce ``bind_enroll`` uses."""
+    material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)
+    nonces = material[SECRET_BYTES:]
+    return StableSecret(material[:SECRET_BYTES]), nonces[:NONCE_BYTES], nonces[NONCE_BYTES:]
+
+
 def derive_stable_secret(rng_seed: int) -> StableSecret:
     """The stable secret drawn by ``bind_enroll`` for this seed."""
-    return StableSecret(expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)[:SECRET_BYTES])
+    return _enroll_draw(rng_seed)[0]
 
 
 def _xor32(a: bytes, b: bytes) -> bytes:
@@ -178,10 +185,8 @@ def bind_enroll(
     The returned triple plus the extractor's helper data is the entire
     retained state; the key and the secret are used and dropped here.
     """
-    material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)
-    secret = material[:SECRET_BYTES]
-    cred_nonce = material[SECRET_BYTES : SECRET_BYTES + NONCE_BYTES]
-    sketch_nonce = material[SECRET_BYTES + NONCE_BYTES :]
+    stable, cred_nonce, sketch_nonce = _enroll_draw(rng_seed)
+    secret = stable.secret
 
     if variant is SketchVariant.XOR:
         sketch = Sketch(variant, _xor32(key.key, secret))
@@ -233,7 +238,13 @@ def unbind_auth(
 
 def bind_oneway(secret: StableSecret, sketch: Sketch) -> bytes:
     """Derived credential token Hash(secret XOR sketch) for internally
-    generated credentials; compromise of the token reveals neither input."""
+    generated credentials; compromise of the token reveals neither input.
+
+    The enrollment path binds an issued credential with ``bind_enroll``
+    instead. This is the paper's one-way variant, for a credential the
+    device generates itself; acceptance criterion 6 pins its algebra: with
+    sketch = key XOR secret, the token is the key's hash under ONEWAY_LABEL.
+    """
     if sketch.variant is not SketchVariant.XOR:
         raise ValueError("one-way binding is defined for XOR sketches only")
     return tagged_hash(ONEWAY_LABEL, _xor32(secret.secret, sketch.payload))

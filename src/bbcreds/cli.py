@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import date
 from pathlib import Path
 
 from .binding import AuthFailure, SketchVariant
@@ -48,6 +48,10 @@ EXIT_ISSUANCE_DENIED = 3
 EXIT_LIVENESS = 4
 EXIT_AUTH_FAILED = 5
 EXIT_RP_DENIED = 6
+
+# 9999-12-31 23:59:59 UTC, the last second datetime can read. Computed
+# through a float timestamp it would round up to 253402300800, year 10000.
+_LATEST_CLOCK = 253402300799
 
 _CONFIG_KEYS = {
     "dim",
@@ -142,9 +146,8 @@ def _clock(args: argparse.Namespace) -> int:
     stores it unsigned, so it must fall between 1970 and the end of 9999.
     """
     clock = args.clock if args.clock is not None else int(time.time())
-    latest = int(datetime.max.replace(tzinfo=timezone.utc).timestamp())
-    if not 0 <= clock <= latest:
-        raise CliError(f"clock must be in [0, {latest}] (1970 to 9999), got {clock}")
+    if not 0 <= clock <= _LATEST_CLOCK:
+        raise CliError(f"clock must be in [0, {_LATEST_CLOCK}] (1970 to 9999), got {clock}")
     return clock
 
 
@@ -237,6 +240,7 @@ def _read_record_file(path: str):
 
 def cmd_auth(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
+    now = _clock(args)
     record = _read_record_file(args.record)
     issuer_public = _load_issuer_public(args.keys)
     seed = _run_seed(args)
@@ -264,7 +268,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
         f"credential: issuer={cred.issuer_id.hex()} subject={cred.subject_id.hex()} "
         f"age_over={cred.age_over} issued_at={cred.issued_at} expires_at={cred.expires_at}"
     )
-    decision = rp_check_access(cred, issuer_public, _clock(args), args.required_age)
+    decision = rp_check_access(cred, issuer_public, now, args.required_age)
     if decision.granted:
         print(f"GRANT age_over={cred.age_over}")
         return EXIT_OK

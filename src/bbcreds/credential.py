@@ -109,11 +109,11 @@ class RejectReason(enum.Enum):
 class Verdict:
     """Outcome of credential verification; rejection is a value, not an error."""
 
-    accepted: bool
+    granted: bool
     reason: RejectReason | None = None
 
     def __post_init__(self) -> None:
-        if self.accepted != (self.reason is None):
+        if self.granted != (self.reason is None):
             raise ValueError("reason must be present exactly when rejected")
 
 

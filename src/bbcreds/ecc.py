@@ -3,8 +3,8 @@
 Primitive BCH codes of length n = 2^m - 1. The generator polynomial is
 built from the cyclotomic cosets of alpha^1 .. alpha^2t, which guarantees
 a designed distance of 2t+1 and therefore correction of any error pattern
-of weight <= t. The coset sizes alone give k, so an unsupported (n, k, t)
-is rejected before any table is built.
+of weight <= t. The coset sizes alone give k, so ``CodeParams`` rejects an
+unsupported (n, k, t) without building a codec or any of its tables.
 
 Decoding is the binary form of the classical chain:
 
@@ -62,7 +62,7 @@ import numpy as np
 
 from .quantize import BitString
 
-__all__ = ["CodeParams", "BchCodec", "codec_for", "encode", "decode"]
+__all__ = ["CodeParams", "BchCodec", "codec_for"]
 
 # Minimal-weight primitive polynomials over GF(2), bit i = coefficient of x^i.
 _PRIMITIVE_POLY = {
@@ -96,12 +96,24 @@ class CodeParams:
     t: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"require 0 < k <= n, got k={self.k}, n={self.n}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
-        # Only parameter sets the codec supports can exist.
-        codec_for(self)
+        # Only parameter sets the codec supports exist; checking builds no codec.
+        n, k, t = self.n, self.k, self.t
+        if not 0 < k <= n:
+            raise ValueError(f"require 0 < k <= n, got k={k}, n={n}")
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        if n != (1 << n.bit_length()) - 1 or n.bit_length() not in _PRIMITIVE_POLY:
+            raise ValueError(
+                f"unsupported codeword length {n}; need 2^m - 1 with m in "
+                f"{sorted(_PRIMITIVE_POLY)}"
+            )
+        if 2 * t >= n:
+            raise ValueError(f"t={t} needs 2t < n={n}")
+        if _bch_k(n, t) != k:
+            raise ValueError(
+                f"BCH length {n} with t={t} has k={_bch_k(n, t)}, not k={k}; "
+                f"pick (n, k, t) from the standard tables"
+            )
 
 
 def _clmul(a: int, b: int) -> int:
@@ -144,6 +156,13 @@ def _cyclotomic_cosets(n: int, t: int) -> list[list[int]]:
     return cosets
 
 
+@lru_cache(maxsize=None)
+def _bch_k(n: int, t: int) -> int:
+    """k of the length-n BCH code with designed distance 2t + 1; cached, as
+    every parsed record asks (only about 1020 supported (n, t) pairs exist)."""
+    return n - sum(map(len, _cyclotomic_cosets(n, t)))
+
+
 class BchCodec:
     """Encoder/decoder for one (n, k, t) parameter set.
 
@@ -152,22 +171,9 @@ class BchCodec:
     """
 
     def __init__(self, params: CodeParams):
-        n, k, t = params.n, params.k, params.t
+        n, t = params.n, params.t
         m = n.bit_length()
-        if n != (1 << m) - 1 or m not in _PRIMITIVE_POLY:
-            raise ValueError(
-                f"unsupported codeword length {n}; need 2^m - 1 with m in "
-                f"{sorted(_PRIMITIVE_POLY)}"
-            )
-        if 2 * t >= n:
-            raise ValueError(f"t={t} needs 2t < n={n}")
         cosets = _cyclotomic_cosets(n, t)
-        actual_k = n - sum(map(len, cosets))
-        if actual_k != k:
-            raise ValueError(
-                f"BCH length {n} with t={t} has k={actual_k}, not k={k}; "
-                f"pick (n, k, t) from the standard tables"
-            )
         self.params = params
         self._n = n
 
@@ -487,11 +493,3 @@ class BchCodec:
 def codec_for(params: CodeParams) -> BchCodec:
     """Shared codec instance per parameter set (tables are read-only)."""
     return BchCodec(params)
-
-
-def encode(msg: BitString, params: CodeParams) -> BitString:
-    return codec_for(params).encode(msg)
-
-
-def decode(word: BitString, params: CodeParams) -> BitString | None:
-    return codec_for(params).decode(word)

@@ -13,7 +13,7 @@ no trial.
 ``device_authenticate``. The reports draw the same trials a chunk at a
 time as the rows of one sample matrix (``sample_impostors`` for FAR, the
 stacked genuine captures for FRR) and pass it through the device's
-stages in one go: the liveness gate per trial, one batched key
+stages in one go: the liveness gate once per report, one batched key
 reproduction (``fe_reproduce_batch``, which decodes with
 ``BchCodec.decode_batch``), then ``unbind_auth`` for each key that came
 out. Each report's counts equal the tally of the single-trial functions
@@ -148,21 +148,20 @@ def _tally(
     those trials' samples as the rows of one (len(indices), dim) matrix and
     the record each one authenticates against.
 
-    Trials run one ``decode_batch`` chunk (_BATCH_CHUNK) at a time
-    through the device's own stages: the liveness gate per trial, then
-    for the trials it passes one sample matrix, one batched key
-    reproduction and ``unbind_auth`` for each key that came out. Memory
+    The liveness policy is a constant, so it is checked once: when it
+    fails, every trial counts as ``"Liveness"`` and nothing is drawn.
+    Otherwise trials run one ``decode_batch`` chunk (_BATCH_CHUNK) at a
+    time through the device's own stages: one sample matrix, one batched
+    key reproduction and ``unbind_auth`` for each key that came out. Memory
     grows with the chunk (256 samples take 1 MiB at dim 512) and not with
     the number of trials.
     """
     counts = dict.fromkeys(OUTCOMES, 0)
+    if not liveness_check(liveness):
+        counts["Liveness"] = trials
+        return counts
     for start in range(0, trials, _BATCH_CHUNK):
-        chunk = range(start, min(start + _BATCH_CHUNK, trials))
-        live = [index for index in chunk if liveness_check(liveness)]
-        counts["Liveness"] += len(chunk) - len(live)
-        if not live:
-            continue
-        samples, records = draw(live)
+        samples, records = draw(list(range(start, min(start + _BATCH_CHUNK, trials))))
         keys = fe_reproduce_batch(samples, [record.helper for record in records])
         del samples  # the next chunk's matrix is drawn without this one alive
         for record, key in zip(records, keys):
@@ -218,6 +217,18 @@ def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) 
     return _outcome(sample_impostor(_impostor_seed(seed, index), cfg.dim), record, cfg)
 
 
+def _report(
+    sigma: float, seed: int, counts: dict[str, int], trials: int, rate: str
+) -> EvalReport:
+    """The report of one rate, ``"frr"`` (trials not ending in ``"Success"``)
+    or ``"far"`` (trials that did), with the other rate's fields zero."""
+    count = trials - counts["Success"] if rate == "frr" else counts["Success"]
+    lo, hi = wilson_interval(count, trials)
+    rates = dict.fromkeys(("frr", "frr_lo", "frr_hi", "far", "far_lo", "far_hi"), 0.0)
+    rates.update({rate: count / trials, f"{rate}_lo": lo, f"{rate}_hi": hi})
+    return EvalReport(sigma=sigma, trials=trials, seed=seed, stage_counts=counts, **rates)
+
+
 def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
     asp = _eval_asp(seed)
 
@@ -225,21 +236,7 @@ def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> Ev
         pairs = [_genuine_trial(cfg, sigma, seed, i, asp) for i in indices]
         return np.stack([sample.values for sample, _ in pairs]), [r for _, r in pairs]
 
-    counts = _tally(draw, trials, cfg.liveness)
-    failures = trials - counts["Success"]
-    lo, hi = wilson_interval(failures, trials)
-    return EvalReport(
-        sigma=sigma,
-        trials=trials,
-        frr=failures / trials,
-        frr_lo=lo,
-        frr_hi=hi,
-        far=0.0,
-        far_lo=0.0,
-        far_hi=0.0,
-        seed=seed,
-        stage_counts=counts,
-    )
+    return _report(sigma, seed, _tally(draw, trials, cfg.liveness), trials, "frr")
 
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
@@ -259,20 +256,7 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         trials,
         cfg.liveness,
     )
-    accepts = counts["Success"]
-    lo, hi = wilson_interval(accepts, trials)
-    return EvalReport(
-        sigma=cfg.sigma,
-        trials=trials,
-        frr=0.0,
-        frr_lo=0.0,
-        frr_hi=0.0,
-        far=accepts / trials,
-        far_lo=lo,
-        far_hi=hi,
-        seed=seed,
-        stage_counts=counts,
-    )
+    return _report(cfg.sigma, seed, counts, trials, "far")
 
 
 def estimate_frr(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:

@@ -33,7 +33,7 @@ from .credential import (
     MAX_AGE_OVER,
     AgeCred,
     IssuerKeyPair,
-    RejectReason,
+    Verdict,
     issue_agecred,
     verify_agecred,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "asp_handle_issuance",
     "AspAccess",
     "InProcessAsp",
-    "AccessDecision",
     "device_enroll",
     "device_authenticate",
     "rp_check_access",
@@ -340,22 +339,11 @@ def device_authenticate(
 # --- relying-party role -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccessDecision:
-    granted: bool
-    reason: RejectReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.granted != (self.reason is None):
-            raise ValueError("reason must be present exactly when denied")
-
-
 def rp_check_access(
     cred: AgeCred,
     issuer_public: bytes,
     now: int,
     required_age_over: int,
-) -> AccessDecision:
+) -> Verdict:
     """Relying-party decision: grant iff the credential verifies."""
-    verdict = verify_agecred(cred, issuer_public, now, required_age_over)
-    return AccessDecision(granted=verdict.accepted, reason=verdict.reason)
+    return verify_agecred(cred, issuer_public, now, required_age_over)

@@ -493,11 +493,17 @@ class TestConfigFile:
         ("enroll", ["--clock", "99999999999999"]),
         ("enroll", ["--clock", "-5", "--dob", "1940-01-01"]),
         ("enroll", ["--config", "validity.conf"]),
+        # 9999-12-31 23:59:59 UTC is the last second; the next is year 10000.
+        ("enroll", ["--clock", "253402300800"]),
+        # The clock is checked before the record is read and authenticated.
+        ("auth", ["--clock", "-5"]),
+        ("auth", ["--impostor", "--clock", "-5"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
          "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
-         "config-validity-huge"],
+         "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
+         "auth-impostor-clock-negative"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
@@ -527,7 +533,9 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
         ]
     capsys.readouterr()
     assert main(argv + extra) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
     assert not (tmp_path / "bad.bbc").exists()
 
 

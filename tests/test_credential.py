@@ -52,7 +52,7 @@ class TestEncoding:
 
 class TestIssuance:
     def test_fresh_credential_verifies(self, keys, cred):
-        assert verify_agecred(cred, keys.public, NOW + 1, 18).accepted
+        assert verify_agecred(cred, keys.public, NOW + 1, 18).granted
 
     def test_deterministic_signature(self, keys):
         a = issue_agecred(keys, SUBJECT, 18, NOW, 86400)
@@ -93,11 +93,11 @@ class TestIssuance:
 
 class TestVerification:
     def test_threshold_is_inclusive(self, keys, cred):
-        assert verify_agecred(cred, keys.public, NOW + 1, 18).accepted
+        assert verify_agecred(cred, keys.public, NOW + 1, 18).granted
 
     def test_expiry_boundary_is_exclusive(self, keys, cred):
         verdict = verify_agecred(cred, keys.public, cred.expires_at, 18)
-        assert not verdict.accepted
+        assert not verdict.granted
         assert verdict.reason is RejectReason.EXPIRED
 
     def test_not_yet_valid(self, keys, cred):
@@ -132,7 +132,7 @@ class TestVerification:
     def test_monotone_in_required_age(self, keys):
         cred = issue_agecred(keys, SUBJECT, 21, NOW, 86400)
         accepted = [
-            verify_agecred(cred, keys.public, NOW + 1, r).accepted for r in range(0, 40)
+            verify_agecred(cred, keys.public, NOW + 1, r).granted for r in range(0, 40)
         ]
         # Accept at threshold r implies accept at every lower threshold.
         first_reject = accepted.index(False) if False in accepted else len(accepted)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bbcreds import ecc
-from bbcreds.ecc import BchCodec, CodeParams, codec_for, decode, encode
+from bbcreds.ecc import BchCodec, CodeParams, codec_for
 from bbcreds.quantize import BitString
 
 from conftest import SMALL_CODE
@@ -135,7 +135,7 @@ class TestSmallCodeExhaustive:
     def test_roundtrip_all_messages(self):
         for value in range(1 << SMALL_CODE.k):
             msg = BitString.from_int(value, SMALL_CODE.k)
-            assert decode(encode(msg, SMALL_CODE), SMALL_CODE) == msg
+            assert codec_for(SMALL_CODE).decode(codec_for(SMALL_CODE).encode(msg)) == msg
 
     def test_corrects_every_pattern_up_to_t(self):
         codec = codec_for(SMALL_CODE)
@@ -149,7 +149,7 @@ class TestSmallCodeExhaustive:
 
     def test_minimum_distance_from_enumeration(self):
         weights = [
-            encode(BitString.from_int(v, SMALL_CODE.k), SMALL_CODE).weight()
+            codec_for(SMALL_CODE).encode(BitString.from_int(v, SMALL_CODE.k)).weight()
             for v in range(1, 1 << SMALL_CODE.k)
         ]
         assert min(weights) >= 2 * SMALL_CODE.t + 1
@@ -410,30 +410,31 @@ class TestRootSearch:
 class TestZeroCases:
     @pytest.mark.parametrize("params", [SMALL_CODE, PROD_CODE])
     def test_zero_message_zero_codeword(self, params):
-        assert encode(BitString.zeros(params.k), params) == BitString.zeros(params.n)
+        assert codec_for(params).encode(BitString.zeros(params.k)) == BitString.zeros(params.n)
 
     @pytest.mark.parametrize("params", [SMALL_CODE, PROD_CODE])
     def test_zero_word_zero_message(self, params):
-        assert decode(BitString.zeros(params.n), params) == BitString.zeros(params.k)
+        assert codec_for(params).decode(BitString.zeros(params.n)) == BitString.zeros(params.k)
 
 
 class TestProductionCode:
     def test_dimensions(self):
         msg = BitString.zeros(PROD_CODE.k)
-        assert encode(msg, PROD_CODE).n == 511
+        assert codec_for(PROD_CODE).encode(msg).n == 511
         assert PROD_CODE.k >= 256
 
     def test_linearity(self):
+        codec = codec_for(PROD_CODE)
         rng = np.random.default_rng(11)
         for _ in range(100):
             a = _random_message(rng, PROD_CODE.k)
             b = _random_message(rng, PROD_CODE.k)
-            assert encode(a, PROD_CODE) ^ encode(b, PROD_CODE) == encode(a ^ b, PROD_CODE)
+            assert codec.encode(a) ^ codec.encode(b) == codec.encode(a ^ b)
 
     def test_systematic_prefix(self):
         rng = np.random.default_rng(12)
         msg = _random_message(rng, PROD_CODE.k)
-        cw = encode(msg, PROD_CODE)
+        cw = codec_for(PROD_CODE).encode(msg)
         assert np.array_equal(cw.bits()[: PROD_CODE.k], msg.bits())
 
     def test_corrects_sampled_patterns_up_to_t(self):
@@ -449,14 +450,14 @@ class TestProductionCode:
     def test_encode_deterministic(self):
         rng = np.random.default_rng(14)
         msg = _random_message(rng, PROD_CODE.k)
-        assert encode(msg, PROD_CODE) == encode(msg, PROD_CODE)
+        assert codec_for(PROD_CODE).encode(msg) == codec_for(PROD_CODE).encode(msg)
 
 
 class TestLengthContracts:
     def test_encode_length_mismatch(self):
         with pytest.raises(ValueError):
-            encode(BitString.zeros(8), SMALL_CODE)
+            codec_for(SMALL_CODE).encode(BitString.zeros(8))
 
     def test_decode_length_mismatch(self):
         with pytest.raises(ValueError):
-            decode(BitString.zeros(16), SMALL_CODE)
+            codec_for(SMALL_CODE).decode(BitString.zeros(16))

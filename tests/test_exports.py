@@ -16,6 +16,32 @@ def test_every_name_in_all_resolves():
     assert stale == []
 
 
+def test_one_public_home_per_name():
+    # The package root imports nothing, and each module defines every name in
+    # its __all__ itself, so a public name has one module to be imported from.
+    package = Path(bbcreds.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    imports = [
+        node for node in ast.walk(trees["__init__"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == []
+    borrowed = []
+    for module, tree in trees.items():
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        borrowed += [f"{module}.{name}" for name in exported if name not in defined]
+    assert borrowed == []
+
+
 def test_traced_layers_resolve():
     # bench/tracer.py patches these (module, attribute) pairs; a rename in the
     # package would otherwise only fail `bench/run.py --trace 1`. The file is

@@ -16,7 +16,7 @@ from bbcreds.binding import (
     encode_sketch,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, generate_issuer_keys, issue_agecred
-from bbcreds.ecc import CodeParams
+from bbcreds.ecc import CodeParams, codec_for
 from bbcreds.fextract import HelperData, decode_helper, encode_helper
 from bbcreds.quantize import BitString, QuantizerConfig
 from bbcreds.store import (
@@ -188,6 +188,21 @@ class TestStrictness:
         with pytest.raises(FormatError) as err:
             decode_record(patched)
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+
+    def test_parsing_builds_no_codec(self):
+        # A helper may name any valid code. Validating (1023, 1, 511) must not
+        # build its decoder tables, which take tens of MiB.
+        record = _random_record()
+        helper = HelperData(
+            salt=record.helper.salt,
+            offset=BitString.zeros(1023),
+            code=CodeParams(1023, 1, 511),
+            quant=QuantizerConfig.default(1024, 1023),
+        )
+        data = encode_record(DeviceRecord(helper, record.sketch, record.digest, record.bound))
+        codec_for.cache_clear()
+        assert decode_record(data).helper == helper
+        assert codec_for.cache_info().currsize == 0
 
     def test_empty_body_reports_missing_tags(self):
         with pytest.raises(FormatError) as err:
