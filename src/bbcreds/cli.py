@@ -201,8 +201,11 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     cfg, policy = _resolve_config(args)
     cfg = replace(cfg, liveness=_liveness(args))
     keys = _load_issuer_keys(args.keys)
+    # A usage error leaves stdout empty, so the clock is checked before
+    # _run_seed prints the seed it draws.
+    now = _clock(args)
     seed = _run_seed(args)
-    asp = InProcessAsp(keys, policy, now=_clock(args))
+    asp = InProcessAsp(keys, policy, now=now)
     profile = new_identity(args.identity_seed, cfg.dim)
     try:
         record = device_enroll(

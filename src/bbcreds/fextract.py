@@ -25,7 +25,7 @@ import numpy as np
 from .ecc import CodeParams, codec_for
 from .kdf import expand_seed, hkdf_sha256
 from .quantize import BitString, QuantizerConfig, quantize, quantize_rows
-from .synthbio import Embedding, _check_unit_rows
+from .synthbio import MIN_DIM, Embedding, _check_unit_rows
 
 __all__ = [
     "KEY_BYTES",
@@ -192,6 +192,9 @@ def decode_helper(data: bytes) -> HelperData:
     version, salt, n, k, t, dim = _HEADER.unpack_from(data)
     if version != HELPER_VERSION:
         raise ValueError(f"unsupported helper version {version}")
+    if dim < MIN_DIM:
+        # No sampler draws below MIN_DIM, so such a record could not be used.
+        raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
     body = data[_HEADER.size :]
     if len(body) != (n + 7) // 8:
         raise ValueError(f"offset payload is {len(body)} bytes, expected {(n + 7) // 8}")

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from bbcreds.cli import (
     main,
 )
 from bbcreds.credential import generate_issuer_keys
+from bbcreds.ecc import CodeParams
 from bbcreds.parties import AgePolicy, InProcessAsp, ProtocolConfig, device_enroll
+from bbcreds.quantize import BitString, QuantizerConfig
+from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
 from conftest import NOW
@@ -24,6 +28,7 @@ CHILD_DOB = "2015-06-15"
 KEY_SEED = "11"
 RUN_SEED = "271828"
 IDENTITY_SEED = "31415"
+UNSEEDED = "<no --seed>"  # test_bad_settings_are_usage_errors drops --seed
 
 # SHA-256 of the record written by the pinned enrollment in
 # TestEnroll.test_record_bytes_pinned, one per sketch variant. Any change to
@@ -298,6 +303,25 @@ class TestAuth:
         assert self._auth(str(patched), keys_prefix) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bad record: InvariantViolation")
 
+    @pytest.mark.parametrize("impostor", [False, True])
+    def test_record_below_sampler_dim_is_usage_error(self, tmp_path, record_path,
+                                                     keys_prefix, capsys, impostor):
+        record = decode_record(Path(record_path).read_bytes())
+        helper = replace(
+            record.helper,
+            offset=BitString.zeros(7),
+            code=CodeParams(7, 4, 1),
+            quant=QuantizerConfig.default(7, 7),
+        )
+        patched = tmp_path / "dim7.bbc"
+        patched.write_bytes(encode_record(replace(record, helper=helper)))
+        capsys.readouterr()
+        extra = ["--impostor"] if impostor else []
+        assert self._auth(str(patched), keys_prefix, *extra) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad record: InvariantViolation")
+
     def test_corrupt_record_reports_reason(self, tmp_path, record_path, keys_prefix, capsys):
         stub = tmp_path / "cut.bbc"
         stub.write_bytes(Path(record_path).read_bytes()[:60])
@@ -498,12 +522,17 @@ class TestConfigFile:
         # The clock is checked before the record is read and authenticated.
         ("auth", ["--clock", "-5"]),
         ("auth", ["--impostor", "--clock", "-5"]),
+        # Without --seed a run prints the seed it drew, but only once every
+        # setting has been checked.
+        ("enroll", [UNSEEDED, "--clock", "-5", "--dob", "1940-01-01"]),
+        ("auth", [UNSEEDED, "--clock", "-5"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
          "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
          "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
-         "auth-impostor-clock-negative"],
+         "auth-impostor-clock-negative", "enroll-unseeded-clock-negative",
+         "auth-unseeded-clock-negative"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
@@ -511,7 +540,8 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
     # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
     (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
     (tmp_path / "validity.conf").write_text("validity_seconds=99999999999999999999\n")
-    extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra]
+    seeded = UNSEEDED not in extra
+    extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra if a != UNSEEDED]
     if command == "enroll":
         argv = [
             "enroll",
@@ -531,6 +561,9 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
             "--seed", "558",
             "--clock", str(NOW + 10),
         ]
+    if not seeded:
+        at = argv.index("--seed")
+        del argv[at : at + 2]
     capsys.readouterr()
     assert main(argv + extra) == EXIT_USAGE
     out, err = capsys.readouterr()

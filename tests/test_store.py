@@ -204,6 +204,21 @@ class TestStrictness:
         assert decode_record(data).helper == helper
         assert codec_for.cache_info().currsize == 0
 
+    def test_dim_below_sampler_minimum_rejected(self):
+        # (7, 4, 1) fits a 7-d quantizer, but no sampler draws 7-d captures.
+        record = _random_record()
+        helper = HelperData(
+            salt=record.helper.salt,
+            offset=BitString.zeros(7),
+            code=CodeParams(7, 4, 1),
+            quant=QuantizerConfig.default(7, 7),
+        )
+        data = encode_record(DeviceRecord(helper, record.sketch, record.digest, record.bound))
+        with pytest.raises(FormatError) as err:
+            decode_record(data)
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert "dim must be >= 8" in str(err.value)
+
     def test_empty_body_reports_missing_tags(self):
         with pytest.raises(FormatError) as err:
             decode_record(MAGIC + bytes([0x01]))

@@ -1,11 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bbcreds.kdf import subseed
 from bbcreds.quantize import QuantizerConfig, hamming, quantize
 from bbcreds.synthbio import (
     Embedding,
     IdentityProfile,
     NoiseModel,
+    _seed_words,
     new_identity,
     sample_genuine,
     sample_impostor,
@@ -158,3 +164,55 @@ def test_embedding_invariants():
         Embedding(np.array([np.nan] + [0.0] * 7))
     v = np.ones(16) / 4.0
     assert Embedding(v).dim == 16
+
+
+def _reference_normals(seed, label, dim):
+    """numpy's own stream for one role seed, the oracle of every sampler."""
+    return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
+
+
+def _assert_seed_words_match(seeds):
+    words = _seed_words(np.array(seeds, np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+def test_seed_words_match_seed_sequence_at_word_edges():
+    _assert_seed_words_match([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_seed_words_match_seed_sequence(seeds):
+    _assert_seed_words_match(seeds)
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257])
+def test_impostor_rows_follow_numpy_stream(count):
+    # Both forms of the draw (one seed, and the vectorised seed hash for
+    # more) must give numpy's own default_rng rows, normalized alike.
+    seeds = [2**64 - 1 - 7919 * i for i in range(count)]
+    reference = np.stack(
+        [_reference_normals(seed, "bbcreds/synthbio/impostor/v1", 512) for seed in seeds]
+    )
+    reference /= np.sqrt(np.vecdot(reference, reference))[:, None]
+    assert np.array_equal(sample_impostors(seeds, 512), reference)
+
+
+def test_identity_and_genuine_follow_numpy_stream():
+    for seed in (0, 3, 2**64 - 1):
+        mean = _reference_normals(seed, "bbcreds/synthbio/identity/v1", 512)
+        mean /= np.linalg.norm(mean)
+        profile = new_identity(seed, 512)
+        assert np.array_equal(profile.mean.values, mean)
+        capture = mean + 0.003 * _reference_normals(seed, "bbcreds/synthbio/genuine/v1", 512)
+        capture /= np.linalg.norm(capture)
+        assert np.array_equal(sample_genuine(profile, NoiseModel(0.003), seed).values, capture)
+
+
+def test_impostor_rows_pinned():
+    rows = sample_impostors(range(300), 512)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "61597ba9700f5d6fec8e917417b1ad122ef5bd59a3243133ca874ffb66c5803a"
+    )
