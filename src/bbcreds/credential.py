@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -160,8 +160,6 @@ def issue_agecred(
     """Sign a fresh age-over attestation for the given pseudonymous subject."""
     if not 0 < age_over < MAX_AGE_OVER:
         raise ValueError(f"age_over must be in (0, {MAX_AGE_OVER}), got {age_over}")
-    if validity_seconds <= 0:
-        raise ValueError("validity_seconds must be positive")
     unsigned = AgeCred(
         version=CRED_VERSION,
         issuer_id=issuer_id_for(keys.public),
@@ -172,15 +170,7 @@ def issue_agecred(
         signature=bytes(64),
     )
     signature = keys.signer.sign(_signed_prefix(unsigned))
-    return AgeCred(
-        unsigned.version,
-        unsigned.issuer_id,
-        unsigned.subject_id,
-        unsigned.age_over,
-        unsigned.issued_at,
-        unsigned.expires_at,
-        signature,
-    )
+    return replace(unsigned, signature=signature)
 
 
 def verify_agecred(

@@ -111,10 +111,6 @@ def fe_generate(
     rng_seed: int,
 ) -> tuple[StableKey, HelperData]:
     """Enroll an embedding: returns the stable key and public helper data."""
-    if quant.code_length != code.n:
-        raise ValueError(
-            f"quantizer emits {quant.code_length} bits but code expects {code.n}"
-        )
     salt, message = _random_message(rng_seed, code.k)
     offset = quantize(e, quant) ^ codec_for(code).encode(message)
     helper = HelperData(salt=salt, offset=offset, code=code, quant=quant)

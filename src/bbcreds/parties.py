@@ -1,10 +1,11 @@
 """Three-party protocol simulation: issuer (ASP), device, relying party.
 
 The device captures a sample, gates it on liveness, derives the stable
-key, asks the ASP for an age credential, and binds it locally; the only
-bytes that ever cross to the ASP are the issuance request fields. Post
-issuance, authentication is entirely device-local and the relying party
-sees only the recovered credential.
+key, asks the ASP for an age credential, and binds it locally. What
+reaches the ASP is the ``IssuanceRequest`` object itself (subject id,
+evidence, nonce); there is no byte encoding of it. Post issuance,
+authentication is entirely device-local and the relying party sees only
+the recovered credential.
 
 The ASP is reached through anything with a ``handle(IssuanceRequest) ->
 AgeCred`` method that raises ``IssuanceDenied`` on refusal;
@@ -14,7 +15,6 @@ AgeCred`` method that raises ``IssuanceDenied`` on refusal;
 from __future__ import annotations
 
 import enum
-import struct
 import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -47,7 +47,6 @@ from .synthbio import DEFAULT_DIM, MIN_DIM, Embedding, IdentityProfile, NoiseMod
 __all__ = [
     "DEFAULT_CODE",
     "SIGMA_DEFAULT",
-    "REQUEST_VERSION",
     "ProtocolConfig",
     "AlwaysPass",
     "AlwaysFail",
@@ -62,13 +61,11 @@ __all__ = [
     "IssuanceDenied",
     "AgePolicy",
     "age_in_years",
-    "asp_handle_issuance",
     "AspAccess",
     "InProcessAsp",
     "device_enroll",
     "device_authenticate",
     "rp_check_access",
-    "encode_issuance_request",
 ]
 
 # Production operating point. The code is the largest-t length-511 BCH code
@@ -77,8 +74,6 @@ __all__ = [
 # under 1% (see the calibration entry in CHANGES.md).
 DEFAULT_CODE = CodeParams(n=511, k=259, t=30)
 SIGMA_DEFAULT = 0.003
-
-REQUEST_VERSION = 1
 
 
 # --- liveness gate -----------------------------------------------------------
@@ -172,38 +167,6 @@ def age_in_years(dob: date, on: date) -> int:
     return on.year - dob.year - ((on.month, on.day) < (dob.month, dob.day))
 
 
-def asp_handle_issuance(
-    req: IssuanceRequest,
-    policy: AgePolicy,
-    keys: IssuerKeyPair,
-    now: int,
-) -> AgeCred:
-    """Check the age evidence and sign a credential, or raise IssuanceDenied.
-
-    Date-of-birth evidence is evaluated against the policy threshold with
-    the inclusive-birthday rule in UTC; on your 18th birthday you are 18.
-    Replayed nonces are the caller's to refuse (``InProcessAsp.handle``).
-    """
-    if isinstance(req.evidence, AlwaysApproveEvidence):
-        pass
-    elif isinstance(req.evidence, DateOfBirthEvidence):
-        today = datetime.fromtimestamp(now, tz=timezone.utc).date()
-        if req.evidence.dob > today:
-            raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
-        if age_in_years(req.evidence.dob, today) < policy.threshold:
-            raise IssuanceDenied(DenyReason.UNDER_AGE)
-    else:
-        raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
-
-    return issue_agecred(
-        keys,
-        subject_id=req.subject_id,
-        age_over=policy.threshold,
-        issued_at=now,
-        validity_seconds=policy.validity_seconds,
-    )
-
-
 class AspAccess(Protocol):
     def handle(self, req: IssuanceRequest) -> AgeCred: ...
 
@@ -223,35 +186,34 @@ class InProcessAsp:
         self._lock = threading.Lock()
 
     def handle(self, req: IssuanceRequest) -> AgeCred:
+        """Check the request and sign a credential, or raise IssuanceDenied.
+
+        The checks run in this order: the nonce is refused if seen before
+        and is otherwise recorded, under the lock, so a refused request
+        still uses it up; then the evidence is checked; then the
+        credential is signed. Date-of-birth evidence is evaluated against
+        the policy threshold with the inclusive-birthday rule in UTC; on
+        your 18th birthday you are 18.
+        """
         with self._lock:
             if req.request_nonce in self._seen:
                 raise IssuanceDenied(DenyReason.REPLAYED_NONCE)
             self._seen.add(req.request_nonce)
-        return asp_handle_issuance(req, self._policy, self._keys, self._now)
-
-
-# --- canonical request encoding ----------------------------------------------
-
-_EVIDENCE_DOB = 1
-_EVIDENCE_ALWAYS = 2
-_DOB_LAYOUT = struct.Struct(">HBB")
-_REQ_HEAD = struct.Struct(">B16sBH")
-
-
-def encode_issuance_request(req: IssuanceRequest) -> bytes:
-    if isinstance(req.evidence, DateOfBirthEvidence):
-        tag = _EVIDENCE_DOB
-        body = _DOB_LAYOUT.pack(
-            req.evidence.dob.year, req.evidence.dob.month, req.evidence.dob.day
+        if isinstance(req.evidence, DateOfBirthEvidence):
+            today = datetime.fromtimestamp(self._now, tz=timezone.utc).date()
+            if req.evidence.dob > today:
+                raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
+            if age_in_years(req.evidence.dob, today) < self._policy.threshold:
+                raise IssuanceDenied(DenyReason.UNDER_AGE)
+        elif not isinstance(req.evidence, AlwaysApproveEvidence):
+            raise IssuanceDenied(DenyReason.BAD_EVIDENCE)
+        return issue_agecred(
+            self._keys,
+            subject_id=req.subject_id,
+            age_over=self._policy.threshold,
+            issued_at=self._now,
+            validity_seconds=self._policy.validity_seconds,
         )
-    else:
-        tag = _EVIDENCE_ALWAYS
-        body = b""
-    return (
-        _REQ_HEAD.pack(REQUEST_VERSION, req.subject_id, tag, len(body))
-        + body
-        + req.request_nonce
-    )
 
 
 # --- device role --------------------------------------------------------------
@@ -273,9 +235,6 @@ class ProtocolConfig:
             raise ValueError(
                 f"dim must be >= max({MIN_DIM}, code length {self.code.n}), got {self.dim}"
             )
-
-    def quantizer(self) -> QuantizerConfig:
-        return QuantizerConfig.default(self.dim, self.code.n)
 
 
 def device_enroll(
@@ -300,9 +259,8 @@ def device_enroll(
     if not liveness_check(cfg.liveness):
         raise LivenessFailed(f"policy {type(cfg.liveness).__name__}")
 
-    key, helper = fe_generate(
-        capture, cfg.code, cfg.quantizer(), subseed(rng_seed, "bbcreds/device/fe/v1")
-    )
+    quant = QuantizerConfig.default(cfg.dim, cfg.code.n)
+    key, helper = fe_generate(capture, cfg.code, quant, subseed(rng_seed, "bbcreds/device/fe/v1"))
 
     request = IssuanceRequest(
         subject_id=expand_seed(rng_seed, "bbcreds/device/subject/v1", 16),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .synthbio import Embedding
 
-__all__ = ["BitString", "QuantizerConfig", "quantize", "quantize_rows", "hamming"]
+__all__ = ["BitString", "QuantizerConfig", "quantize", "quantize_rows"]
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,3 @@ def quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     if values.ndim != 2 or values.shape[1] != cfg.dim:
         raise ValueError(f"quantizer takes (rows, {cfg.dim}) values, got shape {values.shape}")
     return np.packbits(values[:, : cfg.code_length] >= 0.0, axis=1)
-
-
-def hamming(a: BitString, b: BitString) -> int:
-    """Number of differing bit positions between equal-length bit strings."""
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} != {b.n}")
-    return (int.from_bytes(a.data, "big") ^ int.from_bytes(b.data, "big")).bit_count()

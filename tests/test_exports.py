@@ -61,3 +61,24 @@ def test_traced_layers_resolve():
         if owner is None:
             missing.append(f"{module}.{qualified}")
     assert layers and missing == []
+
+
+def test_bench_names_resolve():
+    # bench/run.py reaches the package through module attributes such as
+    # ``parties.InProcessAsp``; a rename would otherwise only fail when the
+    # benchmark runs. The file is read, not imported.
+    run = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    modules = {"binding", "credential", "evaluate", "fextract", "parties", "store", "synthbio"}
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(run.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"bbcreds.{module}"), name)
+    ]
+    assert used and missing == []

@@ -12,7 +12,7 @@ from bbcreds.fextract import (
     fe_reproduce,
     fe_reproduce_batch,
 )
-from bbcreds.quantize import BitString, QuantizerConfig, hamming, quantize
+from bbcreds.quantize import BitString, QuantizerConfig, quantize
 from bbcreds.synthbio import (
     Embedding,
     NoiseModel,
@@ -71,7 +71,7 @@ def test_exactly_t_bit_flips_recover(enrolled):
     for _ in range(100):
         positions = rng.choice(QCFG.code_length, size=CODE.t, replace=False)
         noisy = _flip_coordinates(e, positions)
-        assert hamming(quantize(noisy, QCFG), baseline) == CODE.t
+        assert (quantize(noisy, QCFG) ^ baseline).weight() == CODE.t
         assert fe_reproduce(noisy, helper) == key
 
 

@@ -1,5 +1,6 @@
+import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 
 import pytest
@@ -20,13 +21,12 @@ from bbcreds.parties import (
     LivenessFailed,
     ProtocolConfig,
     age_in_years,
-    asp_handle_issuance,
     device_authenticate,
     device_enroll,
-    encode_issuance_request,
     liveness_check,
     rp_check_access,
 )
+from bbcreds.quantize import QuantizerConfig
 from bbcreds.store import encode_record
 from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
 
@@ -40,12 +40,10 @@ class CountingAsp:
         self.inner = inner
         self.calls = 0
         self.requests = []
-        self.raw_requests = []
 
     def handle(self, req):
         self.calls += 1
         self.requests.append(req)
-        self.raw_requests.append(encode_issuance_request(req))
         return self.inner.handle(req)
 
 
@@ -72,49 +70,55 @@ class TestIssuance:
     def _request(self, evidence, nonce=b"\x01" * 16):
         return IssuanceRequest(subject_id=b"\x02" * 16, evidence=evidence, request_nonce=nonce)
 
+    def _handle(self, issuer_keys, evidence):
+        return InProcessAsp(issuer_keys, AgePolicy(18), now=NOW).handle(self._request(evidence))
+
     def test_dob_exactly_threshold_is_issued(self, issuer_keys):
         dob = date(TODAY.year - 18, TODAY.month, TODAY.day)
-        cred = asp_handle_issuance(
-            self._request(DateOfBirthEvidence(dob)), AgePolicy(18), issuer_keys, NOW
-        )
+        cred = self._handle(issuer_keys, DateOfBirthEvidence(dob))
         assert cred.age_over == 18
         assert cred.subject_id == b"\x02" * 16
 
     def test_one_day_short_is_denied(self, issuer_keys):
         dob = date(TODAY.year - 18, TODAY.month, TODAY.day + 1)
         with pytest.raises(IssuanceDenied) as err:
-            asp_handle_issuance(
-                self._request(DateOfBirthEvidence(dob)), AgePolicy(18), issuer_keys, NOW
-            )
+            self._handle(issuer_keys, DateOfBirthEvidence(dob))
         assert err.value.reason is DenyReason.UNDER_AGE
 
     def test_always_approve(self, issuer_keys):
-        cred = asp_handle_issuance(
-            self._request(AlwaysApproveEvidence()), AgePolicy(18), issuer_keys, NOW
-        )
+        cred = self._handle(issuer_keys, AlwaysApproveEvidence())
         assert cred.age_over == 18
         assert cred.expires_at == NOW + AgePolicy().validity_seconds
 
     def test_future_dob_is_bad_evidence(self, issuer_keys):
         with pytest.raises(IssuanceDenied) as err:
-            asp_handle_issuance(
-                self._request(DateOfBirthEvidence(date(2030, 1, 1))),
-                AgePolicy(18),
-                issuer_keys,
-                NOW,
-            )
+            self._handle(issuer_keys, DateOfBirthEvidence(date(2030, 1, 1)))
         assert err.value.reason is DenyReason.BAD_EVIDENCE
 
     def test_unknown_evidence_is_bad_evidence(self, issuer_keys):
         with pytest.raises(IssuanceDenied) as err:
-            asp_handle_issuance(
-                self._request("totally not evidence"), AgePolicy(18), issuer_keys, NOW
-            )
+            self._handle(issuer_keys, "totally not evidence")
         assert err.value.reason is DenyReason.BAD_EVIDENCE
 
     def test_nonce_replay_denied(self, asp):
         first = asp.handle(self._request(AlwaysApproveEvidence()))
         assert first.subject_id == b"\x02" * 16
+        with pytest.raises(IssuanceDenied) as err:
+            asp.handle(self._request(AlwaysApproveEvidence()))
+        assert err.value.reason is DenyReason.REPLAYED_NONCE
+
+    @pytest.mark.parametrize(
+        "evidence, reason",
+        [
+            (DateOfBirthEvidence(date(2015, 1, 1)), DenyReason.UNDER_AGE),
+            (DateOfBirthEvidence(date(2030, 1, 1)), DenyReason.BAD_EVIDENCE),
+        ],
+        ids=["UnderAge", "BadEvidence"],
+    )
+    def test_refused_request_uses_up_its_nonce(self, asp, evidence, reason):
+        with pytest.raises(IssuanceDenied) as err:
+            asp.handle(self._request(evidence))
+        assert err.value.reason is reason
         with pytest.raises(IssuanceDenied) as err:
             asp.handle(self._request(AlwaysApproveEvidence()))
         assert err.value.reason is DenyReason.REPLAYED_NONCE
@@ -133,39 +137,41 @@ class TestIssuance:
             t.join()
         assert all(results) and len(results) == 64
 
+    def test_concurrent_requests_same_nonce_issue_once(self, asp):
+        issued, refused = [], []
+        start = threading.Barrier(32, timeout=10)
 
-class TestWireEncodings:
-    def test_request_roundtrip_dob(self):
-        req = IssuanceRequest(
-            subject_id=bytes(range(16)),
-            evidence=DateOfBirthEvidence(date(2001, 2, 28)),
-            request_nonce=bytes(range(16, 32)),
-        )
-        data = encode_issuance_request(req)
-        assert len(data) == 1 + 16 + 1 + 2 + 4 + 16
-        # version | subject | evidence tag | evidence length | year month day | nonce
-        assert data == (
-            b"\x01" + bytes(range(16)) + b"\x01\x00\x04" + b"\x07\xd1\x02\x1c"
-            + bytes(range(16, 32))
-        )
+        def worker():
+            start.wait()
+            try:
+                issued.append(asp.handle(self._request(AlwaysApproveEvidence())))
+            except IssuanceDenied as err:
+                refused.append(err.reason)
 
-    def test_request_roundtrip_always(self):
-        req = IssuanceRequest(
-            subject_id=bytes(16),
-            evidence=AlwaysApproveEvidence(),
-            request_nonce=bytes(16),
-        )
-        data = encode_issuance_request(req)
-        assert len(data) == 1 + 16 + 1 + 2 + 0 + 16
-        assert data == b"\x01" + bytes(16) + b"\x02\x00\x00" + bytes(16)
+        # A short switch interval makes a lost check-then-record race likely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(32)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(issued) == 1
+        assert refused == [DenyReason.REPLAYED_NONCE] * 31
 
 
 class TestDeviceEnroll:
     def test_record_holds_exactly_the_four_artifacts(self, enrollment):
-        from dataclasses import fields
-
         names = [f.name for f in fields(type(enrollment["record"]))]
         assert names == ["helper", "sketch", "digest", "bound"]
+
+    def test_record_quantizer_follows_config(self, enrollment, default_cfg):
+        quant = enrollment["record"].helper.quant
+        assert quant == QuantizerConfig(default_cfg.dim, default_cfg.code.n)
 
     def test_enrollment_deterministic(self, issuer_keys, default_cfg):
         profile = new_identity(8, default_cfg.dim)
@@ -211,13 +217,14 @@ class TestDeviceEnroll:
             secret_observer=lambda k, s: secrets.update(key=k, secret=s),
         )
         assert counting.calls == 1
-        raw = counting.raw_requests[0]
-        # Fixed-size request: nothing but subject, evidence tag, nonce.
-        assert len(raw) == 1 + 16 + 1 + 2 + 0 + 16
-        assert isinstance(counting.requests[0].evidence, AlwaysApproveEvidence)
-        assert secrets["key"].key not in raw
-        assert secrets["secret"].secret not in raw
-        assert profile.mean.values.tobytes() not in raw
+        (request,) = counting.requests
+        # The request object is all that reaches the ASP: subject, evidence, nonce.
+        assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
+        assert isinstance(request.evidence, AlwaysApproveEvidence)
+        sent = request.subject_id + request.request_nonce
+        assert secrets["key"].key not in sent
+        assert secrets["secret"].secret not in sent
+        assert profile.mean.values.tobytes() not in sent
 
     def test_enrolled_variant_matches_config(self, issuer_keys, default_cfg):
         cfg = replace(default_cfg, sketch_variant=SketchVariant.ENCRYPTED)
@@ -302,8 +309,3 @@ class TestRelyingParty:
         blob = encode_agecred(cred)
         assert enrollment["key"].key not in blob
         assert enrollment["secret"].secret not in blob
-
-
-def test_protocol_config_quantizer(default_cfg):
-    q = default_cfg.quantizer()
-    assert q.dim == 512 and q.code_length == default_cfg.code.n

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcreds.kdf import subseed
-from bbcreds.quantize import QuantizerConfig, hamming, quantize
+from bbcreds.quantize import QuantizerConfig, quantize
 from bbcreds.synthbio import (
     Embedding,
     IdentityProfile,
@@ -84,7 +84,7 @@ def test_mean_bit_noise_monotone_in_sigma():
     for sigma in (0.01, 0.02, 0.05):
         noise = NoiseModel(sigma)
         total = sum(
-            hamming(quantize(sample_genuine(p, noise, seed), QCFG), reference)
+            (quantize(sample_genuine(p, noise, seed), QCFG) ^ reference).weight()
             for seed in range(1000)
         )
         means.append(total / 1000)
@@ -100,7 +100,7 @@ def test_impostor_distance_concentrates_at_half():
     reference = quantize(p.mean, QCFG)
     n = QCFG.code_length
     dists = np.array(
-        [hamming(quantize(sample_impostor(seed, 512), QCFG), reference) for seed in range(1000)]
+        [(quantize(sample_impostor(seed, 512), QCFG) ^ reference).weight() for seed in range(1000)]
     )
     half_width = 5 * np.sqrt(n / 4)
     assert abs(dists.mean() - n / 2) <= half_width
