@@ -9,12 +9,15 @@ unsupported (n, k, t) without building a codec or any of its tables.
 Decoding is the binary form of the classical chain:
 
 - Syndromes: only the t odd ones, S_1, S_3, .., S_2t-1, each the XOR of
-  one byte-table entry per byte of the packed word. The even ones follow
-  from S_2i = S_i^2.
+  one fused-table entry per byte of the packed word: entry (b, v) holds
+  byte b's share of every odd syndrome when it has value v. The even ones
+  follow from S_2i = S_i^2.
 - Berlekamp-Massey: for a binary word every second discrepancy is zero
   (Berlekamp 1968), so the recursion runs t steps instead of 2t. Field
   products are table lookups at a sum of logs, with no reduction mod n.
-  Over many rows it touches live columns only: a locator of length L
+  Over many rows its arrays are coefficient-major, one row per
+  coefficient of every locator, so each step works on whole contiguous
+  rows, and it touches live coefficients only: a locator of length L
   has L + 1 coefficients, so each step reaches no further than the
   longest locator of the chunk.
 - Root search: the locator is evaluated at every alpha^s, as in Chien's
@@ -35,17 +38,18 @@ throughout, so a caller that holds packed rows never unpacks a bit.
 Berlekamp-Massey is the only stage with two forms, chosen by
 the chunk's row count: its t steps in plain Python for one row, and with
 masked per-row updates for two or more. The masked form costs numpy
-calls more than arithmetic: on a 2-core machine at n=511, t=30, one row
-took 1.3 ms in it against 81 to 198 us in Python. Every other stage
-costs no more on one row in numpy.
+calls more than arithmetic: on a 2-core machine at n=511, t=30, one
+random row took 0.59 ms in it against 0.10 ms in Python. Every other
+stage costs no more on one row in numpy.
 
-For BCH(511, 259, 30) the tables take about 0.87 MB, built once per
-codec in about 5 ms: 837 KiB of root-search rows (31 coefficients, 48
-rows each of 9 planes of 8 words), 8 KB mapping each field element to
-its two rows, 4 KB each of numpy exp and log tables, and for the
-syndromes a 15 KB byte table and 4 KB of byte offsets. The root search
-holds 576 bytes per row. A 256-row chunk of random words peaks at about
-0.85 MiB of temporaries, most of it Berlekamp-Massey's int64 log arrays.
+For BCH(511, 259, 30) the tables take about 1.86 MB, built once per
+codec in about 6 ms: 960 KiB of fused syndrome entries (64 byte
+positions, 256 values, 30 uint16 syndromes), 837 KiB of root-search rows
+(31 coefficients, 48 rows each of 9 planes of 8 words), 8 KB mapping
+each field element to its two rows, and 4 KB each of numpy exp and log
+tables. The root search holds 576 bytes per row. A 256-row chunk of
+random words peaks at about 0.8 MiB of temporaries, most of it
+Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -82,8 +86,9 @@ _BATCH_CHUNK = 256
 
 # Table rows _roots gathers per call, which bounds its temporaries: one
 # locator of up to 32 coefficients (64 rows) takes one call, and a chunk
-# of 64 or more locators one row of each per call. _odd_syndromes gathers
-# packed bytes under the same budget, but at least 4 at a time.
+# of 64 or more locators one row of each per call, XORed straight in.
+# _odd_syndromes gathers fused-table entries under the same budget, one
+# per packed byte of each word, but at least 4 bytes at a time.
 _ROOT_GATHER = 64
 
 
@@ -200,21 +205,21 @@ class BchCodec:
         self._log_np = np.asarray(log, dtype=np.int64)
         self._build_root_tables(m)
 
-        # Syndrome tables. A packed word's byte b holds bits 8b .. 8b+7, MSB
+        # Syndrome table. A packed word's byte b holds bits 8b .. 8b+7, MSB
         # first, at powers n-1-8b-r for r = 0 .. 7, so its share of S_i is
-        # alpha^(i(n-1-8b)) times the XOR of alpha^(-i r) over its set bits.
-        # Row v of the byte table holds the log of that XOR for byte value v
-        # and each odd i; row b of the shift table holds the log of
-        # alpha^(i(n-1-8b)). Both are uint16, and so is their sum (< 3n).
+        # the XOR of alpha^(i(n-1-8b-r)) over its set bits. Row 256 b + v
+        # holds that share for byte value v and each odd i, built by
+        # doubling over the bits of v, so the odd syndromes are the XOR of
+        # one row per byte.
         odd = np.arange(1, 2 * t, 2)
-        set_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-        inverse = self._exp_np[np.outer(-np.arange(8), odd) % n]
-        byte_values = np.bitwise_xor.reduce(
-            np.where(set_bits[:, :, None], inverse[None], 0), axis=1
-        )
-        self._syndrome_bytes = self._log_np[byte_values].astype(np.uint16)
-        starts = n - 1 - 8 * np.arange((n + 7) // 8)
-        self._syndrome_shift = (np.outer(starts, odd) % n).astype(np.uint16)[:, None, :]
+        size = (n + 7) // 8
+        powers = (n - 1 - np.arange(8 * size)).reshape(size, 8)
+        shares = self._exp_np[powers[:, :, None] * odd % n]
+        table = np.zeros((size, 256, t), dtype=np.uint16)
+        for j in range(8):  # bit j of v is bit r = 7 - j of the byte
+            table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ shares[:, 7 - j, None]
+        self._syndrome_table = table.reshape(256 * size, t)
+        self._syndrome_rows = 256 * np.arange(size)[:, None]
 
     def _build_root_tables(self, m: int) -> None:
         """Tables for ``_roots``, built one coefficient at a time.
@@ -235,7 +240,7 @@ class BchCodec:
         entries = (1 << low) + (1 << (m - low))
         words = (n + 63) // 64
         value = np.arange(1 << m)
-        self._root_halves = np.stack((value & (1 << low) - 1, (1 << low) + (value >> low)), 1)
+        self._root_halves = np.stack((value & (1 << low) - 1, (1 << low) + (value >> low)))
         self._root_offsets = np.arange(t + 1)[:, None] * entries
         table = np.zeros((t + 1, entries, m * words), dtype=np.uint64)
         powers = np.outer(np.arange(t + 1), np.arange(n) + 1) % n
@@ -395,17 +400,18 @@ class BchCodec:
     def _odd_syndromes(self, packed: np.ndarray) -> np.ndarray:
         """S_1, S_3, .., S_2t-1 of each row of packed bytes, as a (rows, t) array.
 
-        Bytes are gathered under the same budget as ``_roots``: numpy
-        widens the gather index to int64, so one row takes all 64 bytes of
-        a 511-bit word at once and a 256-row chunk 4 bytes per call.
+        Row 256 b + v of the fused table holds byte b's share of every odd
+        syndrome when it has value v, so each byte is one row gathered and
+        XORed in. Bytes are gathered under the same budget as ``_roots``:
+        numpy widens the gather index to int64, so one row takes all 64
+        bytes of a 511-bit word at once and a 256-row chunk 4 bytes per call.
         """
-        columns = packed.T
+        index = packed.T + self._syndrome_rows
         odd = np.zeros((len(packed), self.params.t), dtype=np.uint16)
         step = max(4, _ROOT_GATHER // len(packed))
-        for first in range(0, len(columns), step):
-            logs = self._syndrome_bytes[columns[first : first + step]]
-            logs += self._syndrome_shift[first : first + step]
-            odd ^= np.bitwise_xor.reduce(self._exp_np.take(logs), axis=0)
+        for first in range(0, len(index), step):
+            terms = self._syndrome_table.take(index[first : first + step], axis=0)
+            odd ^= np.bitwise_xor.reduce(terms, axis=0)
         return odd
 
     def _locators(self, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,12 +420,16 @@ class BchCodec:
         Returns each row's locator length L and a (rows, max L + 1) array
         of its coefficients, zero beyond L.
 
-        Only live columns are computed. A row's coefficients past its
-        length are zero, so step r sums the discrepancy over columns 1 ..
-        min(r, longest), where longest is the largest L of any row so far.
-        The correction x^shift B(x) has degree at most r + 1 - L, which is
-        at most the row's new length (Massey 1969), so the update and its
-        log gather stop at the new longest length.
+        Every array is coefficient-major, (coefficients, rows): each row
+        holds one coefficient of every locator, so a step's discrepancy is
+        an XOR down contiguous rows and its update and save work on whole
+        rows. Only live coefficients are computed. A locator's
+        coefficients past its length are zero, so step r sums the
+        discrepancy over coefficients 1 .. min(r, longest), where longest
+        is the largest L of any row so far. The correction x^shift B(x) has
+        degree at most r + 1 - L, which is at most the row's new length
+        (Massey 1969), so the update and its log gather stop at the new
+        longest length.
         """
         n, t = self._n, self.params.t
         t2 = 2 * t
@@ -427,44 +437,51 @@ class BchCodec:
         rows = len(odd)
         # S_e = S_o^(2^a) for e = o 2^a with o odd, so log S_e = 2^a log S_o;
         # 2^a is the lowest set bit of e.
+        odd = odd.T.copy()
         e = np.arange(1, t2)
         power = e & -e
-        odd_logs = log[odd][:, e // power // 2]
-        slog = np.where(odd_logs == 2 * n, 2 * n, odd_logs * power % n)
-        rlog = slog[:, ::-1]
+        odd_logs = log[odd[e // power // 2]]
+        slog = np.where(odd_logs == 2 * n, 2 * n, odd_logs * power[:, None] % n)
+        rlog = slog[::-1]
         # cur holds the locator's coefficients and cur_log their logs. prev
         # holds the logs of x^shift times the polynomial saved at the last
-        # length change: every row's shift grows by 2 or restarts at 2 on
-        # each step, so one two-column slice moves all rows at once.
+        # length change. Every row's shift grows by 2 or restarts at 2 on
+        # each step, so prev is a window on a taller buffer that slides 2
+        # rows down per step: the rows it takes in are sentinel and its
+        # top two drop out. Rows of prev past reach hold only the sentinel.
         width = t2 + 1
-        cur = np.zeros((rows, width), dtype=np.uint16)
-        cur[:, 0] = 1
-        cur_log = np.full((rows, width), 2 * n)
-        cur_log[:, 0] = 0
-        prev = np.full((rows, width), 2 * n)
-        prev[:, 1:2] = 0  # x^1; with t = 0 no step runs and no column 1 exists
+        cur = np.zeros((width, rows), dtype=np.uint16)
+        cur[0] = 1
+        cur_log = np.full((width, rows), 2 * n)
+        cur_log[0] = 0
+        held = np.full((width + t2, rows), 2 * n)
+        held[t2 + 1 : t2 + 2] = 0  # x^1; with t = 0 no step runs and no row 1 exists
+        reach = 1
         length = np.zeros(rows, dtype=np.int64)
         prev_log = np.zeros(rows, dtype=np.int64)
         longest = 0
         for r in range(0, t2, 2):
+            prev = held[t2 - r : t2 - r + width]
             live = min(r, longest)
             first = t2 - 1 - r
-            terms = exp[cur_log[:, 1 : live + 1] + rlog[:, first : first + live]]
-            disc = odd[:, r // 2] ^ np.bitwise_xor.reduce(terms, axis=1)
+            terms = exp[cur_log[1 : live + 1] + rlog[first : first + live]]
+            disc = odd[r // 2] ^ np.bitwise_xor.reduce(terms, axis=0)
             disc_log = log[disc]
             nonzero = disc != 0
-            grow = nonzero & (2 * length <= r)
+            grow = nonzero & (length <= r // 2)
             scale = np.where(nonzero, (disc_log - prev_log) % n, 2 * n)
             length = np.where(grow, r + 1 - length, length)
+            # Past the old longest length and past reach, cur_log and prev
+            # hold only the sentinel, so the save stops there.
+            saved = min(width, max(longest + 1, reach + 1))
             longest = int(length.max())
             top = longest + 1
-            cur[:, :top] ^= exp[scale[:, None] + prev[:, :top]]
-            saved = np.where(grow[:, None], cur_log, prev)
-            prev[:, 2:] = saved[:, :-2]
-            prev[:, :2] = 2 * n
-            cur_log[:, :top] = log[cur[:, :top]]
+            cur[:top] ^= exp[scale + prev[:top]]
+            np.copyto(prev[:saved], cur_log[:saved], where=grow)
+            reach = saved + 1
+            log.take(cur[:top], out=cur_log[:top])
             prev_log = np.where(grow, disc_log, prev_log)
-        return length, cur[:, : longest + 1]
+        return length, cur[: longest + 1].T
 
     def _roots(self, coefficients: np.ndarray) -> np.ndarray:
         """Root masks of the locators in the rows of ``coefficients``.
@@ -478,13 +495,16 @@ class BchCodec:
         alpha^s as m bit planes; a root is a position clear in all of them.
         """
         rows, count = coefficients.shape
-        index = self._root_halves[coefficients] + self._root_offsets[:count]
-        index = index.reshape(rows, 2 * count)
+        # Coefficient-major: row h count + j of index holds the table row of
+        # half h of coefficient j for every locator, so each gathered slab
+        # is one (rows, words) block XORed in whole.
+        index = self._root_halves[:, coefficients.T] + self._root_offsets[:count]
+        index = index.reshape(2 * count, rows)
         values = np.zeros((rows, self._root_table.shape[1]), dtype=np.uint64)
         step = max(1, _ROOT_GATHER // rows)
         for first in range(0, 2 * count, step):
-            terms = self._root_table.take(index[:, first : first + step], axis=0)
-            values ^= np.bitwise_xor.reduce(terms, axis=1)
+            terms = self._root_table.take(index[first : first + step], axis=0)
+            values ^= terms[0] if step == 1 else np.bitwise_xor.reduce(terms, axis=0)
         planes = values.reshape(rows, -1, self._root_valid.size)
         return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
 

@@ -149,8 +149,10 @@ def fe_reproduce_batch(
         raise ValueError(f"{len(samples)} samples but {len(helpers)} helpers")
     if not helpers:
         return []
-    code, quant = helpers[0].code, helpers[0].quant
-    if any(h.code != code or h.quant != quant for h in helpers):
+    first = helpers[0]
+    code, quant = first.code, first.quant
+    # The reports pass one helper object for every row; only others are compared.
+    if any(h is not first and (h.code != code or h.quant != quant) for h in helpers):
         raise ValueError("helpers must all use one code and quantizer")
     words = quantize_rows(samples, quant)  # checks the shape first
     _check_unit_rows(samples)

@@ -1,6 +1,8 @@
 import collections
 import functools
 import itertools
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,15 @@ def _gf_tables(n):
     return exp, log
 
 
+def _reference_syndromes(params, word, orders):
+    """S_i, the word's value at alpha^i, for each i in ``orders``."""
+    n = params.n
+    exp, _ = _gf_tables(n)
+    value = word.as_int()  # binary digit p is the coefficient of x^p
+    powers = [p for p in range(n) if value >> p & 1]
+    return [functools.reduce(operator.xor, (exp[i * p % n] for p in powers), 0) for i in orders]
+
+
 def _reference_decode(params, word):
     """The general decoder in plain Python: all 2t syndromes, the 2t-step
     Berlekamp-Massey recursion and a Chien search with one pass per locator
@@ -47,12 +58,8 @@ def _reference_decode(params, word):
     def mul(a, b):
         return exp[(log[a] + log[b]) % n] if a and b else 0
 
-    value = word.as_int()  # binary digit p is the coefficient of x^p
-    powers = [p for p in range(n) if value >> p & 1]
-    s = [0] * (2 * t)
-    for i in range(2 * t):
-        for p in powers:
-            s[i] ^= exp[(i + 1) * p % n]
+    value = word.as_int()
+    s = _reference_syndromes(params, word, range(1, 2 * t + 1))
     if not any(s):
         return BitString.from_int(value >> (n - k), k)
 
@@ -368,24 +375,28 @@ def _brute_force_roots(n, coefficients):
     return value == 0
 
 
+# One code for each supported field size m = 3 .. 10.
+CODE_PER_M = [
+    CodeParams(7, 4, 1),
+    SMALL_CODE,
+    CodeParams(31, 16, 3),
+    CodeParams(63, 30, 6),
+    CodeParams(127, 64, 10),
+    CodeParams(255, 131, 18),
+    PROD_CODE,
+    CodeParams(1023, 923, 10),
+]
+
+
+def _m_id(params):
+    return f"m{params.n.bit_length()}"
+
+
 class TestRootSearch:
     """``_roots`` equals a brute-force evaluation of the locator at every
     alpha^s, for coefficient values Berlekamp-Massey never produces."""
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            CodeParams(7, 4, 1),
-            SMALL_CODE,
-            CodeParams(31, 16, 3),
-            CodeParams(63, 30, 6),
-            CodeParams(127, 64, 10),
-            CodeParams(255, 131, 18),
-            PROD_CODE,
-            CodeParams(1023, 923, 10),
-        ],
-        ids=lambda p: f"m{p.n.bit_length()}",
-    )
+    @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
     def test_matches_brute_force(self, params):
         n, t = params.n, params.t
         codec = codec_for(params)
@@ -405,6 +416,105 @@ class TestRootSearch:
             row = coefficients[i : i + 1, : rng.integers(1, t + 2)]
             bits = np.unpackbits(codec._roots(row).view(np.uint8), axis=1, count=n)
             assert (bits == _brute_force_roots(n, row)).all()
+
+    @pytest.mark.parametrize("rows", [2, 16, 63, 64, 65])
+    def test_every_gather_step(self, rows):
+        """Chunks below 64 rows gather several table rows per call, and
+        chunks of 64 or more one row per call."""
+        n, t = PROD_CODE.n, PROD_CODE.t
+        rng = np.random.default_rng(rows)
+        values = rng.integers(0, n + 1, size=(rows, t + 1))
+        coefficients = (values * rng.integers(0, 2, size=(rows, t + 1))).astype(np.uint16)
+        bits = np.unpackbits(codec_for(PROD_CODE)._roots(coefficients).view(np.uint8), axis=1)
+        assert (bits[:, :n] == _brute_force_roots(n, coefficients)).all()
+        assert not bits[:, n:].any()
+
+
+def _zero_first_syndrome_errors(n, rng, triples):
+    """Powers of ``triples`` disjoint triples alpha^a + alpha^b = alpha^c,
+    which together add nothing to S_1."""
+    exp, log = _gf_tables(n)
+    powers = set()
+    while len(powers) < 3 * triples:
+        a, b = rng.choice(n, size=2, replace=False).tolist()
+        triple = {a, b, log[exp[a] ^ exp[b]]}
+        if not triple & powers:
+            powers |= triple
+    return powers
+
+
+class TestChunkStages:
+    """The multi-row stages of ``_decode_rows`` against plain-Python oracles,
+    at chunk sizes on both sides of each gather-step boundary."""
+
+    @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
+    def test_odd_syndromes_match_reference(self, params):
+        n, t = params.n, params.t
+        rng = np.random.default_rng(n + 2)
+        words = rng.integers(0, 2, size=(257, n), dtype=np.uint8)
+        odd_orders = range(1, 2 * t, 2)
+        expected = np.array(
+            [_reference_syndromes(params, BitString.from_bits(w), odd_orders) for w in words]
+        )
+        packed = np.packbits(words, axis=1)
+        for rows in (1, 2, 16, 17, 256, 257):
+            odd = codec_for(params)._odd_syndromes(packed[:rows])
+            assert odd.dtype == np.uint16 and odd.shape == (rows, t)
+            assert np.array_equal(odd, expected[:rows])
+
+    @pytest.mark.parametrize("params", [CodeParams(63, 30, 6), PROD_CODE], ids=["n63", "n511"])
+    def test_locators_match_locator(self, params):
+        """Error patterns within t, with S_1 = 0, beyond t, uniform random
+        words, and codewords of a code with t' < t, whose first 2t'
+        syndromes vanish, so their locators start growing late and by
+        much; cycled, and every row checked against ``_locator``."""
+        codec = codec_for(params)
+        n, t = params.n, params.t
+        smaller = [codec_for(CodeParams(n, ecc._bch_k(n, u), u)) for u in range(1, t)]
+        rng = np.random.default_rng(3 * n)
+        errors = np.zeros((256, n), dtype=np.uint8)
+        for i, row in enumerate(errors):
+            kind, size = i % 5, i // 5
+            if kind == 0:
+                row[rng.choice(n, size=size % (t + 1), replace=False)] = 1
+            elif kind == 1:
+                powers = _zero_first_syndrome_errors(n, rng, 1 + size % (t // 3 + 2))
+                row[[n - 1 - p for p in powers]] = 1  # bit j carries alpha^(n-1-j)
+            elif kind == 2:
+                row[rng.choice(n, size=t + 1 + size % t, replace=False)] = 1
+            elif kind == 3:
+                row[:] = rng.integers(0, 2, size=n)
+            else:
+                code = smaller[size % len(smaller)]
+                row[:] = code.encode(_random_message(rng, code.params.k)).bits()
+        packed = np.packbits(errors, axis=1)
+        assert not codec._odd_syndromes(packed[1::5])[:, 0].any()
+        ok, _ = codec.decode_batch(packed[:16])
+        assert ok.any() and not ok.all()
+        for rows in (2, 16, 63, 256):
+            odd = codec._odd_syndromes(packed[:rows])
+            length, coefficients = codec._locators(odd)
+            assert coefficients.shape == (rows, length.max() + 1)
+            for i in range(rows):
+                logs = codec._locator(odd[i].tolist())
+                assert length[i] == len(logs) - 1
+                assert [codec._exp[v] for v in logs] == coefficients[i, : len(logs)].tolist()
+                assert not coefficients[i, len(logs) :].any()
+
+    def test_chunk_memory_bound(self):
+        """A full chunk of random words keeps its temporaries under 1 MiB."""
+        codec = codec_for(PROD_CODE)
+        rng = np.random.default_rng(256)
+        bits = rng.integers(0, 2, size=(ecc._BATCH_CHUNK, PROD_CODE.n), dtype=np.uint8)
+        words = np.packbits(bits, axis=1)
+        codec.decode_batch(words)
+        tracemalloc.start()
+        try:
+            codec.decode_batch(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestZeroCases:

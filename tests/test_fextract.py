@@ -144,6 +144,7 @@ def test_batch_rejects_bad_input(batch):
         (scaled, helpers),
         (samples[:, :511], helpers),
         (samples, helpers[:-1] + [other_code]),
+        (samples, [helpers[0]] * (len(helpers) - 1) + [other_code]),
         (samples[:-1], helpers),
     ]:
         with pytest.raises(ValueError):
