@@ -30,22 +30,27 @@ Decoding is the binary form of the classical chain:
 - Correction: the root mask is packed like the word, so the message is
   the XOR of the two on the word's first bytes.
 
-One pipeline runs that chain on a chunk of packed words at once.
-``decode`` passes it one word, the device's path, and ``decode_batch``
-passes it up to _BATCH_CHUNK rows of a (B, ceil(n/8)) byte matrix at a
-time. Words and messages stay packed in the ``BitString`` byte layout
-throughout, so a caller that holds packed rows never unpacks a bit.
-Berlekamp-Massey is the only stage with two forms, chosen by
-the chunk's row count: its t steps in plain Python for one row, and with
-masked per-row updates for two or more. The masked form costs numpy
-calls more than arithmetic: on a 2-core machine at n=511, t=30, one
-random row took 0.59 ms in it against 0.10 ms in Python. Every other
-stage costs no more on one row in numpy.
+Two pipelines run that chain, chosen by row count, and share the
+syndrome table and the field tables. ``decode`` runs one word, the
+device's path, in Python integers after the syndromes: the plain-Python
+``_locator``, then ``_root_mask``, which XORs each coefficient's two
+table rows held as Python ints and folds the m planes with shifts and
+ORs, and one integer XOR that corrects the word. ``decode_batch`` runs
+``_decode_rows`` on up to _BATCH_CHUNK rows of a (B, ceil(n/8)) byte
+matrix at a time, with masked numpy Berlekamp-Massey (``_locators``) and
+the numpy root search (``_roots``). On one word numpy's per-call overhead
+outweighs its arithmetic: on a 2-core machine at n=511, t=30, one random
+row took 0.59 ms in ``_locators`` against 0.10 ms in ``_locator``, and
+the root search at 8 and 30 errors 12 and 15 us in ``_roots`` against 5
+and 10 us in ``_root_mask``. Words and messages stay packed in the
+``BitString`` byte layout throughout, so a caller that holds packed rows
+never unpacks a bit.
 
-For BCH(511, 259, 30) the tables take about 1.86 MB, built once per
-codec in about 6 ms: 960 KiB of fused syndrome entries (64 byte
+For BCH(511, 259, 30) the tables take about 2.7 MB, built once per
+codec in about 5 ms: 960 KiB of fused syndrome entries (64 byte
 positions, 256 values, 30 uint16 syndromes), 837 KiB of root-search rows
-(31 coefficients, 48 rows each of 9 planes of 8 words), 8 KB mapping
+(31 coefficients, 48 rows each of 9 planes of 8 words), the same 1488
+rows again as Python ints for ``_root_mask`` (898 KiB), 8 KB mapping
 each field element to its two rows, and 4 KB each of numpy exp and log
 tables. The root search holds 576 bytes per row. A 256-row chunk of
 random words peaks at about 0.8 MiB of temporaries, most of it
@@ -84,9 +89,9 @@ _PRIMITIVE_POLY = {
 # not with the batch. Fewer rows pay more numpy calls per row.
 _BATCH_CHUNK = 256
 
-# Table rows _roots gathers per call, which bounds its temporaries: one
-# locator of up to 32 coefficients (64 rows) takes one call, and a chunk
-# of 64 or more locators one row of each per call, XORed straight in.
+# Table rows _roots gathers per call, which bounds its temporaries: a
+# 1-row chunk of up to 32 coefficients (64 rows) takes one call, and a
+# chunk of 64 or more locators one row of each per call, XORed straight in.
 # _odd_syndromes gathers fused-table entries under the same budget, one
 # per packed byte of each word, but at least 4 bytes at a time.
 _ROOT_GATHER = 64
@@ -222,7 +227,7 @@ class BchCodec:
         self._syndrome_rows = 256 * np.arange(size)[:, None]
 
     def _build_root_tables(self, m: int) -> None:
-        """Tables for ``_roots``, built one coefficient at a time.
+        """Tables for ``_roots`` and ``_root_mask``, built one coefficient at a time.
 
         Bit position c of a root mask stands for alpha^s with s = (c + 1)
         mod n, because a root alpha^s marks an error at word bit (s - 1)
@@ -259,6 +264,12 @@ class BchCodec:
                     rows[first + (1 << size) : first + (2 << size)] = span ^ packed[b]
         self._root_table = table.reshape(-1, m * words)
         self._root_valid = np.packbits(np.arange(64 * words) < n).view(np.uint64)
+        # The same rows for ``_root_mask``, each one Python int: its bytes
+        # big-endian, so plane 0 is the top 64 words bits and a position's
+        # bit in each plane sits 64 words bits below the last.
+        self._root_ints = [int.from_bytes(row.tobytes(), "big") for row in self._root_table]
+        self._root_plane_bits = 64 * words
+        self._root_low, self._root_entries = low, entries
 
     def _gf_mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
@@ -335,13 +346,51 @@ class BchCodec:
                 shift = 2
         return cur[: length + 1]
 
+    def _root_mask(self, locator: list[int]) -> int:
+        """Root mask of one locator, from the logs ``_locator`` returns.
+
+        Each coefficient XORs in its two ``_root_ints`` rows, as ``_roots``
+        does for a chunk, and the m planes are folded with shifts and ORs:
+        each fold ORs the upper half of the planes onto the lower, so after
+        ceil(log2 m) of them the lowest plane holds the OR of all. The mask
+        comes back in the packed word's layout: ``int.from_bytes`` of the
+        word's bytes has its bit c at binary digit 8 ceil(n/8) - 1 - c, and
+        so does the mask when alpha^((c + 1) mod n) is a root.
+        """
+        exp, rows, low, entries = self._exp, self._root_ints, self._root_low, self._root_entries
+        low_mask = (1 << low) - 1  # the high half's rows start at low_mask + 1
+        value = 0
+        for first, coefficient_log in zip(range(0, entries * len(locator), entries), locator):
+            v = exp[coefficient_log]
+            value ^= rows[first + (v & low_mask)] ^ rows[first + low_mask + 1 + (v >> low)]
+        n, bits = self._n, self._root_plane_bits
+        planes = n.bit_length()
+        while planes > 1:
+            planes = (planes + 1) // 2
+            value |= value >> planes * bits
+        clear = ~value >> bits - n
+        return (clear & (1 << n) - 1) << -n % 8
+
     def decode(self, word: BitString) -> BitString | None:
-        """Correct up to t errors and return the message, or None on failure."""
+        """Correct up to t errors and return the message, or None on failure.
+
+        The one-word pipeline: the odd syndromes from the fused table, the
+        plain-Python ``_locator``, ``_root_mask`` and one integer XOR.
+        """
         p = self.params
         if word.n != p.n:
             raise ValueError(f"word length {word.n} does not match n={p.n}")
-        ok, messages = self._decode_rows(np.frombuffer(word.data, np.uint8)[None])
-        return BitString(messages[0].tobytes(), p.k) if ok[0] else None
+        odd = self._odd_syndromes(np.frombuffer(word.data, np.uint8)[None])
+        locator = self._locator(odd[0].tolist())
+        length = len(locator) - 1
+        # A locator longer than t fails on its length whatever its roots.
+        if length > p.t:
+            return None
+        roots = self._root_mask(locator)
+        if roots.bit_count() != length:
+            return None
+        corrected = int.from_bytes(word.data, "big") ^ roots
+        return BitString.from_int(corrected >> 8 * len(word.data) - p.k, p.k)
 
     def decode_batch(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row of packed words as ``decode`` would.
@@ -351,9 +400,11 @@ class BchCodec:
         bool array of shape (B,), and the messages, a (B, ceil(k/8)) uint8
         array whose row i holds the ``BitString`` bytes of message i, or
         zeros where ``ok`` is false. Row i equals ``decode`` on row i,
-        failures and miscorrections included, because both run
-        ``_decode_rows``: the rows are decoded _BATCH_CHUNK at a time, so
-        memory does not grow with B.
+        failures and miscorrections included, though the two run separate
+        pipelines after the syndromes; ``TestBatchEquality`` and
+        ``TestReferenceEquality`` hold them to that. The rows are decoded
+        _BATCH_CHUNK at a time by ``_decode_rows``, so memory does not grow
+        with B.
         """
         p = self.params
         words = np.asarray(words)
@@ -375,22 +426,14 @@ class BchCodec:
         """Decode rows of packed word bytes, in the ``BitString`` format.
 
         Returns the ok mask and the packed messages, zero where a row
-        fails. Berlekamp-Massey is the one stage with two forms: one row
-        runs the plain-Python ``_locator``, whose t steps cost less than
-        the numpy calls of ``_locators``; two or more rows run
-        ``_locators``.
+        fails. This is ``decode_batch``'s pipeline whatever the row count:
+        the fused-table syndromes, the masked ``_locators``, the table root
+        search ``_roots`` and a byte XOR.
         """
         p = self.params
-        odd = self._odd_syndromes(packed)
-        if len(packed) == 1:
-            locator = self._locator(odd[0].tolist())
-            length = len(locator) - 1
-            locators = self._exp_np[locator[: p.t + 1]][None]
-        else:
-            length, locators = self._locators(odd)
-            locators = locators[:, : p.t + 1]
+        length, locators = self._locators(self._odd_syndromes(packed))
         # A locator longer than t fails on its length whatever its roots.
-        roots = self._roots(locators)
+        roots = self._roots(locators[:, : p.t + 1])
         ok = (length <= p.t) & (np.bitwise_count(roots).sum(axis=1) == length)
         size = (p.k + 7) // 8
         messages = np.where(ok[:, None], packed[:, :size] ^ roots.view(np.uint8)[:, :size], 0)

@@ -194,13 +194,17 @@ class TestReferenceEquality:
     @pytest.mark.parametrize(
         "params, rounds, kinds",
         [
+            # The Hamming code is perfect: every word lies within t of a codeword.
+            (CodeParams(7, 4, 1), 20, {"correct", "miscorrect"}),
             (CodeParams(31, 16, 3), 20, {"correct", "fail", "miscorrect"}),
             (CodeParams(63, 30, 6), 8, {"correct", "fail", "miscorrect"}),
             # Beyond t these longer codes almost never land near another codeword.
+            (CodeParams(127, 64, 10), 8, {"correct", "fail"}),
             (CodeParams(255, 131, 18), 2, {"correct", "fail"}),
             (PROD_CODE, 1, {"correct", "fail"}),
+            (CodeParams(1023, 923, 10), 2, {"correct", "fail"}),
         ],
-        ids=["n31", "n63", "n255", "n511"],
+        ids=["n7", "n31", "n63", "n127", "n255", "n511", "n1023"],
     )
     def test_random_words(self, params, rounds, kinds):
         """Codewords with 0..3t flipped bits, then one uniform random word, per round."""
@@ -393,8 +397,9 @@ def _m_id(params):
 
 
 class TestRootSearch:
-    """``_roots`` equals a brute-force evaluation of the locator at every
-    alpha^s, for coefficient values Berlekamp-Massey never produces."""
+    """``_roots`` and ``_root_mask`` equal a brute-force evaluation of the
+    locator at every alpha^s, for coefficient values Berlekamp-Massey never
+    produces."""
 
     @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
     def test_matches_brute_force(self, params):
@@ -411,16 +416,23 @@ class TestRootSearch:
         bits = np.unpackbits(masks.view(np.uint8), axis=1)
         assert (bits[:, :n] == _brute_force_roots(n, coefficients)).all()
         assert not bits[:, n:].any()
-        # Single rows that stop after a random coefficient, as decode passes them.
-        for i in rng.choice(len(coefficients), size=32, replace=False):
-            row = coefficients[i : i + 1, : rng.integers(1, t + 2)]
-            bits = np.unpackbits(codec._roots(row).view(np.uint8), axis=1, count=n)
-            assert (bits == _brute_force_roots(n, row)).all()
 
-    @pytest.mark.parametrize("rows", [2, 16, 63, 64, 65])
+        # decode's integer root search on the same rows, each stopped after
+        # a random coefficient, as _locator returns them: a mask in the word's
+        # byte layout, whose planes are 64 ceil(n/64) bits, wider than the
+        # word's 8 ceil(n/8) bits below n = 511. BitString fails on a set pad bit.
+        stops = rng.integers(1, t + 2, size=len(coefficients))
+        truncated = np.where(np.arange(t + 1) < stops[:, None], coefficients, 0)
+        expected = _brute_force_roots(n, truncated)
+        for row, stop, want in zip(coefficients.tolist(), stops, expected):
+            mask = codec._root_mask([codec._log[v] for v in row[:stop]])
+            found = BitString(mask.to_bytes((n + 7) // 8, "big"), n).bits()
+            assert (found == want).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 16, 63, 64, 65])
     def test_every_gather_step(self, rows):
-        """Chunks below 64 rows gather several table rows per call, and
-        chunks of 64 or more one row per call."""
+        """Chunks below 64 rows gather several table rows per call, a 1-row
+        chunk all of them in one, and chunks of 64 or more one row per call."""
         n, t = PROD_CODE.n, PROD_CODE.t
         rng = np.random.default_rng(rows)
         values = rng.integers(0, n + 1, size=(rows, t + 1))
@@ -444,8 +456,9 @@ def _zero_first_syndrome_errors(n, rng, triples):
 
 
 class TestChunkStages:
-    """The multi-row stages of ``_decode_rows`` against plain-Python oracles,
-    at chunk sizes on both sides of each gather-step boundary."""
+    """The stages of ``_decode_rows``, ``decode_batch``'s pipeline, against
+    plain-Python oracles, at chunk sizes on both sides of each gather-step
+    boundary, 1 row included. ``decode`` shares only ``_odd_syndromes``."""
 
     @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
     def test_odd_syndromes_match_reference(self, params):
@@ -491,7 +504,7 @@ class TestChunkStages:
         assert not codec._odd_syndromes(packed[1::5])[:, 0].any()
         ok, _ = codec.decode_batch(packed[:16])
         assert ok.any() and not ok.all()
-        for rows in (2, 16, 63, 256):
+        for rows in (1, 2, 16, 63, 256):
             odd = codec._odd_syndromes(packed[:rows])
             length, coefficients = codec._locators(odd)
             assert coefficients.shape == (rows, length.max() + 1)
@@ -515,6 +528,17 @@ class TestChunkStages:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_decode_runs_no_chunk_stage(self, monkeypatch):
+        """``decode`` is the one-word pipeline: it never reaches the numpy
+        chunk stages ``decode_batch`` runs."""
+        codec = BchCodec(PROD_CODE)
+        for name in ("_decode_rows", "_locators", "_roots"):
+            monkeypatch.setattr(codec, name, None)
+        rng = np.random.default_rng(7)
+        msg = _random_message(rng, PROD_CODE.k)
+        word = _with_flips(codec.encode(msg), rng.choice(PROD_CODE.n, size=8, replace=False))
+        assert codec.decode(word) == msg
 
 
 class TestZeroCases:
