@@ -267,7 +267,14 @@ def estimate_frr(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> E
 
 
 def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    """False acceptance rate of impostor captures against one enrolled record."""
+    """False acceptance rate of impostor captures against one enrolled record.
+
+    An independent impostor is accepted only if its quantized bits lie
+    within t of the enrolled ones, with chance V(511, 30) / 2**511, about
+    2**-350, per trial at the default code. A report of such impostors
+    therefore shows that the pipeline rejects them, not how close a
+    look-alike may come before it is accepted.
+    """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     return _far_report(cfg, trials, seed)

@@ -2,6 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one PASS line
 per criterion; any assertion failure marks that criterion red.
+
+The ``test_known_defect_*`` tests at the end are not criteria. Each records
+a property of the construction as it stands that the paper's claims rule
+out, so that the change which removes the defect must turn its test round.
 """
 
 import itertools
@@ -25,15 +29,23 @@ from bbcreds.binding import (
     derive_stable_secret,
     unbind_auth,
 )
-from bbcreds.credential import issue_agecred
+from bbcreds.credential import decode_agecred, encode_agecred, issue_agecred
 from bbcreds.ecc import CodeParams, codec_for
 from bbcreds.evaluate import estimate_far, estimate_frr
 from bbcreds.fextract import StableKey, fe_generate
 from bbcreds.kdf import tagged_hash
-from bbcreds.parties import SIGMA_DEFAULT, ProtocolConfig
+from bbcreds.parties import (
+    SIGMA_DEFAULT,
+    AgePolicy,
+    InProcessAsp,
+    ProtocolConfig,
+    device_authenticate,
+    device_enroll,
+    rp_check_access,
+)
 from bbcreds.quantize import BitString, QuantizerConfig
 from bbcreds.store import FormatError, decode_record, encode_record
-from bbcreds.synthbio import new_identity
+from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine
 
 from conftest import NOW, SMALL_CODE
 
@@ -243,3 +255,42 @@ def test_criterion_10_store_format():
         with pytest.raises(FormatError):
             decode_record(data[:cut])
     _passed(10, "store-format")
+
+
+def test_known_defect_unlocked_credential_is_bearer_token(enrollment, issuer_keys):
+    # Known defect, not a gate: the paper says only the physically present
+    # user can use the credential, but an RP checks only the issuer's
+    # signature, the validity window and the threshold. So the bytes of one
+    # genuine unlock are granted to whoever replays them, for as long as the
+    # credential is valid, and every RP receives the same bytes, which
+    # links one user across RPs. Holder binding would make this test fail.
+    profile, record = enrollment["profile"], enrollment["record"]
+    noise = NoiseModel(SIGMA_DEFAULT)
+    unlocked = device_authenticate(sample_genuine(profile, noise, 1), record, CFG.liveness)
+    presented = encode_agecred(unlocked)
+    replayed = decode_agecred(presented)
+    for later in (1, 86400, 30 * 86400):
+        assert rp_check_access(replayed, issuer_keys.public, NOW + later, 18).granted
+
+    to_second_rp = device_authenticate(sample_genuine(profile, noise, 2), record, CFG.liveness)
+    assert encode_agecred(to_second_rp) == presented
+
+
+def test_known_defect_helper_data_links_enrollments(issuer_keys):
+    # Known defect, not a gate: code-offset helper data over a linear code
+    # is not unlinkable. offset1 ^ offset2 = (q1 ^ q2) ^ (c1 ^ c2), and
+    # c1 ^ c2 is a codeword, so the XOR of two enrollments of one person
+    # decodes, while that of two different people does not. Anyone holding
+    # two records can tell whether they belong to one person.
+    asp = InProcessAsp(issuer_keys, AgePolicy(threshold=18), now=NOW)
+    cfg = ProtocolConfig(sigma=0.003)
+
+    def offset(person, enroll_seed):
+        record = device_enroll(new_identity(person, cfg.dim), asp, cfg, enroll_seed)
+        return np.frombuffer(record.helper.offset.data, np.uint8)
+
+    same = [offset(p, 2 * p) ^ offset(p, 2 * p + 1) for p in range(20)]
+    different = [offset(p, 2 * p + 100) ^ offset(p + 20, 2 * p + 101) for p in range(20)]
+    ok, _ = codec_for(cfg.code).decode_batch(np.stack(same + different))
+    assert ok[:20].all()
+    assert not ok[20:].any()

@@ -2,8 +2,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bbcreds.kdf import subseed
 from bbcreds.quantize import QuantizerConfig, quantize
@@ -11,7 +9,6 @@ from bbcreds.synthbio import (
     Embedding,
     IdentityProfile,
     NoiseModel,
-    _seed_words,
     new_identity,
     sample_genuine,
     sample_impostor,
@@ -138,16 +135,35 @@ def test_impostor_deterministic_and_normalized():
     assert abs(np.linalg.norm(a.values) - 1.0) <= 1e-6
 
 
-def test_impostor_rows_are_single_samples():
-    # Each row comes from its own seed's stream, whatever else is in the list.
-    seeds = [5, 42, 7, 42]
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257])
+def test_impostor_rows_are_single_samples(count):
+    # Each row comes from its own seed's stream, whatever else is in the
+    # list (here every seed twice). The counts straddle ecc._BATCH_CHUNK,
+    # the row count of one report chunk.
+    seeds = [2**64 - 1 - 7919 * (i // 2) for i in range(count)]
     rows = sample_impostors(seeds, 64)
-    assert rows.shape == (4, 64)
+    assert rows.shape == (count, 64)
     for seed, row in zip(seeds, rows):
         assert np.array_equal(row, sample_impostor(seed, 64).values)
     assert sample_impostors([], 64).shape == (0, 64)
     with pytest.raises(ValueError):
         sample_impostors([1], 7)
+
+
+def test_impostor_values_are_standard_normal():
+    # Stream v2 seeds PCG64 with raw SHAKE-256 words, bypassing numpy's
+    # SeedSequence mixing, so check the values it then draws: sqrt(dim)
+    # times a row of a normalized Gaussian vector is close to N(0, 1).
+    from scipy import stats
+
+    dim = 512
+    rows = sample_impostors(range(200), dim)
+    values = (np.sqrt(dim) * rows).ravel()
+    assert stats.kstest(values, "norm").pvalue > 1e-4
+    # 102400 fair signs have a standard deviation of 160 around half.
+    assert abs(int((values > 0).sum()) - values.size // 2) < 5 * 160
+    # Adjacent seeds give unrelated rows: |cos| is about 0.044 in 512-d.
+    assert np.all(np.abs(np.vecdot(rows[:-1], rows[1:])) < 0.3)
 
 
 def test_negative_sigma_rejected():
@@ -171,35 +187,6 @@ def _reference_normals(seed, label, dim):
     return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
 
 
-def _assert_seed_words_match(seeds):
-    words = _seed_words(np.array(seeds, np.uint64))
-    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-    for seed, row in zip(seeds, words):
-        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-
-
-def test_seed_words_match_seed_sequence_at_word_edges():
-    _assert_seed_words_match([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-
-
-@settings(max_examples=100)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
-def test_seed_words_match_seed_sequence(seeds):
-    _assert_seed_words_match(seeds)
-
-
-@pytest.mark.parametrize("count", [1, 2, 255, 256, 257])
-def test_impostor_rows_follow_numpy_stream(count):
-    # Both forms of the draw (one seed, and the vectorised seed hash for
-    # more) must give numpy's own default_rng rows, normalized alike.
-    seeds = [2**64 - 1 - 7919 * i for i in range(count)]
-    reference = np.stack(
-        [_reference_normals(seed, "bbcreds/synthbio/impostor/v1", 512) for seed in seeds]
-    )
-    reference /= np.sqrt(np.vecdot(reference, reference))[:, None]
-    assert np.array_equal(sample_impostors(seeds, 512), reference)
-
-
 def test_identity_and_genuine_follow_numpy_stream():
     for seed in (0, 3, 2**64 - 1):
         mean = _reference_normals(seed, "bbcreds/synthbio/identity/v1", 512)
@@ -214,5 +201,5 @@ def test_identity_and_genuine_follow_numpy_stream():
 def test_impostor_rows_pinned():
     rows = sample_impostors(range(300), 512)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
-        "61597ba9700f5d6fec8e917417b1ad122ef5bd59a3243133ca874ffb66c5803a"
+        "5690911985f466401896df239bf5cae8827293de386cc370e5fece3d7a4f6227"
     )
