@@ -65,6 +65,7 @@ _CRED_KDF_LABEL = "bbcreds/cred/v1"
 _ENROLL_LABEL = "bbcreds/bind/enroll/v1"
 
 _ENC_SKETCH_LEN = NONCE_BYTES + SECRET_BYTES + TAG_BYTES
+_AAD = bytes([BOUND_VERSION])  # the credential ciphertext's associated data
 
 
 class SketchVariant(enum.Enum):
@@ -116,7 +117,6 @@ class BoundCredential:
 
     nonce: bytes
     ciphertext: bytes
-    aad_version: int = BOUND_VERSION
 
     def __post_init__(self) -> None:
         if len(self.nonce) != NONCE_BYTES:
@@ -126,8 +126,6 @@ class BoundCredential:
                 f"ciphertext must be {ENCODED_LEN + TAG_BYTES} bytes, "
                 f"got {len(self.ciphertext)}"
             )
-        if not 0 <= self.aad_version <= 255:
-            raise ValueError("aad_version must fit one byte")
 
 
 class FailureReason(enum.Enum):
@@ -194,9 +192,8 @@ def bind_enroll(
         ct = _sketch_cipher(key).encrypt(sketch_nonce, secret, None)
         sketch = Sketch(variant, sketch_nonce + ct)
 
-    aad = bytes([BOUND_VERSION])
-    ciphertext = _cred_cipher(secret).encrypt(cred_nonce, encode_agecred(cred), aad)
-    bound = BoundCredential(nonce=cred_nonce, ciphertext=ciphertext, aad_version=BOUND_VERSION)
+    ciphertext = _cred_cipher(secret).encrypt(cred_nonce, encode_agecred(cred), _AAD)
+    bound = BoundCredential(nonce=cred_nonce, ciphertext=ciphertext)
     return sketch, hash_key(key), bound
 
 
@@ -224,9 +221,7 @@ def unbind_auth(
             raise AuthFailure(FailureReason.SKETCH_OPEN_FAILED) from None
 
     try:
-        plaintext = _cred_cipher(secret).decrypt(
-            bound.nonce, bound.ciphertext, bytes([bound.aad_version])
-        )
+        plaintext = _cred_cipher(secret).decrypt(bound.nonce, bound.ciphertext, _AAD)
     except InvalidTag:
         raise AuthFailure(FailureReason.DECRYPT_FAILED) from None
 
@@ -253,7 +248,7 @@ def bind_oneway(secret: StableSecret, sketch: Sketch) -> bytes:
 # Canonical byte encodings, consumed by the device-record store.
 
 _SKETCH_HEAD = struct.Struct(">BI")  # variant(1) | length(4 BE)
-_BOUND_HEAD = struct.Struct(">B12sI")  # aad_version(1) | nonce(12) | length(4 BE)
+_BOUND_HEAD = struct.Struct(">B12sI")  # BOUND_VERSION(1) | nonce(12) | length(4 BE)
 
 
 def encode_sketch(sketch: Sketch) -> bytes:
@@ -275,17 +270,16 @@ def decode_sketch(data: bytes) -> Sketch:
 
 
 def encode_bound(bound: BoundCredential) -> bytes:
-    return (
-        _BOUND_HEAD.pack(bound.aad_version, bound.nonce, len(bound.ciphertext))
-        + bound.ciphertext
-    )
+    return _BOUND_HEAD.pack(BOUND_VERSION, bound.nonce, len(bound.ciphertext)) + bound.ciphertext
 
 
 def decode_bound(data: bytes) -> BoundCredential:
     if len(data) < _BOUND_HEAD.size:
         raise ValueError(f"bound credential truncated at {len(data)} bytes")
-    aad_version, nonce, length = _BOUND_HEAD.unpack_from(data)
+    version, nonce, length = _BOUND_HEAD.unpack_from(data)
+    if version != BOUND_VERSION:
+        raise ValueError(f"unsupported bound credential version {version}")
     ciphertext = data[_BOUND_HEAD.size :]
     if len(ciphertext) != length:
         raise ValueError(f"ciphertext is {len(ciphertext)} bytes, header says {length}")
-    return BoundCredential(nonce=nonce, ciphertext=ciphertext, aad_version=aad_version)
+    return BoundCredential(nonce=nonce, ciphertext=ciphertext)

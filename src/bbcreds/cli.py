@@ -24,7 +24,7 @@ from .binding import AuthFailure, SketchVariant
 from .credential import IssuerKeyPair, generate_issuer_keys
 from .ecc import CodeParams
 from .evaluate import sweep
-from .fextract import ExtractFailure
+from .fextract import HELPER_VERSION, ExtractFailure
 from .kdf import SEED_MASK
 from .parties import (
     AgePolicy,
@@ -307,7 +307,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     record = _read_record_file(args.record)
     helper = record.helper
     print(f"record: {args.record}")
-    print(f"helper_version={helper.version}")
+    print(f"helper_version={HELPER_VERSION}")
     print(f"code: n={helper.code.n} k={helper.code.k} t={helper.code.t}")
     print(f"dim={helper.quant.dim}")
     print(f"sketch_variant={record.sketch.variant.name}")
@@ -378,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--liveness", choices=["pass", "fail"], default="pass")
     _add_seed(auth)
     _add_clock(auth)
-    _add_config(auth)
+    auth.add_argument("--config", default=None,
+                      help="key=value config file; the record supplies dim, code and "
+                           "variant, so auth uses only sigma_default (--sigma takes precedence)")
     auth.set_defaults(handler=cmd_auth)
 
     evaluate = sub.add_parser("eval", help="run the FRR/FAR sweep and write CSV")

@@ -109,12 +109,11 @@ class RejectReason(enum.Enum):
 class Verdict:
     """Outcome of credential verification; rejection is a value, not an error."""
 
-    granted: bool
     reason: RejectReason | None = None
 
-    def __post_init__(self) -> None:
-        if self.granted != (self.reason is None):
-            raise ValueError("reason must be present exactly when rejected")
+    @property
+    def granted(self) -> bool:
+        return self.reason is None
 
 
 def generate_issuer_keys(seed: int | None = None) -> IssuerKeyPair:
@@ -186,11 +185,11 @@ def verify_agecred(
             c.signature, _signed_prefix(c)
         )
     except InvalidSignature:
-        return Verdict(False, RejectReason.BAD_SIGNATURE)
+        return Verdict(RejectReason.BAD_SIGNATURE)
     if now < c.issued_at:
-        return Verdict(False, RejectReason.NOT_YET_VALID)
+        return Verdict(RejectReason.NOT_YET_VALID)
     if now >= c.expires_at:
-        return Verdict(False, RejectReason.EXPIRED)
+        return Verdict(RejectReason.EXPIRED)
     if c.age_over < required_age_over:
-        return Verdict(False, RejectReason.THRESHOLD_NOT_MET)
-    return Verdict(True)
+        return Verdict(RejectReason.THRESHOLD_NOT_MET)
+    return Verdict()

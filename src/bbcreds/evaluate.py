@@ -45,7 +45,6 @@ from .fextract import ExtractFailure, fe_reproduce_batch
 from .kdf import subseed
 from .parties import (
     AgePolicy,
-    AlwaysApproveEvidence,
     AlwaysPass,
     InProcessAsp,
     LivenessFailed,
@@ -178,7 +177,7 @@ def _tally(
 
 
 def _genuine_trial(
-    cfg: ProtocolConfig, sigma: float, seed: int, index: int, asp: InProcessAsp
+    cfg: ProtocolConfig, seed: int, index: int, asp: InProcessAsp
 ) -> tuple[Embedding, DeviceRecord]:
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
@@ -186,12 +185,11 @@ def _genuine_trial(
     record = device_enroll(
         profile,
         asp,
-        replace(cfg, sigma=sigma, liveness=AlwaysPass()),
+        replace(cfg, liveness=AlwaysPass()),
         subseed(base, "bbcreds/eval/enroll/v1"),
-        evidence=AlwaysApproveEvidence(),
     )
     sample = sample_genuine(
-        profile, NoiseModel(sigma), subseed(base, "bbcreds/eval/auth/v1")
+        profile, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
     )
     return sample, record
 
@@ -200,15 +198,15 @@ def _impostor_seed(seed: int, index: int) -> int:
     return subseed(seed, f"bbcreds/eval/impostor/{index}/v1")
 
 
-def frr_trial(cfg: ProtocolConfig, sigma: float, seed: int, index: int) -> str:
+def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
     """One genuine trial: enroll the identity derived from ``seed`` for trial
-    ``index``, then authenticate a fresh capture at the given noise level.
+    ``index``, then authenticate a fresh capture at noise level ``cfg.sigma``.
 
     The ASP is rebuilt deterministically from the seed, so running trials
     individually, reordered, or through ``estimate_frr`` gives the same
     outcomes.
     """
-    sample, record = _genuine_trial(cfg, sigma, seed, index, _eval_asp(seed))
+    sample, record = _genuine_trial(cfg, seed, index, _eval_asp(seed))
     return _outcome(sample, record, cfg)
 
 
@@ -229,14 +227,14 @@ def _report(
     return EvalReport(sigma=sigma, trials=trials, seed=seed, stage_counts=counts, **rates)
 
 
-def _frr_report(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
+def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     asp = _eval_asp(seed)
 
     def draw(indices: list[int]) -> tuple[np.ndarray, list[DeviceRecord]]:
-        pairs = [_genuine_trial(cfg, sigma, seed, i, asp) for i in indices]
+        pairs = [_genuine_trial(cfg, seed, i, asp) for i in indices]
         return np.stack([sample.values for sample, _ in pairs]), [r for _, r in pairs]
 
-    return _report(sigma, seed, _tally(draw, trials, cfg.liveness), trials, "frr")
+    return _report(cfg.sigma, seed, _tally(draw, trials, cfg.liveness), trials, "frr")
 
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
@@ -246,7 +244,6 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
         _eval_asp(seed),
         replace(cfg, liveness=AlwaysPass()),
         subseed(seed, "bbcreds/eval/enroll/v1"),
-        evidence=AlwaysApproveEvidence(),
     )
     counts = _tally(
         lambda indices: (
@@ -259,11 +256,12 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     return _report(cfg.sigma, seed, counts, trials, "far")
 
 
-def estimate_frr(cfg: ProtocolConfig, sigma: float, trials: int, seed: int) -> EvalReport:
-    """False rejection rate over fresh genuine identities at one noise level."""
+def estimate_frr(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
+    """False rejection rate over fresh genuine identities at noise level
+    ``cfg.sigma``."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    return _frr_report(cfg, sigma, trials, seed)
+    return _frr_report(cfg, trials, seed)
 
 
 def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
@@ -299,8 +297,9 @@ def sweep(
     sink.write(CSV_HEADER + "\n")
     rows = []
     for sigma in sigmas:
-        frr_report = _frr_report(cfg, sigma, trials, seed)
-        far_report = _far_report(replace(cfg, sigma=sigma), trials, seed)
+        row_cfg = replace(cfg, sigma=sigma)
+        frr_report = _frr_report(row_cfg, trials, seed)
+        far_report = _far_report(row_cfg, trials, seed)
         row = (
             f"{sigma:g},{trials},"
             f"{frr_report.frr:.6f},{frr_report.frr_lo:.6f},{frr_report.frr_hi:.6f},"

@@ -25,7 +25,7 @@ import numpy as np
 from .ecc import CodeParams, codec_for
 from .kdf import expand_seed, hkdf_sha256
 from .quantize import BitString, QuantizerConfig, quantize, quantize_rows
-from .synthbio import MIN_DIM, Embedding, _check_unit_rows
+from .synthbio import Embedding, _check_unit_rows
 
 __all__ = [
     "KEY_BYTES",
@@ -72,13 +72,10 @@ class HelperData:
     offset: BitString
     code: CodeParams
     quant: QuantizerConfig
-    version: int = HELPER_VERSION
 
     def __post_init__(self) -> None:
         if len(self.salt) != SALT_BYTES:
             raise ValueError(f"salt must be {SALT_BYTES} bytes, got {len(self.salt)}")
-        if not 0 <= self.version <= 255:
-            raise ValueError(f"version must fit one byte, got {self.version}")
         if self.offset.n != self.code.n:
             raise ValueError(
                 f"offset length {self.offset.n} does not match code length {self.code.n}"
@@ -165,41 +162,32 @@ def fe_reproduce_batch(
 
 
 # Canonical byte encoding, consumed by the device-record store:
-#   version(1) | salt(16) | n(2 BE) | k(2) | t(2) | dim(2) | packed offset bits
+#   HELPER_VERSION(1) | salt(16) | n(2 BE) | k(2) | t(2) | dim(2) | packed offset bits
+# The version byte is a format constant; the 2-byte dim field is why
+# QuantizerConfig caps dim at 65535.
 _HEADER = struct.Struct(">B16sHHHH")
 
 
 def encode_helper(helper: HelperData) -> bytes:
     """Canonical helper-data bytes. The quantizer is stored as ``dim`` alone:
     it always reads the first ``n`` coordinates."""
-    head = _HEADER.pack(
-        helper.version,
-        helper.salt,
-        helper.code.n,
-        helper.code.k,
-        helper.code.t,
-        helper.quant.dim,
-    )
+    code = helper.code
+    head = _HEADER.pack(HELPER_VERSION, helper.salt, code.n, code.k, code.t, helper.quant.dim)
     return head + helper.offset.data
 
 
 def decode_helper(data: bytes) -> HelperData:
-    """Strict parse of the canonical helper encoding."""
+    """Strict parse of the canonical helper encoding. The component types
+    check the rest: ``BitString`` the offset length, ``CodeParams`` the code
+    and ``QuantizerConfig`` the dim."""
     if len(data) < _HEADER.size:
         raise ValueError(f"helper data truncated at {len(data)} bytes")
     version, salt, n, k, t, dim = _HEADER.unpack_from(data)
     if version != HELPER_VERSION:
         raise ValueError(f"unsupported helper version {version}")
-    if dim < MIN_DIM:
-        # No sampler draws below MIN_DIM, so such a record could not be used.
-        raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    body = data[_HEADER.size :]
-    if len(body) != (n + 7) // 8:
-        raise ValueError(f"offset payload is {len(body)} bytes, expected {(n + 7) // 8}")
     return HelperData(
         salt=salt,
-        offset=BitString(body, n),
+        offset=BitString(data[_HEADER.size :], n),
         code=CodeParams(n, k, t),
         quant=QuantizerConfig.default(dim, n),
-        version=version,
     )

@@ -42,7 +42,7 @@ from .fextract import StableKey, fe_generate, fe_reproduce
 from .kdf import expand_seed, subseed
 from .quantize import QuantizerConfig
 from .store import DeviceRecord
-from .synthbio import DEFAULT_DIM, MIN_DIM, Embedding, IdentityProfile, NoiseModel, sample_genuine
+from .synthbio import DEFAULT_DIM, Embedding, IdentityProfile, NoiseModel, sample_genuine
 
 __all__ = [
     "DEFAULT_CODE",
@@ -231,10 +231,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         NoiseModel(self.sigma)  # the one bound on sigma
-        if self.dim < max(MIN_DIM, self.code.n):
-            raise ValueError(
-                f"dim must be >= max({MIN_DIM}, code length {self.code.n}), got {self.dim}"
-            )
+        QuantizerConfig(self.dim, self.code.n)  # the one bound on dim
 
 
 def device_enroll(

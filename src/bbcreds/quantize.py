@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .synthbio import Embedding
+from .synthbio import MIN_DIM, Embedding
 
 __all__ = ["BitString", "QuantizerConfig", "quantize", "quantize_rows"]
 
@@ -92,12 +92,20 @@ class BitString:
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Quantize the first ``code_length`` coordinates of a ``dim``-d embedding."""
+    """Quantize the first ``code_length`` coordinates of a ``dim``-d embedding.
+
+    ``dim`` is bounded by what a device record can use and hold: no sampler
+    draws below ``MIN_DIM``, and the helper header stores it in 2 bytes.
+    """
 
     dim: int
     code_length: int
 
     def __post_init__(self) -> None:
+        if self.dim < MIN_DIM:
+            raise ValueError(f"dim must be >= {MIN_DIM}, got {self.dim}")
+        if self.dim > 0xFFFF:
+            raise ValueError(f"dim must be <= 65535, got {self.dim}")
         if self.code_length <= 0 or self.code_length > self.dim:
             raise ValueError(
                 f"code_length must be in [1, dim]; got {self.code_length} for dim {self.dim}"

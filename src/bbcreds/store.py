@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .binding import (
     BoundCredential,
-    DIGEST_BYTES,
     KeyDigest,
     Sketch,
     decode_bound,
@@ -131,13 +130,10 @@ def decode_record(data: bytes) -> DeviceRecord:
         )
 
     try:
-        digest_raw = values[_TAG_DIGEST]
-        if len(digest_raw) != DIGEST_BYTES:
-            raise ValueError(f"digest must be {DIGEST_BYTES} bytes, got {len(digest_raw)}")
         record = DeviceRecord(
             helper=decode_helper(values[_TAG_HELPER]),
             sketch=decode_sketch(values[_TAG_SKETCH]),
-            digest=KeyDigest(digest_raw),
+            digest=KeyDigest(values[_TAG_DIGEST]),
             bound=decode_bound(values[_TAG_BOUND]),
         )
     except ValueError as exc:

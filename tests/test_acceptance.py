@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,14 +75,14 @@ def test_criterion_01_key_size_contract():
 
 
 def test_criterion_02_zero_noise_soundness():
-    report = estimate_frr(CFG, 0.0, 1000, SEED)
+    report = estimate_frr(replace(CFG, sigma=0.0), 1000, SEED)
     assert report.frr == 0.0
     assert report.stage_counts["Success"] == 1000
     _passed(2, "zero-noise-soundness")
 
 
 def test_criterion_03_calibrated_genuine_acceptance():
-    report = estimate_frr(CFG, SIGMA_DEFAULT, 1000, SEED)
+    report = estimate_frr(replace(CFG, sigma=SIGMA_DEFAULT), 1000, SEED)
     assert report.frr_hi <= 0.01, (
         f"FRR at calibrated sigma {SIGMA_DEFAULT}: {report.frr:.4f}, "
         f"Wilson upper {report.frr_hi:.4f} exceeds 1%"
@@ -142,7 +143,7 @@ def test_criterion_07_tamper_rejection(issuer_keys):
     for index in range(len(bound.ciphertext)):
         mutated = bytearray(bound.ciphertext)
         mutated[index] ^= 0x40
-        tampered = BoundCredential(bound.nonce, bytes(mutated), bound.aad_version)
+        tampered = BoundCredential(bound.nonce, bytes(mutated))
         with pytest.raises(AuthFailure) as err:
             unbind_auth(key, sketch, digest, tampered)
         assert err.value.reason is FailureReason.DECRYPT_FAILED
@@ -150,7 +151,7 @@ def test_criterion_07_tamper_rejection(issuer_keys):
     for index in range(len(bound.nonce)):
         mutated = bytearray(bound.nonce)
         mutated[index] ^= 0x40
-        tampered = BoundCredential(bytes(mutated), bound.ciphertext, bound.aad_version)
+        tampered = BoundCredential(bytes(mutated), bound.ciphertext)
         with pytest.raises(AuthFailure) as err:
             unbind_auth(key, sketch, digest, tampered)
         assert err.value.reason is FailureReason.DECRYPT_FAILED

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bbcreds.binding import (
     AuthFailure,
+    BOUND_VERSION,
     BoundCredential,
     FailureReason,
     KEYHASH_LABEL,
@@ -122,7 +123,6 @@ class TestUnbindStages:
             tampered = BoundCredential(
                 nonce=bound.nonce,
                 ciphertext=_flip(bound.ciphertext, index),
-                aad_version=bound.aad_version,
             )
             with pytest.raises(AuthFailure) as err:
                 unbind_auth(key, sketch, digest, tampered)
@@ -135,7 +135,6 @@ class TestUnbindStages:
             tampered = BoundCredential(
                 nonce=_flip(bound.nonce, index),
                 ciphertext=bound.ciphertext,
-                aad_version=bound.aad_version,
             )
             with pytest.raises(AuthFailure) as err:
                 unbind_auth(key, sketch, digest, tampered)
@@ -157,7 +156,6 @@ class TestUnbindStages:
         tampered = BoundCredential(
             nonce=bound.nonce,
             ciphertext=_flip(bound.ciphertext, 0),
-            aad_version=bound.aad_version,
         )
         with pytest.raises(AuthFailure) as err:
             unbind_auth(_key(0xA5), sketch, digest, tampered)
@@ -211,7 +209,7 @@ class TestCanonicalEncodings:
     def test_bound_roundtrip(self, cred):
         _, _, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 3)
         data = encode_bound(bound)
-        assert data[0] == bound.aad_version
+        assert data[0] == BOUND_VERSION
         assert decode_bound(data) == bound
 
     def test_strict_parsing(self, cred):
@@ -222,6 +220,8 @@ class TestCanonicalEncodings:
             decode_sketch(b"\x07" + encode_sketch(sketch)[1:])
         with pytest.raises(ValueError):
             decode_bound(encode_bound(bound) + b"\x00")
+        with pytest.raises(ValueError, match="unsupported bound credential version 2"):
+            decode_bound(b"\x02" + encode_bound(bound)[1:])
 
 
 class TestTypeInvariants:

@@ -1,10 +1,10 @@
 import hashlib
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from bbcreds.binding import encode_bound
 from bbcreds.cli import (
     EXIT_AUTH_FAILED,
     EXIT_ISSUANCE_DENIED,
@@ -15,10 +15,8 @@ from bbcreds.cli import (
     main,
 )
 from bbcreds.credential import generate_issuer_keys
-from bbcreds.ecc import CodeParams
 from bbcreds.parties import AgePolicy, InProcessAsp, ProtocolConfig, device_enroll
-from bbcreds.quantize import BitString, QuantizerConfig
-from bbcreds.store import decode_record, encode_record
+from bbcreds.store import decode_record
 from bbcreds.synthbio import new_identity
 
 from conftest import NOW
@@ -306,18 +304,26 @@ class TestAuth:
     @pytest.mark.parametrize("impostor", [False, True])
     def test_record_below_sampler_dim_is_usage_error(self, tmp_path, record_path,
                                                      keys_prefix, capsys, impostor):
-        record = decode_record(Path(record_path).read_bytes())
-        helper = replace(
-            record.helper,
-            offset=BitString.zeros(7),
-            code=CodeParams(7, 4, 1),
-            quant=QuantizerConfig.default(7, 7),
-        )
+        data = Path(record_path).read_bytes()
+        pos = 4 + 1 + 5 + 1 + 16 + 6  # magic, version, TLV head, helper version, salt, n, k, t
         patched = tmp_path / "dim7.bbc"
-        patched.write_bytes(encode_record(replace(record, helper=helper)))
+        patched.write_bytes(data[:pos] + (7).to_bytes(2, "big") + data[pos + 2 :])
         capsys.readouterr()
         extra = ["--impostor"] if impostor else []
         assert self._auth(str(patched), keys_prefix, *extra) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad record: InvariantViolation")
+
+    def test_unsupported_bound_version_is_usage_error(self, tmp_path, record_path,
+                                                      keys_prefix, capsys):
+        data = Path(record_path).read_bytes()
+        record = decode_record(data)
+        pos = len(data) - len(encode_bound(record.bound))  # the bound credential's version
+        patched = tmp_path / "bound2.bbc"
+        patched.write_bytes(data[:pos] + b"\x02" + data[pos + 1 :])
+        capsys.readouterr()
+        assert self._auth(str(patched), keys_prefix) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bad record: InvariantViolation")
@@ -526,17 +532,20 @@ class TestConfigFile:
         # setting has been checked.
         ("enroll", [UNSEEDED, "--clock", "-5", "--dob", "1940-01-01"]),
         ("auth", [UNSEEDED, "--clock", "-5"]),
+        # The helper header stores dim in 2 bytes.
+        ("enroll", ["--config", "dim70000.conf"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
          "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
          "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
          "auth-impostor-clock-negative", "enroll-unseeded-clock-negative",
-         "auth-unseeded-clock-negative"],
+         "auth-unseeded-clock-negative", "config-dim-70000"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
     (tmp_path / "dim4.conf").write_text("dim=4\n")
+    (tmp_path / "dim70000.conf").write_text("dim=70000\n")
     # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
     (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
     (tmp_path / "validity.conf").write_text("validity_seconds=99999999999999999999\n")

@@ -62,32 +62,33 @@ class TestWilson:
 
 class TestFrr:
     def test_zero_noise_means_zero_frr(self, cfg):
-        report = estimate_frr(cfg, 0.0, 100, SEED)
+        report = estimate_frr(replace(cfg, sigma=0.0), 100, SEED)
         assert report.frr == 0.0
         assert report.stage_counts["Success"] == 100
 
     def test_deterministic(self, cfg):
-        a = estimate_frr(cfg, 0.002, 100, SEED)
-        b = estimate_frr(cfg, 0.002, 100, SEED)
+        a = estimate_frr(replace(cfg, sigma=0.002), 100, SEED)
+        b = estimate_frr(replace(cfg, sigma=0.002), 100, SEED)
         assert a == b
 
     def test_different_seed_changes_trials(self, cfg):
-        a = estimate_frr(cfg, 0.0, 100, SEED)
-        b = estimate_frr(cfg, 0.0, 100, SEED + 1)
+        a = estimate_frr(replace(cfg, sigma=0.0), 100, SEED)
+        b = estimate_frr(replace(cfg, sigma=0.0), 100, SEED + 1)
         assert a.seed != b.seed
 
     def test_monotone_in_sigma(self, cfg):
         # Monte-Carlo oracle at the operating points fixed by the contract;
         # Wilson overlap absorbs estimation noise between adjacent levels.
-        reports = [estimate_frr(cfg, s, 1000, SEED) for s in (0.01, 0.03, 0.05, 0.10)]
+        sigmas = (0.01, 0.03, 0.05, 0.10)
+        reports = [estimate_frr(replace(cfg, sigma=s), 1000, SEED) for s in sigmas]
         for lower, higher in zip(reports, reports[1:]):
             assert higher.frr >= lower.frr or higher.frr_hi >= lower.frr_lo
 
     def test_requires_100_trials(self, cfg):
         with pytest.raises(ValueError):
-            estimate_frr(cfg, 0.0, 99, SEED)
+            estimate_frr(replace(cfg, sigma=0.0), 99, SEED)
         with pytest.raises(ValueError):
-            estimate_frr(cfg, -0.1, 100, SEED)
+            estimate_frr(replace(cfg, sigma=-0.1), 100, SEED)
 
 
 class TestFar:
@@ -124,7 +125,7 @@ PINNED_REPORTS = [
 @pytest.mark.parametrize("seed, far, frr", PINNED_REPORTS, ids=["acce97", "20250909"])
 def test_reports_pinned(cfg, seed, far, frr):
     far_report = estimate_far(cfg, 1000, seed)
-    frr_report = estimate_frr(cfg, 0.004, 200, seed)
+    frr_report = estimate_frr(replace(cfg, sigma=0.004), 200, seed)
     nonzero = lambda counts: {name: n for name, n in counts.items() if n}
     assert (far_report.far, far_report.far_lo, far_report.far_hi,
             nonzero(far_report.stage_counts)) == far
@@ -134,8 +135,9 @@ def test_reports_pinned(cfg, seed, far, frr):
 
 class TestTrialIndependence:
     def test_frr_outcomes_order_invariant(self, cfg):
-        forward = [frr_trial(cfg, 0.004, SEED, i) for i in range(100)]
-        backward = [frr_trial(cfg, 0.004, SEED, i) for i in reversed(range(100))]
+        noisy = replace(cfg, sigma=0.004)
+        forward = [frr_trial(noisy, SEED, i) for i in range(100)]
+        backward = [frr_trial(noisy, SEED, i) for i in reversed(range(100))]
         assert Counter(forward) == Counter(backward)
         assert forward == list(reversed(backward))
 
@@ -154,7 +156,7 @@ class TestTrialIndependence:
         monkeypatch.setattr(evaluate, "sample_impostor", recording_impostor)
         for i in range(5):
             for seed, index in ((SEED, i + 1), (SEED + 1, i)):
-                frr_trial(cfg, 0.003, seed, index)
+                frr_trial(replace(cfg, sigma=0.003), seed, index)
                 far_trial(enrollment["record"], cfg, seed, index)
         assert len(set(enrolled)) == len(enrolled) == 10
         assert len(set(impostors)) == len(impostors) == 10
@@ -188,8 +190,9 @@ class TestBatchedReportsEqualTrials:
     def test_frr_with_mixed_outcomes(self, cfg):
         # 200 trials fit in one chunk; _BATCH_CHUNK + 1 crosses a chunk boundary.
         for count in (200, ecc._BATCH_CHUNK + 1):
-            report = estimate_frr(cfg, 0.005, count, SEED)
-            trials = Counter(frr_trial(cfg, 0.005, SEED, i) for i in range(count))
+            noisy = replace(cfg, sigma=0.005)
+            report = estimate_frr(noisy, count, SEED)
+            trials = Counter(frr_trial(noisy, SEED, i) for i in range(count))
             assert Counter(report.stage_counts) == trials
             assert trials["Extract"] and trials["Success"]
 
@@ -198,12 +201,12 @@ class TestBatchedReportsEqualTrials:
         records = _capture_enrollments(monkeypatch)
         failing = replace(cfg, liveness=AlwaysFail())
         far = estimate_far(failing, 1000, SEED)
-        frr = estimate_frr(failing, 0.003, 100, SEED)
+        frr = estimate_frr(replace(failing, sigma=0.003), 100, SEED)
         assert Counter(far.stage_counts) == Counter(
             far_trial(records[0], failing, SEED, i) for i in range(1000)
         ) == {"Liveness": 1000}
         assert Counter(frr.stage_counts) == Counter(
-            frr_trial(failing, 0.003, SEED, i) for i in range(100)
+            frr_trial(replace(failing, sigma=0.003), SEED, i) for i in range(100)
         ) == {"Liveness": 100}
 
 
@@ -235,7 +238,7 @@ class TestSweep:
 def test_liveness_policy_gates_authentication_only(cfg):
     failing = replace(cfg, liveness=AlwaysFail())
     assert estimate_far(failing, 1000, SEED).stage_counts == {**ZERO_COUNTS, "Liveness": 1000}
-    assert estimate_frr(failing, 0.003, 100, SEED).stage_counts == {
+    assert estimate_frr(replace(failing, sigma=0.003), 100, SEED).stage_counts == {
         **ZERO_COUNTS, "Liveness": 100
     }
 
@@ -268,7 +271,7 @@ def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, variant, 
                                                      expected):
     enroll = evaluate.device_enroll
     monkeypatch.setattr(evaluate, "device_enroll", lambda *a, **kw: tamper(enroll(*a, **kw)))
-    report = estimate_frr(replace(cfg, sketch_variant=variant), 0.0, 100, SEED)
+    report = estimate_frr(replace(cfg, sketch_variant=variant, sigma=0.0), 100, SEED)
     assert tuple(report.stage_counts) == OUTCOMES
     assert report.stage_counts[expected] == report.trials == 100
     assert report.frr == 1.0

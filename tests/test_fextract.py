@@ -206,6 +206,13 @@ def test_helper_invariants():
             code=CODE,
             quant=QCFG,
         )
+    with pytest.raises(ValueError, match="quantizer emits 255 bits"):
+        HelperData(
+            salt=bytes(16),
+            offset=BitString.zeros(511),
+            code=CODE,
+            quant=QuantizerConfig.default(512, 255),
+        )
 
 
 def test_stable_key_invariant():

@@ -59,6 +59,16 @@ class TestQuantizerConfig:
             with pytest.raises(ValueError):
                 QuantizerConfig.default(8, code_length)
 
+    def test_dim_bounds(self):
+        # No sampler draws below 8 coordinates, and the helper header stores
+        # dim in 2 bytes.
+        for dim in (8, 65535):
+            assert QuantizerConfig(dim, 8).dim == dim
+        with pytest.raises(ValueError, match="dim must be >= 8, got 7"):
+            QuantizerConfig(7, 7)
+        with pytest.raises(ValueError, match="dim must be <= 65535, got 65536"):
+            QuantizerConfig(65536, 8)
+
 
 class TestQuantize:
     def test_all_positive_gives_all_ones(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcreds.binding import (
+    BOUND_VERSION,
     BoundCredential,
     KeyDigest,
     Sketch,
@@ -36,12 +37,14 @@ def _random_record(rng=None) -> DeviceRecord:
     offset_bits[-1] &= 0xFE  # zero padding bit
     variant = SketchVariant.XOR if rng(1)[0] % 2 == 0 else SketchVariant.ENCRYPTED
     payload = rng(32) if variant is SketchVariant.XOR else rng(60)
+    # 65535 is the largest dim the helper header's 2-byte field holds.
+    dim = (511, 512, 65535)[rng(1)[0] % 3]
     return DeviceRecord(
         helper=HelperData(
             salt=rng(16),
             offset=BitString(bytes(offset_bits), n),
             code=CodeParams(511, 259, 30),
-            quant=QuantizerConfig.default(512, n),
+            quant=QuantizerConfig.default(dim, n),
         ),
         sketch=Sketch(variant, payload),
         digest=KeyDigest(rng(32)),
@@ -205,19 +208,24 @@ class TestStrictness:
         assert codec_for.cache_info().currsize == 0
 
     def test_dim_below_sampler_minimum_rejected(self):
-        # (7, 4, 1) fits a 7-d quantizer, but no sampler draws 7-d captures.
-        record = _random_record()
-        helper = HelperData(
-            salt=record.helper.salt,
-            offset=BitString.zeros(7),
-            code=CodeParams(7, 4, 1),
-            quant=QuantizerConfig.default(7, 7),
-        )
-        data = encode_record(DeviceRecord(helper, record.sketch, record.digest, record.bound))
+        # No sampler draws 7-d captures, so no type holds such a record.
+        data = encode_record(_random_record())
+        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 6  # TLV head, helper version, salt, n, k, t
+        data = data[:pos] + (7).to_bytes(2, "big") + data[pos + 2 :]
         with pytest.raises(FormatError) as err:
             decode_record(data)
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
         assert "dim must be >= 8" in str(err.value)
+
+    def test_unsupported_bound_version_rejected(self, enrollment):
+        record = enrollment["record"]
+        data = encode_record(record)
+        pos = len(data) - len(encode_bound(record.bound))  # the bound credential's version
+        assert data[pos] == BOUND_VERSION
+        with pytest.raises(FormatError) as err:
+            decode_record(data[:pos] + b"\x02" + data[pos + 1 :])
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert "unsupported bound credential version 2" in str(err.value)
 
     def test_empty_body_reports_missing_tags(self):
         with pytest.raises(FormatError) as err:
