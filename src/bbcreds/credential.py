@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -86,8 +86,9 @@ class IssuerKeyPair:
 
     public: bytes
     private: bytes = field(repr=False)
-    # The loaded signing key, kept so that issuance does not parse it again.
+    # Derived once, so that issuance neither parses the key nor hashes it again.
     signer: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+    issuer_id: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.public) != 32 or len(self.private) != 32:
@@ -96,6 +97,7 @@ class IssuerKeyPair:
         if signer.public_key().public_bytes_raw() != self.public:
             raise ValueError("public key does not belong to the private key")
         object.__setattr__(self, "signer", signer)
+        object.__setattr__(self, "issuer_id", issuer_id_for(self.public))
 
 
 class RejectReason(enum.Enum):
@@ -145,6 +147,8 @@ def encode_agecred(c: AgeCred) -> bytes:
 def decode_agecred(data: bytes) -> AgeCred:
     if len(data) != ENCODED_LEN:
         raise ValueError(f"credential must be {ENCODED_LEN} bytes, got {len(data)}")
+    if data[0] != CRED_VERSION:
+        raise ValueError(f"unsupported credential version {data[0]}")
     version, issuer_id, subject_id, age_over, issued_at, expires_at, sig = _LAYOUT.unpack(data)
     return AgeCred(version, issuer_id, subject_id, age_over, issued_at, expires_at, sig)
 
@@ -156,20 +160,20 @@ def issue_agecred(
     issued_at: int,
     validity_seconds: int,
 ) -> AgeCred:
-    """Sign a fresh age-over attestation for the given pseudonymous subject."""
+    """Sign a fresh age-over attestation for the given pseudonymous subject.
+
+    The prefix is packed straight from the arguments and signed, and the
+    one ``AgeCred`` built from them runs the field checks.
+    """
     if not 0 < age_over < MAX_AGE_OVER:
         raise ValueError(f"age_over must be in (0, {MAX_AGE_OVER}), got {age_over}")
-    unsigned = AgeCred(
-        version=CRED_VERSION,
-        issuer_id=issuer_id_for(keys.public),
-        subject_id=subject_id,
-        age_over=age_over,
-        issued_at=issued_at,
-        expires_at=issued_at + validity_seconds,
-        signature=bytes(64),
-    )
-    signature = keys.signer.sign(_signed_prefix(unsigned))
-    return replace(unsigned, signature=signature)
+    fields = (CRED_VERSION, keys.issuer_id, subject_id, age_over, issued_at,
+              issued_at + validity_seconds)
+    try:
+        prefix = _PREFIX.pack(*fields)
+    except struct.error as exc:  # a time outside the unsigned 64-bit fields
+        raise ValueError(f"credential field out of range: {exc}") from None
+    return AgeCred(*fields, keys.signer.sign(prefix))
 
 
 def verify_agecred(

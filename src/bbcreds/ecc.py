@@ -6,6 +6,13 @@ a designed distance of 2t+1 and therefore correction of any error pattern
 of weight <= t. The coset sizes alone give k, so ``CodeParams`` rejects an
 unsupported (n, k, t) without building a codec or any of its tables.
 
+Encoding is systematic, message bits then parity, and the parity is
+read from a table as in table-driven CRC division (Sarwate 1988): it is
+linear in the message bits, so ``encode`` XORs one ``_parity_rows`` entry
+per 4-bit nibble of the packed message, 66 at (511, 259, 30). Rows per
+byte would halve the lookups but take eight times the memory, in every
+process that builds a codec.
+
 Decoding is the binary form of the classical chain:
 
 - Syndromes: only the t odd ones, S_1, S_3, .., S_2t-1, each the XOR of
@@ -51,10 +58,11 @@ codec in about 5 ms: 960 KiB of fused syndrome entries (64 byte
 positions, 256 values, 30 uint16 syndromes), 837 KiB of root-search rows
 (31 coefficients, 48 rows each of 9 planes of 8 words), the same 1488
 rows again as Python ints for ``_root_mask`` (898 KiB), 8 KB mapping
-each field element to its two rows, and 4 KB each of numpy exp and log
-tables. The root search holds 576 bytes per row. A 256-row chunk of
-random words peaks at about 0.8 MiB of temporaries, most of it
-Berlekamp-Massey's int64 log arrays.
+each field element to its two rows, 4 KB each of numpy exp and log
+tables, and 75 KB of parity rows (66 nibble rows of 16 ints; rows per
+byte would take 573 KB). The root search holds 576 bytes per row. A
+256-row chunk of random words peaks at about 0.8 MiB of temporaries,
+most of it Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -137,14 +145,6 @@ def _clmul(a: int, b: int) -> int:
     return result
 
 
-def _poly_mod(a: int, g: int) -> int:
-    """Remainder of a(x) mod g(x) over GF(2)."""
-    dg = g.bit_length()
-    while a.bit_length() >= dg:
-        a ^= g << (a.bit_length() - dg)
-    return a
-
-
 def _cyclotomic_cosets(n: int, t: int) -> list[list[int]]:
     """Cyclotomic cosets {i, 2i, 4i, ...} mod n that cover 1 .. 2t.
 
@@ -171,6 +171,36 @@ def _bch_k(n: int, t: int) -> int:
     """k of the length-n BCH code with designed distance 2t + 1; cached, as
     every parsed record asks (only about 1020 supported (n, t) pairs exist)."""
     return n - sum(map(len, _cyclotomic_cosets(n, t)))
+
+
+def _parity_rows(params: CodeParams, generator: int) -> list[tuple[list[int], list[int]]]:
+    """Parity shares of each packed message byte, as two 16-entry nibble rows.
+
+    Parity is linear in the message bits, and message bit j, the
+    coefficient of x^(n-1-j) once shifted by n - k, contributes
+    x^(n-1-j) mod g. Those shares come from doubling: x^(n-k) mod g is
+    g + x^(n-k), as g is monic of degree n - k, and each next power shifts
+    left by one and adds g when bit n - k is set. Entry v of a nibble's row
+    is the XOR of the shares of v's set bits, built by doubling over the
+    bits; pad bits past k are zero in a packed message and get no share.
+    """
+    n, k = params.n, params.k
+    r = n - k
+    shares = []  # x^r .. x^(n-1) mod g: the shares of message bits k-1 .. 0
+    power = generator ^ (1 << r)
+    for _ in range(k):
+        shares.append(power)
+        power <<= 1
+        if power >> r & 1:
+            power ^= generator
+    shares = shares[::-1] + [0] * (-k % 8)
+    rows = []
+    for first in range(0, len(shares), 4):
+        row = [0]
+        for share in reversed(shares[first : first + 4]):  # nibble bit 0 is its last message bit
+            row += [v ^ share for v in row]
+        rows.append(row)
+    return list(zip(rows[0::2], rows[1::2]))
 
 
 class BchCodec:
@@ -225,6 +255,9 @@ class BchCodec:
             table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ shares[:, 7 - j, None]
         self._syndrome_table = table.reshape(256 * size, t)
         self._syndrome_rows = 256 * np.arange(size)[:, None]
+
+        # Encoder table: two nibble rows per packed message byte.
+        self._parity_rows = _parity_rows(params, self._generator)
 
     def _build_root_tables(self, m: int) -> None:
         """Tables for ``_roots`` and ``_root_mask``, built one coefficient at a time.
@@ -294,12 +327,18 @@ class BchCodec:
         return generator
 
     def encode(self, msg: BitString) -> BitString:
-        """Systematic encoding: message bits first, then parity bits."""
+        """Systematic encoding: message bits first, then parity bits.
+
+        The parity is the XOR of two ``_parity_rows`` entries per packed
+        message byte, one for each nibble.
+        """
         p = self.params
         if msg.n != p.k:
             raise ValueError(f"message length {msg.n} does not match k={p.k}")
-        shifted = msg.as_int() << (p.n - p.k)
-        return BitString.from_int(shifted ^ _poly_mod(shifted, self._generator), p.n)
+        parity = 0
+        for (high, low), byte in zip(self._parity_rows, msg.data):
+            parity ^= high[byte >> 4] ^ low[byte & 15]
+        return BitString.from_int((msg.as_int() << (p.n - p.k)) ^ parity, p.n)
 
     def _locator(self, odd: list[int]) -> list[int]:
         """Binary Berlekamp-Massey over S_1 .. S_2t, given S_1, S_3, .., S_2t-1.

@@ -118,7 +118,8 @@ class NoiseModel:
 
 
 def _normalized(v: np.ndarray) -> Embedding:
-    return Embedding(v / np.linalg.norm(v))
+    # np.linalg.norm's own formula for a 1-d float vector, without its dispatch.
+    return Embedding(v / np.sqrt(v.dot(v)))
 
 
 def new_identity(seed: int, dim: int = DEFAULT_DIM) -> IdentityProfile:

@@ -49,6 +49,11 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_agecred(encode_agecred(cred)[:-1])
 
+    @pytest.mark.parametrize("version", [0, 2, 7, 255])
+    def test_unknown_version_rejected(self, cred, version):
+        with pytest.raises(ValueError, match="version"):
+            decode_agecred(bytes([version]) + encode_agecred(cred)[1:])
+
 
 class TestIssuance:
     def test_fresh_credential_verifies(self, keys, cred):
@@ -85,6 +90,15 @@ class TestIssuance:
     def test_validity_must_be_positive(self, keys):
         with pytest.raises(ValueError):
             issue_agecred(keys, SUBJECT, 18, NOW, 0)
+
+    @pytest.mark.parametrize(
+        "issued_at, validity",
+        [(-1, 86400), (1 << 64, 86400), (NOW, (1 << 64) - NOW), (NOW, -NOW - 1)],
+        ids=["issued-negative", "issued-2-64", "expires-2-64", "expires-negative"],
+    )
+    def test_times_outside_u64_rejected(self, keys, issued_at, validity):
+        with pytest.raises(ValueError):
+            issue_agecred(keys, SUBJECT, 18, issued_at, validity)
 
     def test_issuer_id_derived_from_public_key(self, keys, cred):
         assert cred.issuer_id == issuer_id_for(keys.public)
@@ -149,6 +163,16 @@ class TestKeyPairs:
     def test_seeded_generation_deterministic(self):
         assert generate_issuer_keys(seed=5) == generate_issuer_keys(seed=5)
         assert generate_issuer_keys(seed=5) != generate_issuer_keys(seed=6)
+
+    def test_issuer_id_is_derived_not_compared(self):
+        keys = generate_issuer_keys(seed=5)
+        assert keys.issuer_id == issuer_id_for(keys.public)
+        assert "issuer_id" not in repr(keys) and repr(keys.issuer_id) not in repr(keys)
+        other = IssuerKeyPair(public=keys.public, private=keys.private)
+        object.__setattr__(other, "issuer_id", bytes(16))
+        assert other == keys and hash(other) == hash(keys)
+        with pytest.raises(TypeError):
+            IssuerKeyPair(public=keys.public, private=keys.private, issuer_id=keys.issuer_id)
 
     def test_mismatched_pair_rejected(self):
         a = generate_issuer_keys(seed=1)

@@ -98,6 +98,16 @@ def _reference_decode(params, word):
     return BitString.from_int(value >> (n - k), k)
 
 
+def _reference_encode(params, generator, msg):
+    """Systematic encoding by bit-serial long division by g(x): the shifted
+    message, plus its remainder. ``BchCodec.encode`` must return exactly this."""
+    shifted = msg.as_int() << (params.n - params.k)
+    remainder = shifted
+    while remainder.bit_length() >= generator.bit_length():
+        remainder ^= generator << (remainder.bit_length() - generator.bit_length())
+    return BitString.from_int(shifted ^ remainder, params.n)
+
+
 class TestCodeParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -453,6 +463,53 @@ def _zero_first_syndrome_errors(n, rng, triples):
         if not triple & powers:
             powers |= triple
     return powers
+
+
+# Every field size, plus the edges of n - k: no parity at all, and 10 bits
+# of parity under a 1013-bit message. (7, 4, 1) pads its message with more
+# bits (4) than it has parity bits (3).
+ENCODE_CODES = CODE_PER_M + [CodeParams(15, 15, 0), CodeParams(1023, 1013, 1)]
+
+
+def _code_id(params):
+    return f"{params.n}-{params.k}-{params.t}"
+
+
+class TestEncodeReference:
+    """``encode`` equals bit-serial long division by g(x), on every unit
+    message (the basis its parity table is built from) and on random ones."""
+
+    @pytest.mark.parametrize("params", ENCODE_CODES, ids=_code_id)
+    def test_unit_messages(self, params):
+        codec = codec_for(params)
+        for j in range(params.k):
+            msg = BitString.from_int(1 << j, params.k)
+            assert codec.encode(msg) == _reference_encode(params, codec._generator, msg)
+
+    @pytest.mark.parametrize("params", ENCODE_CODES, ids=_code_id)
+    def test_random_messages(self, params):
+        codec = codec_for(params)
+        rng = np.random.default_rng(params.n + params.t)
+        for _ in range(20):
+            msg = _random_message(rng, params.k)
+            word = codec.encode(msg)
+            assert word == _reference_encode(params, codec._generator, msg)
+            # A codeword of the BCH code has alpha^1 .. alpha^2t as roots.
+            assert not any(_reference_syndromes(params, word, range(1, 2 * params.t + 1)))
+
+    def test_parity_rows_stay_small(self):
+        """Nibble rows for the production code fit in 128 KiB while they are
+        built; rows per byte would take about 560 KiB, and every workload
+        builds the codec."""
+        codec = codec_for(PROD_CODE)
+        tracemalloc.start()
+        try:
+            rows = ecc._parity_rows(PROD_CODE, codec._generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == (PROD_CODE.k + 7) // 8
+        assert peak < 128 << 10
 
 
 class TestChunkStages:
