@@ -42,7 +42,6 @@ __all__ = [
     "FailureReason",
     "AuthFailure",
     "hash_key",
-    "derive_stable_secret",
     "bind_enroll",
     "unbind_auth",
     "bind_oneway",
@@ -153,11 +152,6 @@ def _enroll_draw(rng_seed: int) -> tuple[StableSecret, bytes, bytes]:
     material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)
     nonces = material[SECRET_BYTES:]
     return StableSecret(material[:SECRET_BYTES]), nonces[:NONCE_BYTES], nonces[NONCE_BYTES:]
-
-
-def derive_stable_secret(rng_seed: int) -> StableSecret:
-    """The stable secret drawn by ``bind_enroll`` for this seed."""
-    return _enroll_draw(rng_seed)[0]
 
 
 def _xor32(a: bytes, b: bytes) -> bytes:

@@ -206,10 +206,10 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     now = _clock(args)
     seed = _run_seed(args)
     asp = InProcessAsp(keys, policy, now=now)
-    profile = new_identity(args.identity_seed, cfg.dim)
+    identity = new_identity(args.identity_seed, cfg.dim)
     try:
         record = device_enroll(
-            profile, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob)
+            identity, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob)
         )
     except LivenessFailed as exc:
         print(f"liveness check failed: {exc}", file=sys.stderr)
@@ -252,8 +252,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
     if args.impostor:
         sample = sample_impostor(seed, dim)
     else:
-        profile = new_identity(args.identity_seed, dim)
-        sample = sample_genuine(profile, NoiseModel(cfg.sigma), seed)
+        sample = sample_genuine(new_identity(args.identity_seed, dim), NoiseModel(cfg.sigma), seed)
 
     try:
         cred = device_authenticate(sample, record, _liveness(args))

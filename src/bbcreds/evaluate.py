@@ -181,15 +181,15 @@ def _genuine_trial(
 ) -> tuple[Embedding, DeviceRecord]:
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
-    profile = new_identity(base, cfg.dim)
+    identity = new_identity(base, cfg.dim)
     record = device_enroll(
-        profile,
+        identity,
         asp,
         replace(cfg, liveness=AlwaysPass()),
         subseed(base, "bbcreds/eval/enroll/v1"),
     )
     sample = sample_genuine(
-        profile, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
+        identity, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
     )
     return sample, record
 
@@ -238,9 +238,8 @@ def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
 
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    profile = new_identity(seed, cfg.dim)
     record = device_enroll(
-        profile,
+        new_identity(seed, cfg.dim),
         _eval_asp(seed),
         replace(cfg, liveness=AlwaysPass()),
         subseed(seed, "bbcreds/eval/enroll/v1"),
@@ -294,10 +293,14 @@ def sweep(
     """
     if not sigmas:
         raise ValueError("sigmas must be nonempty")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    # Every row's config is built, and so every sigma checked, before the
+    # header is written: a bad argument leaves the sink empty.
+    row_cfgs = [replace(cfg, sigma=sigma) for sigma in sigmas]
     sink.write(CSV_HEADER + "\n")
     rows = []
-    for sigma in sigmas:
-        row_cfg = replace(cfg, sigma=sigma)
+    for sigma, row_cfg in zip(sigmas, row_cfgs):
         frr_report = _frr_report(row_cfg, trials, seed)
         far_report = _far_report(row_cfg, trials, seed)
         row = (

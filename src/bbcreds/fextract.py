@@ -87,18 +87,14 @@ class HelperData:
 
 
 def _derive_key(message: BitString, salt: bytes) -> StableKey:
-    return StableKey(hkdf_sha256(message.data, _KDF_LABEL, salt=salt, length=KEY_BYTES))
+    return StableKey(hkdf_sha256(message.data, _KDF_LABEL, salt=salt))
 
 
 def _random_message(seed: int, k: int) -> tuple[bytes, BitString]:
     nbytes = (k + 7) // 8
     material = expand_seed(seed, _GEN_LABEL, SALT_BYTES + nbytes)
-    salt = material[:SALT_BYTES]
-    raw = bytearray(material[SALT_BYTES:])
-    pad = 8 * nbytes - k
-    if pad:
-        raw[-1] &= 0xFF << pad & 0xFF
-    return salt, BitString(bytes(raw), k)
+    value = int.from_bytes(material[SALT_BYTES:], "big") >> (8 * nbytes - k)
+    return material[:SALT_BYTES], BitString.from_int(value, k)
 
 
 def fe_generate(

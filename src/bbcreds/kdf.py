@@ -24,11 +24,11 @@ def tagged_hash(label: str, data: bytes) -> bytes:
     return hashlib.sha256(label.encode("ascii") + b"\x00" + data).digest()
 
 
-def hkdf_sha256(ikm: bytes, label: str, salt: bytes | None = None, length: int = 32) -> bytes:
-    """HKDF-SHA256 with the label as the info string."""
+def hkdf_sha256(ikm: bytes, label: str, salt: bytes | None = None) -> bytes:
+    """32 bytes of HKDF-SHA256 with the label as the info string."""
     return HKDF(
         algorithm=hashes.SHA256(),
-        length=length,
+        length=32,
         salt=salt,
         info=label.encode("ascii"),
     ).derive(ikm)

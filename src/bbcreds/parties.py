@@ -1,11 +1,13 @@
 """Three-party protocol simulation: issuer (ASP), device, relying party.
 
-The device captures a sample, gates it on liveness, derives the stable
-key, asks the ASP for an age credential, and binds it locally. What
-reaches the ASP is the ``IssuanceRequest`` object itself (subject id,
-evidence, nonce); there is no byte encoding of it. Post issuance,
-authentication is entirely device-local and the relying party sees only
-the recovered credential.
+The device captures a sample of an identity's reference embedding, gates
+it on liveness, derives the stable key, asks the ASP for an age
+credential, and binds it locally. Enrollment hands out the
+``DeviceRecord`` and nothing else: the stable key and secret never leave
+``device_enroll``. What reaches the ASP is the ``IssuanceRequest`` object
+itself (subject id, evidence, nonce); there is no byte encoding of it.
+Post issuance, authentication is entirely device-local and the relying
+party sees only the recovered credential.
 
 The ASP is reached through anything with a ``handle(IssuanceRequest) ->
 AgeCred`` method that raises ``IssuanceDenied`` on refusal;
@@ -18,17 +20,9 @@ import enum
 import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Callable, Protocol, Union
+from typing import Protocol, Union
 
-from .binding import (
-    BoundCredential,
-    Sketch,
-    SketchVariant,
-    StableSecret,
-    bind_enroll,
-    derive_stable_secret,
-    unbind_auth,
-)
+from .binding import SketchVariant, bind_enroll, unbind_auth
 from .credential import (
     MAX_AGE_OVER,
     AgeCred,
@@ -38,11 +32,11 @@ from .credential import (
     verify_agecred,
 )
 from .ecc import CodeParams
-from .fextract import StableKey, fe_generate, fe_reproduce
+from .fextract import fe_generate, fe_reproduce
 from .kdf import expand_seed, subseed
 from .quantize import QuantizerConfig
 from .store import DeviceRecord
-from .synthbio import DEFAULT_DIM, Embedding, IdentityProfile, NoiseModel, sample_genuine
+from .synthbio import DEFAULT_DIM, Embedding, NoiseModel, sample_genuine
 
 __all__ = [
     "DEFAULT_CODE",
@@ -235,23 +229,19 @@ class ProtocolConfig:
 
 
 def device_enroll(
-    profile: IdentityProfile,
+    identity: Embedding,
     asp: AspAccess,
     cfg: ProtocolConfig,
     rng_seed: int,
     evidence: Evidence = AlwaysApproveEvidence(),
-    secret_observer: Callable[[StableKey, StableSecret], None] | None = None,
 ) -> DeviceRecord:
-    """Full enrollment: capture, liveness gate, key generation, issuance,
-    binding. Returns the four retained artifacts and nothing else; the
-    stable key and secret are dropped on exit.
-
-    ``secret_observer`` is test instrumentation: it receives the key and
-    secret before they are discarded so tests can assert they leak into
-    no output. Production callers leave it unset.
+    """Full enrollment of the identity with reference embedding ``identity``:
+    capture, liveness gate, key generation, issuance, binding. Returns the
+    four retained artifacts and nothing else; the stable key and secret are
+    dropped on exit.
     """
     capture = sample_genuine(
-        profile, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
+        identity, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )
     if not liveness_check(cfg.liveness):
         raise LivenessFailed(f"policy {type(cfg.liveness).__name__}")
@@ -266,12 +256,9 @@ def device_enroll(
     )
     cred = asp.handle(request)
 
-    bind_seed = subseed(rng_seed, "bbcreds/device/bind/v1")
     sketch, digest, bound = bind_enroll(
-        key, cred, cfg.sketch_variant, bind_seed
+        key, cred, cfg.sketch_variant, subseed(rng_seed, "bbcreds/device/bind/v1")
     )
-    if secret_observer is not None:
-        secret_observer(key, derive_stable_secret(bind_seed))
     return DeviceRecord(helper=helper, sketch=sketch, digest=digest, bound=bound)
 
 

@@ -9,7 +9,8 @@ All operations are pure functions of their seeds. Each role draws from its
 own stream, expanded from the caller's seed under a role label (identity,
 genuine noise, impostor), so one seed used in two roles gives independent
 vectors: impostor ``s`` is never identity ``s``, and the noise of a capture
-seeded ``s`` is unrelated to either.
+seeded ``s`` is unrelated to either. An identity is its reference
+``Embedding`` and nothing else; ``sample_genuine`` takes that mean.
 
 Identity and genuine-noise rows are numpy's own stream: the values of
 ``np.random.default_rng(subseed(seed, role_label)).standard_normal(dim)``.
@@ -29,13 +30,12 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .kdf import SEED_MASK, expand_seed, subseed
+from .kdf import expand_seed, subseed
 
 __all__ = [
     "DEFAULT_DIM",
     "MIN_DIM",
     "Embedding",
-    "IdentityProfile",
     "NoiseModel",
     "new_identity",
     "sample_genuine",
@@ -96,14 +96,6 @@ class Embedding:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityProfile:
-    """A synthetic person: reference embedding plus the seed that made it."""
-
-    mean: Embedding
-    seed: int
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-dimension Gaussian capture noise (std-dev before renormalization)."""
@@ -122,24 +114,23 @@ def _normalized(v: np.ndarray) -> Embedding:
     return Embedding(v / np.sqrt(v.dot(v)))
 
 
-def new_identity(seed: int, dim: int = DEFAULT_DIM) -> IdentityProfile:
-    """Create a reproducible identity with a unit-norm Gaussian reference."""
+def new_identity(seed: int, dim: int = DEFAULT_DIM) -> Embedding:
+    """A reproducible identity: its unit-norm Gaussian reference embedding."""
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    mean = _normalized(_normals(seed, _IDENTITY_LABEL, dim))
-    return IdentityProfile(mean=mean, seed=seed & SEED_MASK)
+    return _normalized(_normals(seed, _IDENTITY_LABEL, dim))
 
 
-def sample_genuine(profile: IdentityProfile, noise: NoiseModel, rng_seed: int) -> Embedding:
-    """A noisy capture of the profile: normalize(mean + sigma * g).
+def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int) -> Embedding:
+    """A noisy capture of the identity ``mean``: normalize(mean + sigma * g).
 
     With sigma == 0 the reference is returned unchanged (it is already
     unit norm), so zero-noise captures are bit-identical to the mean.
     """
     if noise.sigma == 0.0:
-        return Embedding(profile.mean.values.copy())
-    g = _normals(rng_seed, _GENUINE_LABEL, profile.mean.dim)
-    return _normalized(profile.mean.values + noise.sigma * g)
+        return Embedding(mean.values.copy())
+    g = _normals(rng_seed, _GENUINE_LABEL, mean.dim)
+    return _normalized(mean.values + noise.sigma * g)
 
 
 def sample_impostor(rng_seed: int, dim: int = DEFAULT_DIM) -> Embedding:

@@ -27,7 +27,6 @@ from bbcreds.binding import (
     StableSecret,
     bind_enroll,
     bind_oneway,
-    derive_stable_secret,
     unbind_auth,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, issue_agecred
@@ -63,7 +62,7 @@ def test_criterion_01_key_size_contract():
     quant = QuantizerConfig.default(512, CFG.code.n)
     assert CFG.dim == 512 and CFG.code.k >= 256
     for seed in range(25):
-        embedding = new_identity(seed, 512).mean
+        embedding = new_identity(seed, 512)
         key, helper = fe_generate(embedding, CFG.code, quant, seed)
         assert len(key.key) == 32
         assert helper.quant.dim == 512
@@ -124,9 +123,9 @@ def test_criterion_06_sketch_algebra():
 
     # One-way variation: with sketch = key XOR secret, the derived token
     # equals the key's hash under the matching domain label.
-    for seed in range(50):
+    for _ in range(50):
         key = StableKey(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
-        secret = derive_stable_secret(seed)
+        secret = StableSecret(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
         payload = bytes(x ^ y for x, y in zip(key.key, secret.secret))
         from bbcreds.binding import ONEWAY_LABEL, Sketch
 
@@ -265,15 +264,15 @@ def test_known_defect_unlocked_credential_is_bearer_token(enrollment, issuer_key
     # genuine unlock are granted to whoever replays them, for as long as the
     # credential is valid, and every RP receives the same bytes, which
     # links one user across RPs. Holder binding would make this test fail.
-    profile, record = enrollment["profile"], enrollment["record"]
+    identity, record = enrollment["identity"], enrollment["record"]
     noise = NoiseModel(SIGMA_DEFAULT)
-    unlocked = device_authenticate(sample_genuine(profile, noise, 1), record, CFG.liveness)
+    unlocked = device_authenticate(sample_genuine(identity, noise, 1), record, CFG.liveness)
     presented = encode_agecred(unlocked)
     replayed = decode_agecred(presented)
     for later in (1, 86400, 30 * 86400):
         assert rp_check_access(replayed, issuer_keys.public, NOW + later, 18).granted
 
-    to_second_rp = device_authenticate(sample_genuine(profile, noise, 2), record, CFG.liveness)
+    to_second_rp = device_authenticate(sample_genuine(identity, noise, 2), record, CFG.liveness)
     assert encode_agecred(to_second_rp) == presented
 
 

@@ -18,7 +18,6 @@ from bbcreds.binding import (
     bind_oneway,
     decode_bound,
     decode_sketch,
-    derive_stable_secret,
     encode_bound,
     encode_sketch,
     hash_key,
@@ -78,8 +77,24 @@ class TestBindUnbindRoundtrip:
         assert len(bound.ciphertext) == 114 + 16
 
     def test_zero_key_xor_sketch_equals_secret(self, cred):
-        sketch, _, _ = bind_enroll(StableKey(bytes(32)), cred, SketchVariant.XOR, 1234)
-        assert sketch.payload == derive_stable_secret(1234).secret
+        # The zero key's sketch is the seed's secret itself, so any key's
+        # sketch at that seed is the key XOR that same secret.
+        zero, _, _ = bind_enroll(StableKey(bytes(32)), cred, SketchVariant.XOR, 1234)
+        for byte in (0x01, 0x5A, 0xFF):
+            key = _key(byte)
+            sketch, _, _ = bind_enroll(key, cred, SketchVariant.XOR, 1234)
+            assert bytes(a ^ b for a, b in zip(sketch.payload, zero.payload)) == key.key
+
+    def test_variants_share_digest_and_bound_credential(self, cred):
+        # The variant changes only the sketch: the key digest and the
+        # credential ciphertext, and so the secret it is encrypted under,
+        # are the same for both at one seed.
+        for seed in (0, 1234, 2**64 - 1):
+            key = StableKey(os.urandom(32))
+            _, xor_digest, xor_bound = bind_enroll(key, cred, SketchVariant.XOR, seed)
+            _, enc_digest, enc_bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
+            assert enc_digest == xor_digest
+            assert enc_bound == xor_bound
 
     def test_deterministic_in_seed(self, cred):
         a = bind_enroll(_key(), cred, SketchVariant.XOR, 99)
@@ -91,7 +106,10 @@ class TestBindUnbindRoundtrip:
     def test_outputs_never_contain_key_or_secret(self, cred):
         for seed in range(200):
             key = StableKey(os.urandom(32))
-            secret = derive_stable_secret(seed).secret
+            # Both variants encrypt the credential under one secret per seed,
+            # and the XOR sketch reveals it to the key's holder.
+            xor_sketch, _, _ = bind_enroll(key, cred, SketchVariant.XOR, seed)
+            secret = bytes(a ^ b for a, b in zip(key.key, xor_sketch.payload))
             sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
             blob = encode_sketch(sketch) + digest.digest + encode_bound(bound)
             assert key.key not in blob
@@ -173,8 +191,11 @@ class TestOneWayBinding:
         # hash under the same label.
         key = StableKey(os.urandom(32))
         seed = 31337
-        sketch, _, _ = bind_enroll(key, cred, SketchVariant.XOR, seed)
-        secret = derive_stable_secret(seed)
+        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, seed)
+        secret = StableSecret(bytes(a ^ b for a, b in zip(key.key, sketch.payload)))
+        # The key opens the credential, so the sketch holds the secret it is
+        # encrypted under.
+        assert unbind_auth(key, sketch, digest, bound) == cred
         assert bind_oneway(secret, sketch) == tagged_hash(ONEWAY_LABEL, key.key)
 
     def test_deterministic(self):
@@ -247,7 +268,7 @@ class TestTypeInvariants:
     [
         (generate_issuer_keys(seed=1), lambda keys: keys.private),
         (StableKey(bytes(range(32))), lambda key: key.key),
-        (derive_stable_secret(7), lambda secret: secret.secret),
+        (StableSecret(bytes(range(32, 64))), lambda secret: secret.secret),
     ],
     ids=["issuer-private-key", "stable-key", "stable-secret"],
 )

@@ -14,12 +14,10 @@ from bbcreds.cli import (
     EXIT_USAGE,
     main,
 )
-from bbcreds.credential import generate_issuer_keys
-from bbcreds.parties import AgePolicy, InProcessAsp, ProtocolConfig, device_enroll
 from bbcreds.store import decode_record
 from bbcreds.synthbio import new_identity
 
-from conftest import NOW
+from conftest import NOW, recover_secrets
 
 ADULT_DOB = "1990-01-01"
 CHILD_DOB = "2015-06-15"
@@ -210,20 +208,15 @@ class TestEnroll:
         captured = capsys.readouterr()
         streams = (captured.out + captured.err).lower()
 
-        # Reproduce the same enrollment in-process to learn the secrets.
-        secrets = {}
-        keys = generate_issuer_keys(seed=int(KEY_SEED))
-        device_enroll(
-            new_identity(int(IDENTITY_SEED), 512),
-            InProcessAsp(keys, AgePolicy(18), now=NOW),
-            ProtocolConfig(),
-            int(RUN_SEED),
-            secret_observer=lambda k, s: secrets.update(key=k, secret=s),
-        )
+        # Recover the key and secret from the record the CLI wrote.
         record_bytes = path.read_bytes()
-        assert secrets["key"].key not in record_bytes
-        assert secrets["key"].key.hex() not in streams
-        assert secrets["secret"].secret.hex() not in streams
+        key, secret = recover_secrets(
+            new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
+        )
+        assert key.key not in record_bytes
+        assert secret.secret not in record_bytes
+        assert key.key.hex() not in streams
+        assert secret.secret.hex() not in streams
 
 
 class TestAuth:

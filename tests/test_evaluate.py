@@ -167,8 +167,8 @@ def _capture_enrollments(monkeypatch):
     records = []
     enroll = evaluate.device_enroll
 
-    def recording_enroll(profile, asp, cfg, rng_seed, **kw):
-        records.append(enroll(profile, asp, cfg, rng_seed, **kw))
+    def recording_enroll(identity, asp, cfg, rng_seed, **kw):
+        records.append(enroll(identity, asp, cfg, rng_seed, **kw))
         return records[-1]
 
     monkeypatch.setattr(evaluate, "device_enroll", recording_enroll)
@@ -233,6 +233,17 @@ class TestSweep:
     def test_empty_sigmas_rejected(self, cfg):
         with pytest.raises(ValueError):
             sweep(cfg, [], 100, SEED, io.StringIO())
+
+    @pytest.mark.parametrize(
+        "sigmas, trials, message",
+        [([0.003], 0, "trials must be positive"), ([0.001, 2.0], 100, "sigma must be in")],
+        ids=["zero-trials", "late-bad-sigma"],
+    )
+    def test_bad_arguments_leave_sink_empty(self, cfg, sigmas, trials, message):
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            sweep(cfg, sigmas, trials, SEED, sink)
+        assert sink.getvalue() == ""
 
 
 def test_liveness_policy_gates_authentication_only(cfg):

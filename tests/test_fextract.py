@@ -28,7 +28,7 @@ QCFG = QuantizerConfig.default(512, 511)
 
 @pytest.fixture(scope="module")
 def enrolled():
-    e = new_identity(1001, 512).mean
+    e = new_identity(1001, 512)
     key, helper = fe_generate(e, CODE, QCFG, rng_seed=555)
     return e, key, helper
 
@@ -43,7 +43,7 @@ def test_key_is_always_256_bits(enrolled):
     _, key, _ = enrolled
     assert len(key.key) == 32
     for seed in range(10):
-        k, _ = fe_generate(new_identity(seed, 512).mean, CODE, QCFG, seed)
+        k, _ = fe_generate(new_identity(seed, 512), CODE, QCFG, seed)
         assert len(k.key) == 32
 
 
@@ -104,14 +104,14 @@ def batch():
     """A sample matrix and its helpers: genuine captures of two identities
     at sigma 0.003 and 0.005, each against an enrollment from a capture at
     the same sigma, then impostors against two of those enrollments."""
-    profiles = [new_identity(2001, 512), new_identity(2002, 512)]
+    identities = {person: new_identity(person, 512) for person in (2001, 2002)}
     rows, helpers = [], []
     for sigma in (0.003, 0.005):
-        for profile in profiles:
-            capture = sample_genuine(profile, NoiseModel(sigma), 1000)
-            helper = fe_generate(capture, CODE, QCFG, rng_seed=profile.seed)[1]
+        for person, identity in identities.items():
+            capture = sample_genuine(identity, NoiseModel(sigma), 1000)
+            helper = fe_generate(capture, CODE, QCFG, rng_seed=person)[1]
             for seed in range(30):
-                rows.append(sample_genuine(profile, NoiseModel(sigma), seed).values)
+                rows.append(sample_genuine(identity, NoiseModel(sigma), seed).values)
                 helpers.append(helper)
     for i, helper in enumerate((helpers[0], helpers[-1])):
         rows += list(sample_impostors(range(100 * i, 100 * i + 20), 512))
@@ -138,7 +138,7 @@ def test_batch_rejects_bad_input(batch):
     nan, scaled = samples.copy(), samples.copy()
     nan[3, 7] = np.nan
     scaled[3] *= 2
-    other_code = fe_generate(new_identity(7, 512).mean, CodeParams(511, 268, 29), QCFG, 1)[1]
+    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 268, 29), QCFG, 1)[1]
     for bad_samples, bad_helpers in [
         (nan, helpers),
         (scaled, helpers),
@@ -153,7 +153,7 @@ def test_batch_rejects_bad_input(batch):
 
 def test_key_never_windows_into_helper():
     for seed in range(1000):
-        e = new_identity(seed, 512).mean
+        e = new_identity(seed, 512)
         key, helper = fe_generate(e, CODE, QCFG, seed)
         assert key.key not in encode_helper(helper)
 
@@ -178,7 +178,7 @@ def test_helper_decoding_is_strict(enrolled):
 
 def test_dimension_mismatch_rejected(enrolled):
     _, _, helper = enrolled
-    small = new_identity(5, 16).mean
+    small = new_identity(5, 16)
     with pytest.raises(ValueError):
         fe_generate(small, CODE, QCFG, 1)
     with pytest.raises(ValueError):
@@ -186,7 +186,7 @@ def test_dimension_mismatch_rejected(enrolled):
 
 
 def test_quantizer_code_mismatch_rejected():
-    e = new_identity(5, 512).mean
+    e = new_identity(5, 512)
     with pytest.raises(ValueError):
         fe_generate(e, CODE, QuantizerConfig.default(512, 255), 1)
 

@@ -30,7 +30,7 @@ from bbcreds.quantize import QuantizerConfig
 from bbcreds.store import encode_record
 from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
 
-from conftest import NOW
+from conftest import NOW, recover_secrets
 
 TODAY = date(2025, 6, 15)  # UTC date of NOW
 
@@ -174,10 +174,10 @@ class TestDeviceEnroll:
         assert quant == QuantizerConfig(default_cfg.dim, default_cfg.code.n)
 
     def test_enrollment_deterministic(self, issuer_keys, default_cfg):
-        profile = new_identity(8, default_cfg.dim)
+        identity = new_identity(8, default_cfg.dim)
         records = [
             device_enroll(
-                profile,
+                identity,
                 InProcessAsp(issuer_keys, AgePolicy(18), now=NOW),
                 default_cfg,
                 rng_seed=1212,
@@ -207,24 +207,18 @@ class TestDeviceEnroll:
 
     def test_only_request_fields_cross_the_boundary(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-        secrets = {}
-        profile = new_identity(11, default_cfg.dim)
-        device_enroll(
-            profile,
-            counting,
-            default_cfg,
-            rng_seed=3,
-            secret_observer=lambda k, s: secrets.update(key=k, secret=s),
-        )
+        identity = new_identity(11, default_cfg.dim)
+        record = device_enroll(identity, counting, default_cfg, rng_seed=3)
+        key, secret = recover_secrets(identity, record)
         assert counting.calls == 1
         (request,) = counting.requests
         # The request object is all that reaches the ASP: subject, evidence, nonce.
         assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
         assert isinstance(request.evidence, AlwaysApproveEvidence)
         sent = request.subject_id + request.request_nonce
-        assert secrets["key"].key not in sent
-        assert secrets["secret"].secret not in sent
-        assert profile.mean.values.tobytes() not in sent
+        assert key.key not in sent
+        assert secret.secret not in sent
+        assert identity.values.tobytes() not in sent
 
     def test_enrolled_variant_matches_config(self, issuer_keys, default_cfg):
         cfg = replace(default_cfg, sketch_variant=SketchVariant.ENCRYPTED)
@@ -242,7 +236,7 @@ class TestDeviceEnroll:
 class TestDeviceAuthenticate:
     def test_genuine_sample_recovers_credential(self, enrollment, default_cfg):
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 909
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 909
         )
         cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
         assert cred.age_over == 18
@@ -258,18 +252,18 @@ class TestDeviceAuthenticate:
 
     def test_liveness_gate_short_circuits(self, enrollment, default_cfg):
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 909
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 909
         )
         with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
             device_authenticate(sample, enrollment["record"], AlwaysFail())
 
     def test_no_asp_contact_after_issuance(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-        profile = new_identity(13, default_cfg.dim)
-        record = device_enroll(profile, counting, default_cfg, rng_seed=5)
+        identity = new_identity(13, default_cfg.dim)
+        record = device_enroll(identity, counting, default_cfg, rng_seed=5)
         assert counting.calls == 1
         for seed in range(5):
-            sample = sample_genuine(profile, NoiseModel(default_cfg.sigma), seed)
+            sample = sample_genuine(identity, NoiseModel(default_cfg.sigma), seed)
             device_authenticate(sample, record, AlwaysPass())
         assert counting.calls == 1
 
@@ -277,7 +271,7 @@ class TestDeviceAuthenticate:
 class TestRelyingParty:
     def test_happy_path_grant(self, enrollment, issuer_keys, default_cfg):
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 31
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 31
         )
         cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
         decision = rp_check_access(cred, issuer_keys.public, NOW + 10, 18)
@@ -285,7 +279,7 @@ class TestRelyingParty:
 
     def test_expired_credential_denied(self, enrollment, issuer_keys, default_cfg):
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 32
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 32
         )
         cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
         decision = rp_check_access(cred, issuer_keys.public, cred.expires_at + 1, 18)
@@ -293,7 +287,7 @@ class TestRelyingParty:
 
     def test_higher_required_age_denied(self, enrollment, issuer_keys, default_cfg):
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 33
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 33
         )
         cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
         decision = rp_check_access(cred, issuer_keys.public, NOW + 10, 21)
@@ -303,7 +297,7 @@ class TestRelyingParty:
         from bbcreds.credential import encode_agecred
 
         sample = sample_genuine(
-            enrollment["profile"], NoiseModel(default_cfg.sigma), 34
+            enrollment["identity"], NoiseModel(default_cfg.sigma), 34
         )
         cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
         blob = encode_agecred(cred)

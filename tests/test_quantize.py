@@ -97,7 +97,7 @@ class TestQuantize:
         cfg = QuantizerConfig.default(512, 511)
         p = new_identity(21, 512)
         s = sample_genuine(p, NoiseModel(0.0), 5)
-        assert quantize(s, cfg) == quantize(p.mean, cfg)
+        assert quantize(s, cfg) == quantize(p, cfg)
 
     def test_dimension_mismatch_rejected(self):
         cfg = QuantizerConfig.default(16, 16)

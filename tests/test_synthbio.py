@@ -7,7 +7,6 @@ from bbcreds.kdf import subseed
 from bbcreds.quantize import QuantizerConfig, quantize
 from bbcreds.synthbio import (
     Embedding,
-    IdentityProfile,
     NoiseModel,
     new_identity,
     sample_genuine,
@@ -21,18 +20,18 @@ QCFG = QuantizerConfig.default(512, 511)
 def test_new_identity_deterministic():
     a = new_identity(1, 512)
     b = new_identity(1, 512)
-    assert np.array_equal(a.mean.values, b.mean.values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_distinct_seeds_give_distinct_identities():
     a = new_identity(1, 512)
     b = new_identity(2, 512)
-    assert np.any(a.mean.values != b.mean.values)
+    assert np.any(a.values != b.values)
 
 
 def test_identity_mean_is_unit_norm():
     p = new_identity(7, 512)
-    assert abs(np.linalg.norm(p.mean.values) - 1.0) <= 1e-6
+    assert abs(np.linalg.norm(p.values) - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", [0, 1, 7])
@@ -47,12 +46,12 @@ def test_zero_noise_returns_mean_exactly():
     p = new_identity(3, 512)
     for seed in (0, 1, 99):
         s = sample_genuine(p, NoiseModel(0.0), seed)
-        assert np.array_equal(s.values, p.mean.values)
+        assert np.array_equal(s.values, p.values)
 
 
 def test_zero_noise_quantizes_like_mean():
     p = new_identity(5, 512)
-    q_mean = quantize(p.mean, QCFG)
+    q_mean = quantize(p, QCFG)
     for seed in range(20):
         assert quantize(sample_genuine(p, NoiseModel(0.0), seed), QCFG) == q_mean
 
@@ -76,7 +75,7 @@ def test_sample_genuine_unit_norm():
 def test_mean_bit_noise_monotone_in_sigma():
     # Monte-Carlo oracle: noisier captures flip more quantized bits.
     p = new_identity(11, 512)
-    reference = quantize(p.mean, QCFG)
+    reference = quantize(p, QCFG)
     means = []
     for sigma in (0.01, 0.02, 0.05):
         noise = NoiseModel(sigma)
@@ -94,7 +93,7 @@ def test_impostor_distance_concentrates_at_half():
     # Binomial(511, 1/2). Check the 1000-trial mean at 99% confidence and
     # the looser single-draw band on every trial.
     p = new_identity(3, 512)
-    reference = quantize(p.mean, QCFG)
+    reference = quantize(p, QCFG)
     n = QCFG.code_length
     dists = np.array(
         [(quantize(sample_impostor(seed, 512), QCFG) ^ reference).weight() for seed in range(1000)]
@@ -113,13 +112,13 @@ def test_role_streams_independent_for_one_seed():
     dim = 512
     e0 = np.zeros(dim)
     e0[0] = 1.0
-    at_e0 = IdentityProfile(mean=Embedding(e0), seed=0)
+    at_e0 = Embedding(e0)
 
     def unit(v):
         return v / np.linalg.norm(v)
 
     for seed in range(100):
-        identity = unit(new_identity(seed, dim).mean.values[1:])
+        identity = unit(new_identity(seed, dim).values[1:])
         impostor = unit(sample_impostor(seed, dim).values[1:])
         noise = unit(sample_genuine(at_e0, NoiseModel(0.003), seed).values[1:])
         # Independent Gaussian directions in 511 dimensions have |cos| of
@@ -192,7 +191,7 @@ def test_identity_and_genuine_follow_numpy_stream():
         mean = _reference_normals(seed, "bbcreds/synthbio/identity/v1", 512)
         mean /= np.linalg.norm(mean)
         profile = new_identity(seed, 512)
-        assert np.array_equal(profile.mean.values, mean)
+        assert np.array_equal(profile.values, mean)
         capture = mean + 0.003 * _reference_normals(seed, "bbcreds/synthbio/genuine/v1", 512)
         capture /= np.linalg.norm(capture)
         assert np.array_equal(sample_genuine(profile, NoiseModel(0.003), seed).values, capture)
