@@ -22,11 +22,11 @@ from pathlib import Path
 
 from .binding import AuthFailure, SketchVariant
 from .credential import IssuerKeyPair, generate_issuer_keys
-from .ecc import CodeParams
 from .evaluate import sweep
 from .fextract import HELPER_VERSION, ExtractFailure
 from .kdf import SEED_MASK
 from .parties import (
+    DEFAULT_CODE,
     AgePolicy,
     AlwaysFail,
     AlwaysPass,
@@ -53,17 +53,6 @@ EXIT_RP_DENIED = 6
 # through a float timestamp it would round up to 253402300800, year 10000.
 _LATEST_CLOCK = 253402300799
 
-_CONFIG_KEYS = {
-    "dim",
-    "code_n",
-    "code_k",
-    "code_t",
-    "variant",
-    "sigma_default",
-    "age_threshold",
-    "validity_seconds",
-}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -71,11 +60,32 @@ class CliError(Exception):
         self.code = code
 
 
+def _parse_variant(value: str) -> SketchVariant:
+    try:
+        return SketchVariant[value.upper()]
+    except KeyError:
+        raise CliError(f"unknown sketch variant {value!r} (use xor or encrypted)") from None
+
+
+# Each config key: the argparse dest of the flag that overrides it (None if
+# no flag does), the settings class and field it sets, and its parser.
+_SETTINGS = {
+    "dim": (None, ProtocolConfig, "dim", int),
+    "variant": ("variant", ProtocolConfig, "sketch_variant", _parse_variant),
+    "sigma_default": ("sigma", ProtocolConfig, "sigma", float),
+    "age_threshold": ("threshold", AgePolicy, "threshold", int),
+    "validity_seconds": (None, AgePolicy, "validity_seconds", int),
+}
+# Together they set ProtocolConfig.code; a missing one keeps its default.
+_CODE_KEYS = ("code_n", "code_k", "code_t")
+_CONFIG_KEYS = {*_SETTINGS, *_CODE_KEYS}
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -86,47 +96,28 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in entries:
+            raise CliError(f"{path}:{lineno}: duplicate config key {key!r}")
         entries[key] = value
     return entries
 
 
-def _parse_variant(value: str) -> SketchVariant:
-    try:
-        return SketchVariant[value.upper()]
-    except KeyError:
-        raise CliError(f"unknown sketch variant {value!r} (use xor or encrypted)") from None
-
-
 def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy]:
     """Protocol and issuance settings: defaults, then the config file, then flags."""
-    settings: dict[str, object] = (
-        _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    )
-    flags = {"sigma_default": "sigma", "age_threshold": "threshold", "variant": "variant"}
-    for key, flag in flags.items():
-        if getattr(args, flag, None) is not None:
-            settings[key] = getattr(args, flag)
-    protocol, policy = ProtocolConfig(), AgePolicy()
-    protocol_fields: dict[str, object] = {}
-    policy_fields: dict[str, object] = {}
+    entries = _parse_config_file(args.config) if args.config else {}
+    fields: dict[type, dict[str, object]] = {ProtocolConfig: {}, AgePolicy: {}}
     try:
-        if "dim" in settings:
-            protocol_fields["dim"] = int(settings["dim"])
-        if {"code_n", "code_k", "code_t"} & settings.keys():
-            protocol_fields["code"] = CodeParams(
-                int(settings.get("code_n", protocol.code.n)),
-                int(settings.get("code_k", protocol.code.k)),
-                int(settings.get("code_t", protocol.code.t)),
-            )
-        if "variant" in settings:
-            protocol_fields["sketch_variant"] = _parse_variant(str(settings["variant"]))
-        if "sigma_default" in settings:
-            protocol_fields["sigma"] = float(settings["sigma_default"])
-        if "age_threshold" in settings:
-            policy_fields["threshold"] = int(settings["age_threshold"])
-        if "validity_seconds" in settings:
-            policy_fields["validity_seconds"] = int(settings["validity_seconds"])
-        return replace(protocol, **protocol_fields), replace(policy, **policy_fields)
+        code = {key.removeprefix("code_"): int(entries[key])
+                for key in _CODE_KEYS if key in entries}
+        if code:
+            fields[ProtocolConfig]["code"] = replace(DEFAULT_CODE, **code)
+        for key, (flag, owner, name, parse) in _SETTINGS.items():
+            value = vars(args).get(flag)
+            if value is None:
+                value = entries.get(key)
+            if value is not None:
+                fields[owner][name] = parse(value)
+        return ProtocolConfig(**fields[ProtocolConfig]), AgePolicy(**fields[AgePolicy])
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
 
@@ -207,17 +198,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     seed = _run_seed(args)
     asp = InProcessAsp(keys, policy, now=now)
     identity = new_identity(args.identity_seed, cfg.dim)
-    try:
-        record = device_enroll(
-            identity, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob)
-        )
-    except LivenessFailed as exc:
-        print(f"liveness check failed: {exc}", file=sys.stderr)
-        return EXIT_LIVENESS
-    except IssuanceDenied as exc:
-        print(f"issuance denied: {exc.reason.value}", file=sys.stderr)
-        return EXIT_ISSUANCE_DENIED
-
+    record = device_enroll(identity, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
         Path(args.out).write_bytes(data)
@@ -254,18 +235,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
     else:
         sample = sample_genuine(new_identity(args.identity_seed, dim), NoiseModel(cfg.sigma), seed)
 
-    try:
-        cred = device_authenticate(sample, record, _liveness(args))
-    except LivenessFailed as exc:
-        print(f"liveness check failed: {exc}", file=sys.stderr)
-        return EXIT_LIVENESS
-    except ExtractFailure:
-        print("authentication failed: Extract", file=sys.stderr)
-        return EXIT_AUTH_FAILED
-    except AuthFailure as exc:
-        print(f"authentication failed: {exc.reason.value}", file=sys.stderr)
-        return EXIT_AUTH_FAILED
-
+    cred = device_authenticate(sample, record, _liveness(args))
     print(
         f"credential: issuer={cred.issuer_id.hex()} subject={cred.subject_id.hex()} "
         f"age_over={cred.age_over} issued_at={cred.issued_at} expires_at={cred.expires_at}"
@@ -288,7 +258,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not sigmas:
         raise CliError("sigma list is empty")
     if args.trials <= 0:
-        # Checked here, not only by wilson_interval, so no CSV is left behind.
+        # sweep checks this too, but the CSV is opened before sweep runs.
         raise CliError("trials must be positive")
     seed = _run_seed(args)
     try:
@@ -325,11 +295,6 @@ def _add_clock(parser: argparse.ArgumentParser) -> None:
                         help="override the current time (unix seconds)")
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbcreds",
@@ -361,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     enroll.add_argument("--liveness", choices=["pass", "fail"], default="pass")
     _add_seed(enroll)
     _add_clock(enroll)
-    _add_config(enroll)
+    enroll.add_argument("--config", default=None,
+                        help="key=value config file; flags take precedence")
     enroll.set_defaults(handler=cmd_enroll)
 
     auth = sub.add_parser("auth", help="authenticate against a record and query the RP")
@@ -388,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--trials", type=int, default=1000, help="trials per rate")
     evaluate.add_argument("--out", required=True, help="output CSV path")
     _add_seed(evaluate)
-    _add_config(evaluate)
+    evaluate.add_argument("--config", default=None,
+                          help="key=value config file; eval reads only dim, code_* and "
+                               "variant (--sigmas sets the noise levels)")
     evaluate.set_defaults(handler=cmd_eval)
 
     inspect = sub.add_parser("inspect", help="print record metadata without decrypting")
@@ -409,6 +377,18 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except LivenessFailed as exc:
+        print(f"liveness check failed: {exc}", file=sys.stderr)
+        return EXIT_LIVENESS
+    except IssuanceDenied as exc:
+        print(f"issuance denied: {exc.reason.value}", file=sys.stderr)
+        return EXIT_ISSUANCE_DENIED
+    except ExtractFailure:
+        print("authentication failed: Extract", file=sys.stderr)
+        return EXIT_AUTH_FAILED
+    except AuthFailure as exc:
+        print(f"authentication failed: {exc.reason.value}", file=sys.stderr)
+        return EXIT_AUTH_FAILED
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ CRED_VERSION = 1
 
 # version(1) | issuer_id(16) | subject_id(16) | age_over(1) | issued_at(8)
 # | expires_at(8) | signature(64)
-_LAYOUT = struct.Struct(">B16s16sBQQ64s")
 _PREFIX = struct.Struct(">B16s16sBQQ")
+_LAYOUT = struct.Struct(_PREFIX.format + "64s")
 ENCODED_LEN = _LAYOUT.size
 
 _ISSUER_ID_LABEL = "bbcreds/issuer-id/v1"
@@ -53,9 +53,11 @@ MAX_AGE_OVER = 150
 
 @dataclass(frozen=True)
 class AgeCred:
-    """Signed attestation that the subject is at least ``age_over`` years old."""
+    """Signed attestation that the subject is at least ``age_over`` years old.
 
-    version: int
+    Its encoding starts with ``CRED_VERSION``, a format constant, not a field.
+    """
+
     issuer_id: bytes
     subject_id: bytes
     age_over: int
@@ -64,8 +66,6 @@ class AgeCred:
     signature: bytes
 
     def __post_init__(self) -> None:
-        if not 0 <= self.version <= 255:
-            raise ValueError("version must fit one byte")
         if len(self.issuer_id) != 16 or len(self.subject_id) != 16:
             raise ValueError("issuer_id and subject_id must be 16 bytes")
         if not 0 <= self.age_over <= 255:
@@ -135,7 +135,7 @@ def issuer_id_for(public: bytes) -> bytes:
 
 def _signed_prefix(c: AgeCred) -> bytes:
     return _PREFIX.pack(
-        c.version, c.issuer_id, c.subject_id, c.age_over, c.issued_at, c.expires_at
+        CRED_VERSION, c.issuer_id, c.subject_id, c.age_over, c.issued_at, c.expires_at
     )
 
 
@@ -149,8 +149,7 @@ def decode_agecred(data: bytes) -> AgeCred:
         raise ValueError(f"credential must be {ENCODED_LEN} bytes, got {len(data)}")
     if data[0] != CRED_VERSION:
         raise ValueError(f"unsupported credential version {data[0]}")
-    version, issuer_id, subject_id, age_over, issued_at, expires_at, sig = _LAYOUT.unpack(data)
-    return AgeCred(version, issuer_id, subject_id, age_over, issued_at, expires_at, sig)
+    return AgeCred(*_LAYOUT.unpack(data)[1:])
 
 
 def issue_agecred(
@@ -167,10 +166,9 @@ def issue_agecred(
     """
     if not 0 < age_over < MAX_AGE_OVER:
         raise ValueError(f"age_over must be in (0, {MAX_AGE_OVER}), got {age_over}")
-    fields = (CRED_VERSION, keys.issuer_id, subject_id, age_over, issued_at,
-              issued_at + validity_seconds)
+    fields = (keys.issuer_id, subject_id, age_over, issued_at, issued_at + validity_seconds)
     try:
-        prefix = _PREFIX.pack(*fields)
+        prefix = _PREFIX.pack(CRED_VERSION, *fields)
     except struct.error as exc:  # a time outside the unsigned 64-bit fields
         raise ValueError(f"credential field out of range: {exc}") from None
     return AgeCred(*fields, keys.signer.sign(prefix))

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from bbcreds.cli import (
     EXIT_USAGE,
     main,
 )
-from bbcreds.store import decode_record
+from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
 from conftest import NOW, recover_secrets
@@ -582,3 +583,97 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["enroll"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def _write_flipped_digest(record_path, out):
+    record = decode_record(Path(record_path).read_bytes())
+    digest = bytes([record.digest.digest[0] ^ 0x01]) + record.digest.digest[1:]
+    out.write_bytes(encode_record(replace(record, digest=replace(record.digest, digest=digest))))
+
+
+@pytest.mark.parametrize(
+    "command, extra, code, line",
+    [
+        ("enroll", ["--liveness", "fail"], EXIT_LIVENESS,
+         "liveness check failed: policy AlwaysFail"),
+        ("enroll", ["--dob", CHILD_DOB], EXIT_ISSUANCE_DENIED, "issuance denied: UnderAge"),
+        ("auth", ["--liveness", "fail"], EXIT_LIVENESS,
+         "liveness check failed: policy AlwaysFail"),
+        ("auth", ["--impostor"], EXIT_AUTH_FAILED, "authentication failed: Extract"),
+        # The last --record wins: the enrolled record with one digest byte flipped.
+        ("auth", ["--record", "flipped.bbc"], EXIT_AUTH_FAILED,
+         "authentication failed: HashMismatch"),
+    ],
+    ids=["enroll-liveness", "enroll-underage", "auth-liveness", "auth-impostor",
+         "auth-digest-flipped"],
+)
+def test_refusal_exit_code_and_line(tmp_path, keys_prefix, record_path, capsys,
+                                    command, extra, code, line):
+    out_path = tmp_path / "refused.bbc"
+    if command == "enroll":
+        argv = [
+            "enroll",
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--dob", ADULT_DOB,
+            "--out", str(out_path),
+            "--seed", RUN_SEED,
+            "--clock", str(NOW),
+        ]
+    else:
+        _write_flipped_digest(record_path, tmp_path / "flipped.bbc")
+        extra = [str(tmp_path / a) if a.endswith(".bbc") else a for a in extra]
+        argv = [
+            "auth",
+            "--record", record_path,
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--seed", "555",
+            "--clock", str(NOW + 100),
+        ]
+    capsys.readouterr()
+    assert main(argv + extra) == code
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, capsys, command):
+    config = tmp_path / "utf16.conf"
+    config.write_bytes(b"\xff\xfe" + "dim=512\n".encode("utf-16-le"))
+    out_path = tmp_path / "out.file"
+    argv = {
+        "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                   "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
+        "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
+                 "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
+        "eval": ["eval", "--sigmas", "0.003", "--trials", "100", "--out", str(out_path)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", RUN_SEED, "--config", str(config)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read config file:")
+    assert not out_path.exists()
+
+
+def test_duplicate_config_key_rejected(tmp_path, keys_prefix, capsys):
+    config = tmp_path / "dup.conf"
+    config.write_text("# two dims\ndim=512\ndim=600\n")
+    out_path = tmp_path / "dup.bbc"
+    capsys.readouterr()
+    code = main(
+        [
+            "enroll",
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--dob", ADULT_DOB,
+            "--out", str(out_path),
+            "--seed", RUN_SEED,
+            "--clock", str(NOW),
+            "--config", str(config),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {config}:3: duplicate config key 'dim'\n")
+    assert not out_path.exists()

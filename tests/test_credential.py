@@ -1,8 +1,11 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcreds.credential import (
+    CRED_VERSION,
     AgeCred,
     ENCODED_LEN,
     IssuerKeyPair,
@@ -18,6 +21,20 @@ from bbcreds.credential import (
 from conftest import NOW
 
 SUBJECT = bytes(range(16))
+
+
+@st.composite
+def agecreds(draw):
+    """Any credential the constructor accepts, with every field at its bounds."""
+    issued_at = draw(st.integers(0, (1 << 64) - 2))
+    return AgeCred(
+        draw(st.binary(min_size=16, max_size=16)),
+        draw(st.binary(min_size=16, max_size=16)),
+        draw(st.integers(0, 255)),
+        issued_at,
+        draw(st.integers(issued_at + 1, (1 << 64) - 1)),
+        draw(st.binary(min_size=64, max_size=64)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +61,13 @@ class TestEncoding:
         ea, eb = encode_agecred(a), encode_agecred(b)
         prefix_diff = [i for i in range(50) if ea[i] != eb[i]]
         assert prefix_diff == [33]
+
+    @settings(max_examples=200)
+    @given(agecreds())
+    def test_every_accepted_credential_roundtrips(self, c):
+        data = encode_agecred(c)
+        assert len(data) == ENCODED_LEN and data[0] == CRED_VERSION
+        assert decode_agecred(data) == c
 
     def test_wrong_length_rejected(self, cred):
         with pytest.raises(ValueError):
@@ -127,7 +151,6 @@ class TestVerification:
             sig = bytearray(cred.signature)
             sig[index] ^= 0x01
             tampered = AgeCred(
-                cred.version,
                 cred.issuer_id,
                 cred.subject_id,
                 cred.age_over,
@@ -184,15 +207,15 @@ class TestKeyPairs:
 class TestCredInvariants:
     def test_expiry_after_issue_required(self, cred):
         with pytest.raises(ValueError):
-            AgeCred(1, bytes(16), bytes(16), 18, NOW, NOW, bytes(64))
+            AgeCred(bytes(16), bytes(16), 18, NOW, NOW, bytes(64))
 
     def test_field_lengths(self, cred):
         with pytest.raises(ValueError):
-            AgeCred(1, bytes(15), bytes(16), 18, NOW, NOW + 1, bytes(64))
+            AgeCred(bytes(15), bytes(16), 18, NOW, NOW + 1, bytes(64))
         with pytest.raises(ValueError):
-            AgeCred(1, bytes(16), bytes(16), 18, NOW, NOW + 1, bytes(63))
+            AgeCred(bytes(16), bytes(16), 18, NOW, NOW + 1, bytes(63))
         with pytest.raises(ValueError):
-            AgeCred(1, bytes(16), bytes(16), 256, NOW, NOW + 1, bytes(64))
+            AgeCred(bytes(16), bytes(16), 256, NOW, NOW + 1, bytes(64))
 
     def test_disjoint_from_random_key_material(self, cred):
         # No credential field may carry biometric-derived bytes; the
