@@ -140,6 +140,7 @@ class AuthFailure(Exception):
     def __init__(self, reason: FailureReason):
         super().__init__(reason.value)
         self.reason = reason
+        self.stage = reason.value
 
 
 def hash_key(k: StableKey) -> KeyDigest:

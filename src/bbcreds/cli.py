@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from datetime import date
@@ -146,6 +147,22 @@ def _liveness(args: argparse.Namespace):
     return AlwaysFail() if args.liveness == "fail" else AlwaysPass()
 
 
+def _write_owner_only(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` under mode 0o600, whatever its old mode.
+
+    ``mkstemp`` creates the temporary file owner-only next to the target,
+    and one rename puts it in place, so a failed write leaves the target
+    as it was and removes the temporary file."""
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        os.replace(temp, path)
+    except OSError:
+        os.unlink(temp)
+        raise
+
+
 def _key_paths(prefix: str) -> tuple[Path, Path]:
     return Path(prefix + ".pub"), Path(prefix + ".key")
 
@@ -180,7 +197,7 @@ def cmd_asp_keygen(args: argparse.Namespace) -> int:
     keys = generate_issuer_keys(_run_seed(args))
     try:
         pub_path.write_text(keys.public.hex() + "\n")
-        key_path.write_text(keys.private.hex() + "\n")
+        _write_owner_only(key_path, (keys.private.hex() + "\n").encode())
     except OSError as exc:
         raise CliError(f"cannot write key files: {exc}") from exc
     print(f"public={keys.public.hex()}")
@@ -201,7 +218,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     record = device_enroll(identity, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
-        Path(args.out).write_bytes(data)
+        _write_owner_only(Path(args.out), data)
     except OSError as exc:
         raise CliError(f"cannot write record: {exc}") from exc
     print(
@@ -383,11 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     except IssuanceDenied as exc:
         print(f"issuance denied: {exc.reason.value}", file=sys.stderr)
         return EXIT_ISSUANCE_DENIED
-    except ExtractFailure:
-        print("authentication failed: Extract", file=sys.stderr)
-        return EXIT_AUTH_FAILED
-    except AuthFailure as exc:
-        print(f"authentication failed: {exc.reason.value}", file=sys.stderr)
+    except (ExtractFailure, AuthFailure) as exc:
+        print(f"authentication failed: {exc.stage}", file=sys.stderr)
         return EXIT_AUTH_FAILED
 
 

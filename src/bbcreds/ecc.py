@@ -97,12 +97,9 @@ _PRIMITIVE_POLY = {
 # not with the batch. Fewer rows pay more numpy calls per row.
 _BATCH_CHUNK = 256
 
-# Table rows _roots gathers per call, which bounds its temporaries: a
-# 1-row chunk of up to 32 coefficients (64 rows) takes one call, and a
-# chunk of 64 or more locators one row of each per call, XORed straight in.
-# _odd_syndromes gathers fused-table entries under the same budget, one
-# per packed byte of each word, but at least 4 bytes at a time.
-_ROOT_GATHER = 64
+# Fused-table entries _odd_syndromes gathers per call, one per packed byte
+# of each row, but at least 4 bytes at a time; this bounds its temporaries.
+_SYNDROME_GATHER = 64
 
 
 @dataclass(frozen=True)
@@ -484,13 +481,13 @@ class BchCodec:
 
         Row 256 b + v of the fused table holds byte b's share of every odd
         syndrome when it has value v, so each byte is one row gathered and
-        XORed in. Bytes are gathered under the same budget as ``_roots``:
-        numpy widens the gather index to int64, so one row takes all 64
-        bytes of a 511-bit word at once and a 256-row chunk 4 bytes per call.
+        XORed in. Bytes are gathered under ``_SYNDROME_GATHER``: numpy
+        widens the gather index to int64, so one row takes all 64 bytes of
+        a 511-bit word at once and a 256-row chunk 4 bytes per call.
         """
         index = packed.T + self._syndrome_rows
         odd = np.zeros((len(packed), self.params.t), dtype=np.uint16)
-        step = max(4, _ROOT_GATHER // len(packed))
+        step = max(4, _SYNDROME_GATHER // len(packed))
         for first in range(0, len(index), step):
             terms = self._syndrome_table.take(index[first : first + step], axis=0)
             odd ^= np.bitwise_xor.reduce(terms, axis=0)
@@ -579,14 +576,11 @@ class BchCodec:
         rows, count = coefficients.shape
         # Coefficient-major: row h count + j of index holds the table row of
         # half h of coefficient j for every locator, so each gathered slab
-        # is one (rows, words) block XORed in whole.
+        # is one (rows, words) block XORed in whole, one slab per call.
         index = self._root_halves[:, coefficients.T] + self._root_offsets[:count]
-        index = index.reshape(2 * count, rows)
         values = np.zeros((rows, self._root_table.shape[1]), dtype=np.uint64)
-        step = max(1, _ROOT_GATHER // rows)
-        for first in range(0, 2 * count, step):
-            terms = self._root_table.take(index[first : first + step], axis=0)
-            values ^= terms[0] if step == 1 else np.bitwise_xor.reduce(terms, axis=0)
+        for slab in index.reshape(2 * count, rows):
+            values ^= self._root_table.take(slab, axis=0)
         planes = values.reshape(rows, -1, self._root_valid.size)
         return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
 

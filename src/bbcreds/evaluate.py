@@ -19,12 +19,12 @@ reproduction (``fe_reproduce_batch``, which decodes with
 out. Each report's counts equal the tally of the single-trial functions
 over the same indices.
 
-Each trial is counted under the name of the stage that rejected it, in
-the device's own vocabulary: ``"Liveness"`` (LivenessFailed), ``"Extract"``
-(ExtractFailure), a ``FailureReason`` value from the binding layer
-(``"HashMismatch"``, ``"SketchOpenFailed"``, ``"DecryptFailed"``,
-``"MalformedCredential"``), or ``"Success"``. ``OUTCOMES`` lists them in
-chain order; every report's ``stage_counts`` has exactly these keys.
+Each trial is counted under the ``stage`` of the device's refusal that
+ended it: ``"Liveness"`` (LivenessFailed), ``"Extract"`` (ExtractFailure)
+or an AuthFailure's ``FailureReason`` value (``"HashMismatch"``,
+``"SketchOpenFailed"``, ``"DecryptFailed"``, ``"MalformedCredential"``),
+or else ``"Success"``. ``OUTCOMES`` lists them in chain order; every
+report's ``stage_counts`` has exactly these keys.
 
 Rates carry Wilson 95% intervals, which stay meaningful at the zero
 boundary where these measurements usually sit.
@@ -85,7 +85,8 @@ _EVAL_CLOCK = 1_750_000_000
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
 
 
-OUTCOMES = ("Liveness", "Extract", *(r.value for r in FailureReason), "Success")
+OUTCOMES = (LivenessFailed.stage, ExtractFailure.stage,
+            *(r.value for r in FailureReason), "Success")
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,8 @@ def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
     """The name in ``OUTCOMES`` of the stage that rejected, or ``"Success"``."""
     try:
         device_authenticate(sample, record, cfg.liveness)
-    except LivenessFailed:
-        return "Liveness"
-    except ExtractFailure:
-        return "Extract"
-    except AuthFailure as failure:
-        return failure.reason.value
+    except (LivenessFailed, ExtractFailure, AuthFailure) as refusal:
+        return refusal.stage
     return "Success"
 
 
@@ -157,23 +154,31 @@ def _tally(
     """
     counts = dict.fromkeys(OUTCOMES, 0)
     if not liveness_check(liveness):
-        counts["Liveness"] = trials
+        counts[LivenessFailed.stage] = trials
         return counts
+    extract, success = ExtractFailure.stage, "Success"
     for start in range(0, trials, _BATCH_CHUNK):
         samples, records = draw(list(range(start, min(start + _BATCH_CHUNK, trials))))
         keys = fe_reproduce_batch(samples, [record.helper for record in records])
         del samples  # the next chunk's matrix is drawn without this one alive
         for record, key in zip(records, keys):
             if key is None:
-                counts["Extract"] += 1
+                counts[extract] += 1
                 continue
             try:
                 unbind_auth(key, record.sketch, record.digest, record.bound)
             except AuthFailure as failure:
-                counts[failure.reason.value] += 1
+                counts[failure.stage] += 1
             else:
-                counts["Success"] += 1
+                counts[success] += 1
     return counts
+
+
+def _enroll(identity: Embedding, asp, cfg: ProtocolConfig, seed: int) -> DeviceRecord:
+    """A report's enrollment, always under ``AlwaysPass``: the configured
+    liveness policy gates only each trial's authentication."""
+    cfg = replace(cfg, liveness=AlwaysPass())
+    return device_enroll(identity, asp, cfg, subseed(seed, "bbcreds/eval/enroll/v1"))
 
 
 def _genuine_trial(
@@ -182,12 +187,7 @@ def _genuine_trial(
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
     identity = new_identity(base, cfg.dim)
-    record = device_enroll(
-        identity,
-        asp,
-        replace(cfg, liveness=AlwaysPass()),
-        subseed(base, "bbcreds/eval/enroll/v1"),
-    )
+    record = _enroll(identity, asp, cfg, base)
     sample = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
     )
@@ -238,12 +238,7 @@ def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
 
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    record = device_enroll(
-        new_identity(seed, cfg.dim),
-        _eval_asp(seed),
-        replace(cfg, liveness=AlwaysPass()),
-        subseed(seed, "bbcreds/eval/enroll/v1"),
-    )
+    record = _enroll(new_identity(seed, cfg.dim), _eval_asp(seed), cfg, seed)
     counts = _tally(
         lambda indices: (
             sample_impostors([_impostor_seed(seed, i) for i in indices], cfg.dim),

@@ -52,6 +52,8 @@ _GEN_LABEL = "bbcreds/fe/gen/v1"
 class ExtractFailure(Exception):
     """The sample's bit noise exceeded the code's correction capability."""
 
+    stage = "Extract"
+
 
 @dataclass(frozen=True)
 class StableKey:
@@ -97,13 +99,10 @@ def _random_message(seed: int, k: int) -> tuple[bytes, BitString]:
     return material[:SALT_BYTES], BitString.from_int(value, k)
 
 
-def fe_generate(
-    e: Embedding,
-    code: CodeParams,
-    quant: QuantizerConfig,
-    rng_seed: int,
-) -> tuple[StableKey, HelperData]:
-    """Enroll an embedding: returns the stable key and public helper data."""
+def fe_generate(e: Embedding, code: CodeParams, rng_seed: int) -> tuple[StableKey, HelperData]:
+    """Enroll an embedding: returns the stable key and public helper data.
+    The quantizer reads the first ``code.n`` of the embedding's coordinates."""
+    quant = QuantizerConfig.default(e.dim, code.n)
     salt, message = _random_message(rng_seed, code.k)
     offset = quantize(e, quant) ^ codec_for(code).encode(message)
     helper = HelperData(salt=salt, offset=offset, code=code, quant=quant)

@@ -89,6 +89,8 @@ LivenessPolicy = Union[AlwaysPass, AlwaysFail]
 class LivenessFailed(Exception):
     """The sample was not accepted as coming from a present person."""
 
+    stage = "Liveness"
+
 
 def liveness_check(policy: LivenessPolicy) -> bool:
     """Whether the policy accepts this capture as coming from a present person."""
@@ -97,6 +99,12 @@ def liveness_check(policy: LivenessPolicy) -> bool:
     if isinstance(policy, AlwaysFail):
         return False
     raise TypeError(f"unknown liveness policy {policy!r}")
+
+
+def _require_liveness(policy: LivenessPolicy) -> None:
+    """The device's liveness gate: raises LivenessFailed unless the policy passes."""
+    if not liveness_check(policy):
+        raise LivenessFailed(f"policy {type(policy).__name__}")
 
 
 # --- issuance (ASP role) -----------------------------------------------------
@@ -243,11 +251,8 @@ def device_enroll(
     capture = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )
-    if not liveness_check(cfg.liveness):
-        raise LivenessFailed(f"policy {type(cfg.liveness).__name__}")
-
-    quant = QuantizerConfig.default(cfg.dim, cfg.code.n)
-    key, helper = fe_generate(capture, cfg.code, quant, subseed(rng_seed, "bbcreds/device/fe/v1"))
+    _require_liveness(cfg.liveness)
+    key, helper = fe_generate(capture, cfg.code, subseed(rng_seed, "bbcreds/device/fe/v1"))
 
     request = IssuanceRequest(
         subject_id=expand_seed(rng_seed, "bbcreds/device/subject/v1", 16),
@@ -270,10 +275,9 @@ def device_authenticate(
     """Device-local authentication; never contacts the ASP.
 
     Raises LivenessFailed, ExtractFailure or AuthFailure from the first
-    stage that rejects.
+    stage that rejects, with that stage's name in ``stage``.
     """
-    if not liveness_check(liveness):
-        raise LivenessFailed(f"policy {type(liveness).__name__}")
+    _require_liveness(liveness)
     key = fe_reproduce(sample, record.helper)
     return unbind_auth(key, record.sketch, record.digest, record.bound)
 

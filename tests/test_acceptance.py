@@ -43,7 +43,7 @@ from bbcreds.parties import (
     device_enroll,
     rp_check_access,
 )
-from bbcreds.quantize import BitString, QuantizerConfig
+from bbcreds.quantize import BitString
 from bbcreds.store import FormatError, decode_record, encode_record
 from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine
 
@@ -59,11 +59,10 @@ def _passed(criterion: int, label: str) -> None:
 
 def test_criterion_01_key_size_contract():
     # 256-bit keys from the 512-dimension pipeline, always.
-    quant = QuantizerConfig.default(512, CFG.code.n)
     assert CFG.dim == 512 and CFG.code.k >= 256
     for seed in range(25):
         embedding = new_identity(seed, 512)
-        key, helper = fe_generate(embedding, CFG.code, quant, seed)
+        key, helper = fe_generate(embedding, CFG.code, seed)
         assert len(key.key) == 32
         assert helper.quant.dim == 512
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import re
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +36,10 @@ GOLDEN_RECORD_SHA256 = {
     "xor": "c3c0f2d5b0ea64b0ec27dffd634269008a95949fc5daf324d65c8ecb69a6103e",
     "encrypted": "0dfca8b6aca012f99b451e5d50353683786510e2ae7bc53a44f8911b1de27389",
 }
+
+
+def _mode(path: Path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
 
 
 @pytest.fixture()
@@ -90,6 +96,19 @@ class TestKeygen:
     def test_unseeded_run_prints_seed(self, tmp_path, capsys):
         assert main(["asp-keygen", "--out", str(tmp_path / "r")]) == EXIT_OK
         assert re.search(r"^seed=\d+$", capsys.readouterr().out, re.M)
+
+    def test_private_key_owner_only(self, tmp_path):
+        """The signing key is mode 0o600, also after --force over a 0o644
+        key; the public key gets the mode any new file gets."""
+        prefix, key = str(tmp_path / "k"), tmp_path / "k.key"
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["asp-keygen", "--out", prefix, "--seed", "1"]) == EXIT_OK
+        assert _mode(key) == 0o600
+        assert _mode(tmp_path / "k.pub") == _mode(plain)
+        key.chmod(0o644)
+        assert main(["asp-keygen", "--out", prefix, "--seed", "2", "--force"]) == EXIT_OK
+        assert _mode(key) == 0o600
 
 
 class TestEnroll:
@@ -152,6 +171,35 @@ class TestEnroll:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_record_owner_only(self, record_path):
+        assert _mode(Path(record_path)) == 0o600
+
+    def test_failed_write_keeps_old_record(self, tmp_path, keys_prefix, record_path,
+                                           monkeypatch, capsys):
+        before = Path(record_path).read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(
+            [
+                "enroll",
+                "--keys", keys_prefix,
+                "--identity-seed", IDENTITY_SEED,
+                "--dob", ADULT_DOB,
+                "--out", record_path,
+                "--seed", "1",
+                "--clock", str(NOW),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot write record: replace refused\n"
+        assert Path(record_path).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alice.bbc", "issuer.key", "issuer.pub"
+        ]
 
     def test_record_byte_identical_across_reruns(self, tmp_path, keys_prefix):
         paths = [tmp_path / "a.bbc", tmp_path / "b.bbc"]

@@ -441,8 +441,8 @@ class TestRootSearch:
 
     @pytest.mark.parametrize("rows", [1, 2, 16, 63, 64, 65])
     def test_every_gather_step(self, rows):
-        """Chunks below 64 rows gather several table rows per call, a 1-row
-        chunk all of them in one, and chunks of 64 or more one row per call."""
+        """``_roots`` gathers one table slab per call at every chunk size;
+        chunks of 1 row to past 64 rows all match brute force."""
         n, t = PROD_CODE.n, PROD_CODE.t
         rng = np.random.default_rng(rows)
         values = rng.integers(0, n + 1, size=(rows, t + 1))
@@ -514,8 +514,9 @@ class TestEncodeReference:
 
 class TestChunkStages:
     """The stages of ``_decode_rows``, ``decode_batch``'s pipeline, against
-    plain-Python oracles, at chunk sizes on both sides of each gather-step
-    boundary, 1 row included. ``decode`` shares only ``_odd_syndromes``."""
+    plain-Python oracles, at chunk sizes on both sides of each syndrome
+    gather-step boundary, 1 row included. ``decode`` shares only
+    ``_odd_syndromes``."""
 
     @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
     def test_odd_syndromes_match_reference(self, params):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bbcreds import ecc, evaluate
-from bbcreds.binding import SketchVariant
+from bbcreds.binding import AuthFailure, SketchVariant
 from bbcreds.evaluate import (
     CSV_HEADER,
     OUTCOMES,
@@ -16,7 +16,8 @@ from bbcreds.evaluate import (
     sweep,
     wilson_interval,
 )
-from bbcreds.parties import AlwaysFail, ProtocolConfig
+from bbcreds.fextract import ExtractFailure
+from bbcreds.parties import AlwaysFail, LivenessFailed, ProtocolConfig, device_authenticate
 from bbcreds.synthbio import new_identity, sample_impostor
 
 SEED = 0xE7A1
@@ -246,17 +247,24 @@ class TestSweep:
         assert sink.getvalue() == ""
 
 
-def test_liveness_policy_gates_authentication_only(cfg):
+def test_liveness_policy_gates_authentication_only(cfg, enrollment):
     failing = replace(cfg, liveness=AlwaysFail())
     assert estimate_far(failing, 1000, SEED).stage_counts == {**ZERO_COUNTS, "Liveness": 1000}
     assert estimate_frr(replace(failing, sigma=0.003), 100, SEED).stage_counts == {
         **ZERO_COUNTS, "Liveness": 100
     }
+    with pytest.raises(LivenessFailed) as refusal:
+        device_authenticate(enrollment["identity"], enrollment["record"], failing.liveness)
+    assert refusal.value.stage == "Liveness"
 
 
 def test_far_trial_composable(cfg, enrollment):
     outcome = far_trial(enrollment["record"], cfg, SEED, 0)
     assert outcome in OUTCOMES and outcome != "Success"
+    sample = sample_impostor(evaluate._impostor_seed(SEED, 0), cfg.dim)
+    with pytest.raises(ExtractFailure) as refusal:
+        device_authenticate(sample, enrollment["record"], cfg.liveness)
+    assert refusal.value.stage == outcome == "Extract"
 
 
 def _flip_last(data: bytes) -> bytes:
@@ -278,11 +286,18 @@ def _flip_last(data: bytes) -> bytes:
     ],
     ids=["ciphertext", "encrypted-sketch", "digest"],
 )
-def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, variant, tamper,
+def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, asp, variant, tamper,
                                                      expected):
     enroll = evaluate.device_enroll
     monkeypatch.setattr(evaluate, "device_enroll", lambda *a, **kw: tamper(enroll(*a, **kw)))
-    report = estimate_frr(replace(cfg, sketch_variant=variant, sigma=0.0), 100, SEED)
+    tampered = replace(cfg, sketch_variant=variant, sigma=0.0)
+    report = estimate_frr(tampered, 100, SEED)
     assert tuple(report.stage_counts) == OUTCOMES
     assert report.stage_counts[expected] == report.trials == 100
     assert report.frr == 1.0
+    # The device refuses one such record under the name the report tallied.
+    identity = new_identity(SEED, cfg.dim)
+    record = evaluate.device_enroll(identity, asp, tampered, SEED)
+    with pytest.raises(AuthFailure) as refusal:
+        device_authenticate(identity, record, tampered.liveness)
+    assert refusal.value.stage == expected

@@ -29,7 +29,7 @@ QCFG = QuantizerConfig.default(512, 511)
 @pytest.fixture(scope="module")
 def enrolled():
     e = new_identity(1001, 512)
-    key, helper = fe_generate(e, CODE, QCFG, rng_seed=555)
+    key, helper = fe_generate(e, CODE, rng_seed=555)
     return e, key, helper
 
 
@@ -43,7 +43,7 @@ def test_key_is_always_256_bits(enrolled):
     _, key, _ = enrolled
     assert len(key.key) == 32
     for seed in range(10):
-        k, _ = fe_generate(new_identity(seed, 512), CODE, QCFG, seed)
+        k, _ = fe_generate(new_identity(seed, 512), CODE, seed)
         assert len(k.key) == 32
 
 
@@ -59,7 +59,7 @@ def test_reproduce_deterministic(enrolled):
 
 def test_generate_deterministic(enrolled):
     e, key, helper = enrolled
-    key2, helper2 = fe_generate(e, CODE, QCFG, rng_seed=555)
+    key2, helper2 = fe_generate(e, CODE, rng_seed=555)
     assert key2 == key and helper2 == helper
 
 
@@ -80,7 +80,7 @@ def test_distinct_seeds_distinct_outputs(enrolled):
     keys = set()
     offsets = set()
     for seed in range(100):
-        key, helper = fe_generate(e, CODE, QCFG, seed)
+        key, helper = fe_generate(e, CODE, seed)
         keys.add(key.key)
         offsets.add(helper.offset.data)
     assert len(keys) == 100
@@ -109,7 +109,7 @@ def batch():
     for sigma in (0.003, 0.005):
         for person, identity in identities.items():
             capture = sample_genuine(identity, NoiseModel(sigma), 1000)
-            helper = fe_generate(capture, CODE, QCFG, rng_seed=person)[1]
+            helper = fe_generate(capture, CODE, rng_seed=person)[1]
             for seed in range(30):
                 rows.append(sample_genuine(identity, NoiseModel(sigma), seed).values)
                 helpers.append(helper)
@@ -138,7 +138,7 @@ def test_batch_rejects_bad_input(batch):
     nan, scaled = samples.copy(), samples.copy()
     nan[3, 7] = np.nan
     scaled[3] *= 2
-    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 268, 29), QCFG, 1)[1]
+    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 268, 29), 1)[1]
     for bad_samples, bad_helpers in [
         (nan, helpers),
         (scaled, helpers),
@@ -154,7 +154,7 @@ def test_batch_rejects_bad_input(batch):
 def test_key_never_windows_into_helper():
     for seed in range(1000):
         e = new_identity(seed, 512)
-        key, helper = fe_generate(e, CODE, QCFG, seed)
+        key, helper = fe_generate(e, CODE, seed)
         assert key.key not in encode_helper(helper)
 
 
@@ -180,15 +180,9 @@ def test_dimension_mismatch_rejected(enrolled):
     _, _, helper = enrolled
     small = new_identity(5, 16)
     with pytest.raises(ValueError):
-        fe_generate(small, CODE, QCFG, 1)
+        fe_generate(small, CODE, 1)
     with pytest.raises(ValueError):
         fe_reproduce(small, helper)
-
-
-def test_quantizer_code_mismatch_rejected():
-    e = new_identity(5, 512)
-    with pytest.raises(ValueError):
-        fe_generate(e, CODE, QuantizerConfig.default(512, 255), 1)
 
 
 def test_helper_invariants():
