@@ -3,18 +3,19 @@
 Genuine trials enroll a fresh identity and authenticate with a new noisy
 capture; impostor trials authenticate unrelated captures against one
 enrolled record. Enrollment always passes liveness, so the configured
-liveness policy gates only each trial's authentication. Every trial
-derives its own sub-seed from the harness seed under a label naming its
-kind and index, so each trial is a pure function of (seed, index), trial
-order cannot change the counts, and the reports at seeds S and S+1 share
-no trial.
+liveness policy gates only each trial's authentication. Every genuine
+trial derives its own sub-seed from the harness seed under a label naming
+its index, and impostor trial i is row i of the one impostor stream the
+harness seed names (``_impostor_stream``). So each trial is a pure
+function of (seed, index), trial order cannot change the counts, and the
+reports at seeds S and S+1 share no trial.
 
 ``frr_trial`` and ``far_trial`` run one trial through
 ``device_authenticate``. The reports draw the same trials a chunk at a
-time as the rows of one sample matrix (``sample_impostors`` for FAR, the
-stacked genuine captures for FRR) and pass it through the device's
-stages in one go: the liveness gate once per report, one batched key
-reproduction (``fe_reproduce_batch``, which decodes with
+time as the rows of one sample matrix (a window of the impostor stream
+for FAR, the stacked genuine captures for FRR) and pass it through the
+device's stages in one go: the liveness gate once per report, one batched
+key reproduction (``fe_reproduce_batch``, which decodes with
 ``BchCodec.decode_batch``), then ``unbind_auth`` for each key that came
 out. Each report's counts equal the tally of the single-trial functions
 over the same indices.
@@ -60,7 +61,6 @@ from .synthbio import (
     NoiseModel,
     new_identity,
     sample_genuine,
-    sample_impostor,
     sample_impostors,
 )
 
@@ -136,7 +136,7 @@ def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
 
 
 def _tally(
-    draw: Callable[[list[int]], tuple[np.ndarray, list[DeviceRecord]]],
+    draw: Callable[[range], tuple[np.ndarray, list[DeviceRecord]]],
     trials: int,
     liveness: LivenessPolicy,
 ) -> dict[str, int]:
@@ -158,7 +158,7 @@ def _tally(
         return counts
     extract, success = ExtractFailure.stage, "Success"
     for start in range(0, trials, _BATCH_CHUNK):
-        samples, records = draw(list(range(start, min(start + _BATCH_CHUNK, trials))))
+        samples, records = draw(range(start, min(start + _BATCH_CHUNK, trials)))
         keys = fe_reproduce_batch(samples, [record.helper for record in records])
         del samples  # the next chunk's matrix is drawn without this one alive
         for record, key in zip(records, keys):
@@ -194,8 +194,9 @@ def _genuine_trial(
     return sample, record
 
 
-def _impostor_seed(seed: int, index: int) -> int:
-    return subseed(seed, f"bbcreds/eval/impostor/{index}/v1")
+def _impostor_stream(seed: int) -> int:
+    """The impostor stream of the FAR report at ``seed``: trial i is its row i."""
+    return subseed(seed, "bbcreds/eval/impostor/v2")
 
 
 def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
@@ -212,7 +213,8 @@ def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
 
 def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> str:
     """One impostor trial against an already enrolled record."""
-    return _outcome(sample_impostor(_impostor_seed(seed, index), cfg.dim), record, cfg)
+    sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1, cfg.dim)[0])
+    return _outcome(sample, record, cfg)
 
 
 def _report(
@@ -230,7 +232,7 @@ def _report(
 def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     asp = _eval_asp(seed)
 
-    def draw(indices: list[int]) -> tuple[np.ndarray, list[DeviceRecord]]:
+    def draw(indices: range) -> tuple[np.ndarray, list[DeviceRecord]]:
         pairs = [_genuine_trial(cfg, seed, i, asp) for i in indices]
         return np.stack([sample.values for sample, _ in pairs]), [r for _, r in pairs]
 
@@ -239,9 +241,10 @@ def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
 
 def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     record = _enroll(new_identity(seed, cfg.dim), _eval_asp(seed), cfg, seed)
+    stream = _impostor_stream(seed)
     counts = _tally(
         lambda indices: (
-            sample_impostors([_impostor_seed(seed, i) for i in indices], cfg.dim),
+            sample_impostors(stream, indices.start, len(indices), cfg.dim),
             [record] * len(indices),
         ),
         trials,

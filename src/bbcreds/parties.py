@@ -248,6 +248,8 @@ def device_enroll(
     four retained artifacts and nothing else; the stable key and secret are
     dropped on exit.
     """
+    if identity.dim != cfg.dim:
+        raise ValueError(f"identity has dim {identity.dim}, config has dim {cfg.dim}")
     capture = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )

@@ -14,18 +14,20 @@ seeded ``s`` is unrelated to either. An identity is its reference
 
 Identity and genuine-noise rows are numpy's own stream: the values of
 ``np.random.default_rng(subseed(seed, role_label)).standard_normal(dim)``.
-Impostor rows are stream v2 (label ``bbcreds/synthbio/impostor/v2``): each
-row's ``PCG64`` takes its four state words straight from 32 bytes of
-SHAKE-256 over the label and the seed (``kdf.expand_seed``). Those bytes are
-already uniform, so numpy's ``SeedSequence`` hash would only add a per-row
-cost, and one row and a report chunk of many rows take the same path.
+Impostor rows are stream v3 (label ``bbcreds/synthbio/impostor/v3``): row
+i of stream s is row i mod 16 of block i // 16, and block b is the first
+16 * dim values, row-major, of a ``PCG64`` whose four state words are 32
+bytes of SHAKE-256 over ``f"{label}/{b}"`` and s (``kdf.expand_seed``).
+Those bytes are already uniform, so numpy's ``SeedSequence`` hash would
+only add cost. A window draws each block it touches and discards the rows
+before its first, so it equals the same rows of any longer window. The
+block size (``_IMPOSTOR_BLOCK``) is part of the stream's format.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -48,7 +50,8 @@ MIN_DIM = 8
 
 _IDENTITY_LABEL = "bbcreds/synthbio/identity/v1"
 _GENUINE_LABEL = "bbcreds/synthbio/genuine/v1"
-_IMPOSTOR_LABEL = "bbcreds/synthbio/impostor/v2"
+_IMPOSTOR_LABEL = "bbcreds/synthbio/impostor/v3"
+_IMPOSTOR_BLOCK = 16
 
 
 class _Words(ISeedSequence):
@@ -134,21 +137,30 @@ def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int) -> Embeddi
 
 
 def sample_impostor(rng_seed: int, dim: int = DEFAULT_DIM) -> Embedding:
-    """An identity-independent capture: a fresh normalized Gaussian vector."""
-    return Embedding(sample_impostors([rng_seed], dim)[0])
+    """An identity-independent capture: row 0 of impostor stream ``rng_seed``."""
+    return Embedding(sample_impostors(rng_seed, 0, 1, dim)[0])
 
 
-def sample_impostors(rng_seeds: Sequence[int], dim: int = DEFAULT_DIM) -> np.ndarray:
-    """``sample_impostor`` for each seed, as the rows of one (len(rng_seeds),
-    dim) array: row i holds the values ``sample_impostor(rng_seeds[i], dim)``
-    has. Each row is drawn from its seed's own stream, and the rows are
+def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_DIM) -> np.ndarray:
+    """Rows ``first`` .. ``first + count - 1`` of impostor stream ``rng_seed``
+    as one (count, dim) array of fresh normalized Gaussian vectors. Each
+    block of the stream the window touches gets one generator; the rows are
     normalized and checked together."""
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    values = np.empty((len(rng_seeds), dim))
-    for seed, row in zip(rng_seeds, values):
-        words = np.frombuffer(expand_seed(seed, _IMPOSTOR_LABEL, 32), "<u8")
-        np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=row)
+    if first < 0 or count < 0:
+        raise ValueError(f"impostor rows need first >= 0 and count >= 0, got {first}, {count}")
+    values = np.empty((count, dim))
+    row, stop = first, first + count
+    while row < stop:
+        block, skip = divmod(row, _IMPOSTOR_BLOCK)
+        end = min(row - skip + _IMPOSTOR_BLOCK, stop)
+        words = np.frombuffer(expand_seed(rng_seed, f"{_IMPOSTOR_LABEL}/{block}", 32), "<u8")
+        generator = np.random.Generator(np.random.PCG64(_Words(words)))
+        if skip:  # the block's rows before ``first``
+            generator.standard_normal(skip * dim)
+        generator.standard_normal(out=values[row - first:end - first])
+        row = end
     values /= np.sqrt(np.vecdot(values, values))[:, None]
     _check_unit_rows(values)
     return values

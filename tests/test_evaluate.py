@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from bbcreds import ecc, evaluate
+from bbcreds import ecc, evaluate, synthbio
 from bbcreds.binding import AuthFailure, SketchVariant
 from bbcreds.evaluate import (
     CSV_HEADER,
@@ -18,7 +18,7 @@ from bbcreds.evaluate import (
 )
 from bbcreds.fextract import ExtractFailure
 from bbcreds.parties import AlwaysFail, LivenessFailed, ProtocolConfig, device_authenticate
-from bbcreds.synthbio import new_identity, sample_impostor
+from bbcreds.synthbio import new_identity, sample_impostor, sample_impostors
 
 SEED = 0xE7A1
 ZERO_COUNTS = dict.fromkeys(OUTCOMES, 0)
@@ -149,12 +149,12 @@ class TestTrialIndependence:
             enrolled.append(seed)
             return new_identity(seed, dim)
 
-        def recording_impostor(seed, dim):
-            impostors.append(seed)
-            return sample_impostor(seed, dim)
+        def recording_impostors(stream, first, count, dim):
+            impostors.extend((stream, i) for i in range(first, first + count))
+            return sample_impostors(stream, first, count, dim)
 
         monkeypatch.setattr(evaluate, "new_identity", recording_identity)
-        monkeypatch.setattr(evaluate, "sample_impostor", recording_impostor)
+        monkeypatch.setattr(evaluate, "sample_impostors", recording_impostors)
         for i in range(5):
             for seed, index in ((SEED, i + 1), (SEED + 1, i)):
                 frr_trial(replace(cfg, sigma=0.003), seed, index)
@@ -261,10 +261,26 @@ def test_liveness_policy_gates_authentication_only(cfg, enrollment):
 def test_far_trial_composable(cfg, enrollment):
     outcome = far_trial(enrollment["record"], cfg, SEED, 0)
     assert outcome in OUTCOMES and outcome != "Success"
-    sample = sample_impostor(evaluate._impostor_seed(SEED, 0), cfg.dim)
+    sample = sample_impostor(evaluate._impostor_stream(SEED), cfg.dim)
     with pytest.raises(ExtractFailure) as refusal:
         device_authenticate(sample, enrollment["record"], cfg.liveness)
     assert refusal.value.stage == outcome == "Extract"
+
+
+def test_far_report_seeds_one_generator_per_block(cfg, monkeypatch):
+    # 1000 trials are rows 0 .. 999 of one impostor stream: ceil(1000 / 16)
+    # blocks, each seeded once, not one seeding per row.
+    labels = []
+    expand = synthbio.expand_seed
+
+    def counting_expand(seed, label, nbytes):
+        labels.append(label)
+        return expand(seed, label, nbytes)
+
+    monkeypatch.setattr(synthbio, "expand_seed", counting_expand)
+    estimate_far(cfg, 1000, SEED)
+    impostor = [label for label in labels if label.startswith("bbcreds/synthbio/impostor/")]
+    assert len(impostor) == len(set(impostor)) == 63
 
 
 def _flip_last(data: bytes) -> bytes:

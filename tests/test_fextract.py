@@ -114,7 +114,7 @@ def batch():
                 rows.append(sample_genuine(identity, NoiseModel(sigma), seed).values)
                 helpers.append(helper)
     for i, helper in enumerate((helpers[0], helpers[-1])):
-        rows += list(sample_impostors(range(100 * i, 100 * i + 20), 512))
+        rows += list(sample_impostors(100 + i, 0, 20, 512))
         helpers += [helper] * 20
     return np.array(rows), helpers
 

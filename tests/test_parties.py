@@ -5,6 +5,7 @@ from datetime import date
 
 import pytest
 
+from bbcreds import parties
 from bbcreds.binding import AuthFailure, SketchVariant
 from bbcreds.credential import RejectReason
 from bbcreds.fextract import ExtractFailure
@@ -192,6 +193,14 @@ class TestDeviceEnroll:
         with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
             device_enroll(new_identity(9, cfg.dim), counting, cfg, rng_seed=1)
         assert counting.calls == 0
+
+    def test_identity_dim_must_match_config(self, issuer_keys, default_cfg, monkeypatch):
+        counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
+        captures = []
+        monkeypatch.setattr(parties, "sample_genuine", lambda *a: captures.append(a))
+        with pytest.raises(ValueError, match=f"dim 600, config has dim {default_cfg.dim}$"):
+            device_enroll(new_identity(1, 600), counting, default_cfg, rng_seed=2)
+        assert captures == [] and counting.calls == 0
 
     def test_underage_evidence_raises(self, issuer_keys, default_cfg):
         asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)

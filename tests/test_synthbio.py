@@ -134,35 +134,50 @@ def test_impostor_deterministic_and_normalized():
     assert abs(np.linalg.norm(a.values) - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("count", [1, 2, 255, 256, 257])
-def test_impostor_rows_are_single_samples(count):
-    # Each row comes from its own seed's stream, whatever else is in the
-    # list (here every seed twice). The counts straddle ecc._BATCH_CHUNK,
-    # the row count of one report chunk.
-    seeds = [2**64 - 1 - 7919 * (i // 2) for i in range(count)]
-    rows = sample_impostors(seeds, 64)
-    assert rows.shape == (count, 64)
-    for seed, row in zip(seeds, rows):
-        assert np.array_equal(row, sample_impostor(seed, 64).values)
-    assert sample_impostors([], 64).shape == (0, 64)
+@pytest.mark.parametrize("count", [1, 2, 15, 16, 17, 255, 256, 257])
+def test_impostor_windows_agree(count):
+    # Any window of a stream equals the same rows of a longer window. The
+    # starts and counts straddle the 16-row block, and the counts also
+    # ecc._BATCH_CHUNK, the row count of one report chunk.
+    seed = 2**64 - 1 - 7919
+    for first in (0, 5, 15, 16, 250):
+        rows = sample_impostors(seed, first, count, 64)
+        assert rows.shape == (count, 64)
+        assert np.array_equal(rows, sample_impostors(seed, 0, first + count, 64)[first:])
+    first_row = sample_impostors(seed, 0, count, 64)[0]
+    assert np.array_equal(sample_impostor(seed, 64).values, first_row)
+
+
+def test_impostor_window_bounds():
+    assert sample_impostors(1, 0, 0, 64).shape == (0, 64)
+    assert sample_impostors(1, 17, 0, 64).shape == (0, 64)
+    for first, count in ((-1, 1), (0, -1), (-16, 16)):
+        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
+            sample_impostors(1, first, count, 64)
     with pytest.raises(ValueError):
-        sample_impostors([1], 7)
+        sample_impostors(1, 0, 1, 7)
 
 
 def test_impostor_values_are_standard_normal():
-    # Stream v2 seeds PCG64 with raw SHAKE-256 words, bypassing numpy's
-    # SeedSequence mixing, so check the values it then draws: sqrt(dim)
-    # times a row of a normalized Gaussian vector is close to N(0, 1).
+    # Stream v3 seeds each block's PCG64 with raw SHAKE-256 words, bypassing
+    # numpy's SeedSequence mixing, so check the values it then draws:
+    # sqrt(dim) times a row of a normalized Gaussian vector is close to
+    # N(0, 1). 200 rows of one stream span 13 blocks.
     from scipy import stats
 
     dim = 512
-    rows = sample_impostors(range(200), dim)
+    rows = sample_impostors(0, 0, 200, dim)
     values = (np.sqrt(dim) * rows).ravel()
     assert stats.kstest(values, "norm").pvalue > 1e-4
     # 102400 fair signs have a standard deviation of 160 around half.
     assert abs(int((values > 0).sum()) - values.size // 2) < 5 * 160
-    # Adjacent seeds give unrelated rows: |cos| is about 0.044 in 512-d.
+    # Adjacent rows, the first rows of adjacent blocks and the first rows
+    # of adjacent seeds are unrelated: |cos| is about 0.044 in 512-d.
     assert np.all(np.abs(np.vecdot(rows[:-1], rows[1:])) < 0.3)
+    firsts = rows[::16]
+    assert np.all(np.abs(np.vecdot(firsts[:-1], firsts[1:])) < 0.3)
+    seeds = np.array([sample_impostor(seed, dim).values for seed in range(200)])
+    assert np.all(np.abs(np.vecdot(seeds[:-1], seeds[1:])) < 0.3)
 
 
 def test_negative_sigma_rejected():
@@ -198,7 +213,7 @@ def test_identity_and_genuine_follow_numpy_stream():
 
 
 def test_impostor_rows_pinned():
-    rows = sample_impostors(range(300), 512)
+    rows = sample_impostors(0, 0, 300, 512)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
-        "5690911985f466401896df239bf5cae8827293de386cc370e5fece3d7a4f6227"
+        "edd4d121531fc6949dfc2126e88173c03a9cbdef03ffa9b329224af0d67406be"
     )
