@@ -53,16 +53,24 @@ and 10 us in ``_root_mask``. Words and messages stay packed in the
 ``BitString`` byte layout throughout, so a caller that holds packed rows
 never unpacks a bit.
 
-For BCH(511, 259, 30) the tables take about 2.7 MB, built once per
-codec in about 5 ms: 960 KiB of fused syndrome entries (64 byte
-positions, 256 values, 30 uint16 syndromes), 837 KiB of root-search rows
-(31 coefficients, 48 rows each of 9 planes of 8 words), the same 1488
-rows again as Python ints for ``_root_mask`` (898 KiB), 8 KB mapping
-each field element to its two rows, 4 KB each of numpy exp and log
-tables, and 75 KB of parity rows (66 nibble rows of 16 ints; rows per
-byte would take 573 KB). The root search holds 576 bytes per row. A
-256-row chunk of random words peaks at about 0.8 MiB of temporaries,
-most of it Berlekamp-Massey's int64 log arrays.
+The constructor builds only what ``encode`` and the index arithmetic
+read, and each decoder table is built on first use by the pipeline that
+reads it, so enrollment, which only encodes, never pays for a decoder.
+For BCH(511, 259, 30) a new codec holds about 124 KiB, built in 1-2 ms:
+75 KB of parity rows (66 nibble rows of 16 ints; rows per byte would take
+573 KB), the field lists, 4 KB each of numpy exp and log tables, and 8 KB
+mapping each field element to its two root-search rows. The first
+``decode`` or ``decode_batch`` builds 960 KiB of fused syndrome entries
+(64 byte positions, 256 values, 30 uint16 syndromes). The first
+``decode_batch`` builds 837 KiB of root-search rows (31 coefficients, 48
+rows each of 9 planes of 8 words), and the first ``decode`` the same 1488
+rows as Python ints for ``_root_mask`` (898 KiB). So a codec that runs one
+pipeline holds about 1.9 MiB and one that runs both 2.75 MiB, and a first
+call takes about 5-7 ms (tracemalloc, and best of 15 on a 2-core
+machine). At (1023, 1, 511) the same three tables take 32, 40 and 42 MiB.
+The root search holds 576 bytes per row. A 256-row chunk of random words
+peaks at about 0.8 MiB of temporaries, most of it Berlekamp-Massey's
+int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -72,7 +80,7 @@ material, so no attempt is made to detect miscorrection here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 import numpy as np
@@ -203,8 +211,14 @@ def _parity_rows(params: CodeParams, generator: int) -> list[tuple[list[int], li
 class BchCodec:
     """Encoder/decoder for one (n, k, t) parameter set.
 
-    Tables are built once in the constructor and never mutated, so a
-    single codec may be shared across threads.
+    The constructor builds the encoder's parity rows and the field
+    tables. Each decoder table is a ``cached_property`` built on first use
+    by the pipeline that reads it: ``_syndrome_table`` by the first
+    ``decode`` or ``decode_batch``, ``_root_table`` by the first
+    ``decode_batch`` and ``_root_ints`` by the first ``decode`` (960, 837
+    and 898 KiB at (511, 259, 30)). No table is mutated once built, so a
+    single codec may be shared across threads: two threads that race on a
+    first call may each build a table, but each stores it whole.
     """
 
     def __init__(self, params: CodeParams):
@@ -231,18 +245,40 @@ class BchCodec:
         self._log = log
         self._generator = self._build_generator(cosets)
 
-        # Decoder tables. Field elements are below 2^10, so the numpy copy
-        # of exp and everything gathered from it is uint16.
+        # Field elements are below 2^10, so the numpy copy of exp and
+        # everything gathered from it is uint16.
         self._exp_np = np.asarray(self._exp, dtype=np.uint16)
         self._log_np = np.asarray(log, dtype=np.int64)
-        self._build_root_tables(m)
 
-        # Syndrome table. A packed word's byte b holds bits 8b .. 8b+7, MSB
-        # first, at powers n-1-8b-r for r = 0 .. 7, so its share of S_i is
-        # the XOR of alpha^(i(n-1-8b-r)) over its set bits. Row 256 b + v
-        # holds that share for byte value v and each odd i, built by
-        # doubling over the bits of v, so the odd syndromes are the XOR of
-        # one row per byte.
+        # Index arithmetic of the root search, whose rows ``_root_rows``
+        # lays out: each coefficient's low and high bits pick one row each.
+        low = (m + 1) // 2
+        entries = (1 << low) + (1 << (m - low))
+        words = (n + 63) // 64
+        value = np.arange(1 << m)
+        self._root_halves = np.stack((value & (1 << low) - 1, (1 << low) + (value >> low)))
+        self._root_offsets = np.arange(t + 1)[:, None] * entries
+        self._root_valid = np.packbits(np.arange(64 * words) < n).view(np.uint64)
+        self._root_plane_bits = 64 * words
+        self._root_low, self._root_entries = low, entries
+
+        # Byte b of a packed word is row 256 b + v of ``_syndrome_table``.
+        self._syndrome_rows = 256 * np.arange((n + 7) // 8)[:, None]
+
+        # Encoder table: two nibble rows per packed message byte.
+        self._parity_rows = _parity_rows(params, self._generator)
+
+    @cached_property
+    def _syndrome_table(self) -> np.ndarray:
+        """The fused syndrome table, built on the first ``decode`` or ``decode_batch``.
+
+        A packed word's byte b holds bits 8b .. 8b+7, MSB first, at powers
+        n-1-8b-r for r = 0 .. 7, so its share of S_i is the XOR of
+        alpha^(i(n-1-8b-r)) over its set bits. Row 256 b + v holds that
+        share for byte value v and each odd i, built by doubling over the
+        bits of v, so the odd syndromes are the XOR of one row per byte.
+        """
+        n, t = self._n, self.params.t
         odd = np.arange(1, 2 * t, 2)
         size = (n + 7) // 8
         powers = (n - 1 - np.arange(8 * size)).reshape(size, 8)
@@ -250,14 +286,10 @@ class BchCodec:
         table = np.zeros((size, 256, t), dtype=np.uint16)
         for j in range(8):  # bit j of v is bit r = 7 - j of the byte
             table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ shares[:, 7 - j, None]
-        self._syndrome_table = table.reshape(256 * size, t)
-        self._syndrome_rows = 256 * np.arange(size)[:, None]
+        return table.reshape(256 * size, t)
 
-        # Encoder table: two nibble rows per packed message byte.
-        self._parity_rows = _parity_rows(params, self._generator)
-
-    def _build_root_tables(self, m: int) -> None:
-        """Tables for ``_roots`` and ``_root_mask``, built one coefficient at a time.
+    def _root_rows(self) -> np.ndarray:
+        """A fresh copy of the root-search rows, built one coefficient at a time.
 
         Bit position c of a root mask stands for alpha^s with s = (c + 1)
         mod n, because a root alpha^s marks an error at word bit (s - 1)
@@ -267,17 +299,13 @@ class BchCodec:
         lambda_j alpha^(j s) is GF(2)-linear in the m bits of lambda_j, and
         the h = ceil(m/2) low bits and the m - h high bits each index a
         table row that holds their share at every s, as m bit planes of
-        ``words`` uint64 words. Rows j E .. j E + 2^h - 1 serve the low
+        ceil(n/64) uint64 words. Rows j E .. j E + 2^h - 1 serve the low
         half of lambda_j and the next 2^(m-h) its high half, E rows per j.
         """
-        n, t = self._n, self.params.t
-        low = (m + 1) // 2
-        entries = (1 << low) + (1 << (m - low))
-        words = (n + 63) // 64
-        value = np.arange(1 << m)
-        self._root_halves = np.stack((value & (1 << low) - 1, (1 << low) + (value >> low)))
-        self._root_offsets = np.arange(t + 1)[:, None] * entries
-        table = np.zeros((t + 1, entries, m * words), dtype=np.uint64)
+        n, t, low = self._n, self.params.t, self._root_low
+        m = n.bit_length()
+        words = self._root_valid.size
+        table = np.zeros((t + 1, self._root_entries, m * words), dtype=np.uint64)
         powers = np.outer(np.arange(t + 1), np.arange(n) + 1) % n
         planes = np.zeros((m, m, 64 * words), dtype=np.uint8)
         for rows, power in zip(table, powers):
@@ -292,14 +320,20 @@ class BchCodec:
                 for size, b in enumerate(bits):
                     span = rows[first : first + (1 << size)]
                     rows[first + (1 << size) : first + (2 << size)] = span ^ packed[b]
-        self._root_table = table.reshape(-1, m * words)
-        self._root_valid = np.packbits(np.arange(64 * words) < n).view(np.uint64)
-        # The same rows for ``_root_mask``, each one Python int: its bytes
-        # big-endian, so plane 0 is the top 64 words bits and a position's
-        # bit in each plane sits 64 words bits below the last.
-        self._root_ints = [int.from_bytes(row.tobytes(), "big") for row in self._root_table]
-        self._root_plane_bits = 64 * words
-        self._root_low, self._root_entries = low, entries
+        return table.reshape(-1, m * words)
+
+    @cached_property
+    def _root_table(self) -> np.ndarray:
+        """``_roots``'s rows, built on the first ``decode_batch``."""
+        return self._root_rows()
+
+    @cached_property
+    def _root_ints(self) -> list[int]:
+        """``_root_mask``'s rows, built on the first ``decode``: each row one
+        Python int of its bytes big-endian, so plane 0 is the top 64
+        ceil(n/64) bits and a position's bit in each plane sits that many
+        bits below the last."""
+        return [int.from_bytes(row.tobytes(), "big") for row in self._root_rows()]
 
     def _gf_mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]

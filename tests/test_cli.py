@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import stat
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from bbcreds.cli import (
     EXIT_USAGE,
     main,
 )
+from bbcreds.ecc import CodeParams, codec_for
 from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
@@ -128,6 +130,33 @@ class TestEnroll:
         assert code == EXIT_OK
         assert path.exists() and path.stat().st_size > 0
         assert "enrolled" in capsys.readouterr().out
+
+    def test_large_code_builds_no_decoder(self, tmp_path, keys_prefix):
+        """Enrollment only encodes, so ``enroll`` with code (1023, 1, 511),
+        whose decoder tables take 114 MiB, allocates under 8 MiB at peak."""
+        config = tmp_path / "big.conf"
+        config.write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=511\n")
+        path = tmp_path / "big.bbc"
+        argv = [
+            "enroll",
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--dob", ADULT_DOB,
+            "--out", str(path),
+            "--seed", RUN_SEED,
+            "--clock", str(NOW),
+            "--config", str(config),
+        ]
+        codec_for.cache_clear()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert decode_record(path.read_bytes()).helper.code == CodeParams(1023, 1, 511)
+        assert peak < 8 << 20
 
     def test_underage_denied(self, tmp_path, keys_prefix, capsys):
         code = main(

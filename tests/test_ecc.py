@@ -2,7 +2,10 @@ import collections
 import functools
 import itertools
 import operator
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -597,6 +600,94 @@ class TestChunkStages:
         msg = _random_message(rng, PROD_CODE.k)
         word = _with_flips(codec.encode(msg), rng.choice(PROD_CODE.n, size=8, replace=False))
         assert codec.decode(word) == msg
+
+
+DECODER_TABLES = {"_syndrome_table", "_root_table", "_root_ints"}
+
+
+class TestLazyTables:
+    """Each decoder table is built on first use by the pipeline that reads
+    it, so a codec that only encodes, as enrollment does, holds none."""
+
+    def _word(self, codec, seed):
+        rng = np.random.default_rng(seed)
+        msg = _random_message(rng, PROD_CODE.k)
+        return msg, _with_flips(codec.encode(msg), rng.choice(PROD_CODE.n, size=8, replace=False))
+
+    def test_encode_builds_no_decoder_table(self):
+        codec = BchCodec(PROD_CODE)
+        codec.encode(BitString.zeros(PROD_CODE.k))
+        assert not DECODER_TABLES & vars(codec).keys()
+
+    def test_decode_builds_no_batch_root_table(self):
+        codec = BchCodec(PROD_CODE)
+        msg, word = self._word(codec, 17)
+        assert codec.decode(word) == msg
+        assert DECODER_TABLES & vars(codec).keys() == {"_syndrome_table", "_root_ints"}
+
+    def test_decode_batch_builds_no_scalar_root_table(self):
+        codec = BchCodec(PROD_CODE)
+        msg, word = self._word(codec, 18)
+        ok, messages = codec.decode_batch(np.frombuffer(word.data, np.uint8)[None])
+        assert ok[0] and messages[0].tobytes() == msg.data
+        assert DECODER_TABLES & vars(codec).keys() == {"_syndrome_table", "_root_table"}
+
+    @pytest.mark.parametrize(
+        "params, bound",
+        [(PROD_CODE, 256 << 10), (CodeParams(1023, 1, 511), 1 << 20)],
+        ids=["n511", "n1023"],
+    )
+    def test_encoder_memory_bound(self, params, bound):
+        """Building a codec and encoding one message retain only the
+        encoder's share: about 124 KiB, where the decoder tables take 2.75
+        MiB at (511, 259, 30) and 114 MiB at (1023, 1, 511)."""
+        msg = BitString.zeros(params.k)
+        tracemalloc.start()
+        try:
+            codec = BchCodec(params)
+            codec.encode(msg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < bound
+
+    def test_first_calls_race_safely(self):
+        """Eight threads make the first ``decode`` and ``decode_batch``
+        calls on one fresh codec, in both orders. A racing first call may
+        build a table twice, but no thread may read a partial one."""
+        reference = codec_for(PROD_CODE)
+        rng = np.random.default_rng(19)
+        words = [
+            _with_flips(reference.encode(_random_message(rng, PROD_CODE.k)),
+                        rng.choice(PROD_CODE.n, size=weight, replace=False))
+            for weight in (0, 8, 30, 31, 60)
+        ]
+        packed = np.stack([np.frombuffer(w.data, np.uint8) for w in words])
+        expected = [reference.decode(w) for w in words]
+        expected_ok, expected_messages = reference.decode_batch(packed)
+        codec = BchCodec(PROD_CODE)
+        assert not DECODER_TABLES & vars(codec).keys()
+        barrier = threading.Barrier(8, timeout=60)
+
+        def first_calls(i):
+            barrier.wait()
+            if i % 2:
+                return [codec.decode(w) for w in words], codec.decode_batch(packed)
+            batch = codec.decode_batch(packed)
+            return [codec.decode(w) for w in words], batch
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(first_calls, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        for decoded, (ok, messages) in results:
+            assert decoded == expected
+            assert np.array_equal(ok, expected_ok)
+            assert np.array_equal(messages, expected_messages)
+        assert DECODER_TABLES <= vars(codec).keys()
 
 
 class TestZeroCases:
