@@ -22,7 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from .binding import AuthFailure, SketchVariant
-from .credential import IssuerKeyPair, generate_issuer_keys
+from .credential import MAX_AGE_OVER, IssuerKeyPair, generate_issuer_keys
 from .evaluate import sweep
 from .fextract import HELPER_VERSION, ExtractFailure
 from .kdf import SEED_MASK
@@ -77,7 +77,8 @@ _SETTINGS = {
     "age_threshold": ("threshold", AgePolicy, "threshold", int),
     "validity_seconds": (None, AgePolicy, "validity_seconds", int),
 }
-# Together they set ProtocolConfig.code; a missing one keeps its default.
+# code_n and code_t set ProtocolConfig.code, a missing one keeping its
+# default; code_k may be left out, and when given must be the k they fix.
 _CODE_KEYS = ("code_n", "code_k", "code_t")
 _CONFIG_KEYS = {*_SETTINGS, *_CODE_KEYS}
 
@@ -110,8 +111,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy
     try:
         code = {key.removeprefix("code_"): int(entries[key])
                 for key in _CODE_KEYS if key in entries}
-        if code:
-            fields[ProtocolConfig]["code"] = replace(DEFAULT_CODE, **code)
+        k = code.pop("k", None)
+        fields[ProtocolConfig]["code"] = params = replace(DEFAULT_CODE, **code)
+        if k is not None:
+            params.check_k(k)
         for key, (flag, owner, name, parse) in _SETTINGS.items():
             value = vars(args).get(flag)
             if value is None:
@@ -242,6 +245,8 @@ def _read_record_file(path: str):
 def cmd_auth(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     now = _clock(args)
+    if not 0 < args.required_age < MAX_AGE_OVER:
+        raise CliError(f"required age must be in (0, {MAX_AGE_OVER}), got {args.required_age}")
     record = _read_record_file(args.record)
     issuer_public = _load_issuer_public(args.keys)
     seed = _run_seed(args)
@@ -344,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(enroll)
     _add_clock(enroll)
     enroll.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
+                        help="key=value config file; flags take precedence, and "
+                             "code_k may be left out, as code_n and code_t determine it")
     enroll.set_defaults(handler=cmd_enroll)
 
     auth = sub.add_parser("auth", help="authenticate against a record and query the RP")

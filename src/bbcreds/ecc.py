@@ -3,8 +3,8 @@
 Primitive BCH codes of length n = 2^m - 1. The generator polynomial is
 built from the cyclotomic cosets of alpha^1 .. alpha^2t, which guarantees
 a designed distance of 2t+1 and therefore correction of any error pattern
-of weight <= t. The coset sizes alone give k, so ``CodeParams`` rejects an
-unsupported (n, k, t) without building a codec or any of its tables.
+of weight <= t. The coset sizes alone give k, so ``CodeParams`` derives k
+and rejects an unsupported (n, t) without building a codec or a table.
 
 Encoding is systematic, message bits then parity, and the parity is
 read from a table as in table-driven CRC division (Sarwate 1988): it is
@@ -26,7 +26,7 @@ Decoding is the binary form of the classical chain:
   coefficient of every locator, so each step works on whole contiguous
   rows, and it touches live coefficients only: a locator of length L
   has L + 1 coefficients, so each step reaches no further than the
-  longest locator of the chunk.
+  longest locator of the batch.
 - Root search: the locator is evaluated at every alpha^s, as in Chien's
   search (Chien 1964), but by table. lambda_j alpha^(j s) is GF(2)-linear
   in the bits of lambda_j, so each half of a coefficient's bits indexes a
@@ -43,9 +43,10 @@ device's path, in Python integers after the syndromes: the plain-Python
 ``_locator``, then ``_root_mask``, which XORs each coefficient's two
 table rows held as Python ints and folds the m planes with shifts and
 ORs, and one integer XOR that corrects the word. ``decode_batch`` runs
-``_decode_rows`` on up to _BATCH_CHUNK rows of a (B, ceil(n/8)) byte
-matrix at a time, with masked numpy Berlekamp-Massey (``_locators``) and
-the numpy root search (``_roots``). On one word numpy's per-call overhead
+all rows of a (B, ceil(n/8)) byte matrix in one pass, with masked numpy
+Berlekamp-Massey (``_locators``) and the numpy root search (``_roots``);
+its temporaries grow with B, so its caller sizes the batch, as the
+evaluation reports do (256 rows). On one word numpy's per-call overhead
 outweighs its arithmetic: on a 2-core machine at n=511, t=30, one random
 row took 0.59 ms in ``_locators`` against 0.10 ms in ``_locator``, and
 the root search at 8 and 30 errors 12 and 15 us in ``_roots`` against 5
@@ -68,7 +69,7 @@ rows as Python ints for ``_root_mask`` (898 KiB). So a codec that runs one
 pipeline holds about 1.9 MiB and one that runs both 2.75 MiB, and a first
 call takes about 5-7 ms (tracemalloc, and best of 15 on a 2-core
 machine). At (1023, 1, 511) the same three tables take 32, 40 and 42 MiB.
-The root search holds 576 bytes per row. A 256-row chunk of random words
+The root search holds 576 bytes per row. A 256-row batch of random words
 peaks at about 0.8 MiB of temporaries, most of it Berlekamp-Massey's
 int64 log arrays.
 
@@ -79,7 +80,7 @@ material, so no attempt is made to detect miscorrection here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -101,10 +102,6 @@ _PRIMITIVE_POLY = {
     10: 0b10000001001,
 }
 
-# Rows decode_batch works on at once; its temporaries grow with this and
-# not with the batch. Fewer rows pay more numpy calls per row.
-_BATCH_CHUNK = 256
-
 # Fused-table entries _odd_syndromes gathers per call, one per packed byte
 # of each row, but at least 4 bytes at a time; this bounds its temporaries.
 _SYNDROME_GATHER = 64
@@ -112,17 +109,15 @@ _SYNDROME_GATHER = 64
 
 @dataclass(frozen=True)
 class CodeParams:
-    """(n, k, t): codeword length, message length, guaranteed correctable errors."""
+    """(n, t): codeword length and correctable errors, which fix the message length k."""
 
     n: int
-    k: int
     t: int
+    k: int = field(init=False)
 
     def __post_init__(self) -> None:
         # Only parameter sets the codec supports exist; checking builds no codec.
-        n, k, t = self.n, self.k, self.t
-        if not 0 < k <= n:
-            raise ValueError(f"require 0 < k <= n, got k={k}, n={n}")
+        n, t = self.n, self.t
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         if n != (1 << n.bit_length()) - 1 or n.bit_length() not in _PRIMITIVE_POLY:
@@ -132,9 +127,16 @@ class CodeParams:
             )
         if 2 * t >= n:
             raise ValueError(f"t={t} needs 2t < n={n}")
-        if _bch_k(n, t) != k:
+        object.__setattr__(self, "k", _bch_k(n, t))
+
+    def check_k(self, k: int) -> None:
+        """Raise ValueError unless ``k``, as a helper header or a config
+        file states it, is this code's k; one outside (0, n] is named so."""
+        if not 0 < k <= self.n:
+            raise ValueError(f"require 0 < k <= n, got k={k}, n={self.n}")
+        if k != self.k:
             raise ValueError(
-                f"BCH length {n} with t={t} has k={_bch_k(n, t)}, not k={k}; "
+                f"BCH length {self.n} with t={self.t} has k={self.k}, not k={k}; "
                 f"pick (n, k, t) from the standard tables"
             )
 
@@ -420,7 +422,7 @@ class BchCodec:
         """Root mask of one locator, from the logs ``_locator`` returns.
 
         Each coefficient XORs in its two ``_root_ints`` rows, as ``_roots``
-        does for a chunk, and the m planes are folded with shifts and ORs:
+        does for a batch, and the m planes are folded with shifts and ORs:
         each fold ORs the upper half of the planes onto the lower, so after
         ceil(log2 m) of them the lowest plane holds the OR of all. The mask
         comes back in the packed word's layout: ``int.from_bytes`` of the
@@ -472,9 +474,9 @@ class BchCodec:
         zeros where ``ok`` is false. Row i equals ``decode`` on row i,
         failures and miscorrections included, though the two run separate
         pipelines after the syndromes; ``TestBatchEquality`` and
-        ``TestReferenceEquality`` hold them to that. The rows are decoded
-        _BATCH_CHUNK at a time by ``_decode_rows``, so memory does not grow
-        with B.
+        ``TestReferenceEquality`` hold them to that. The B rows run in one
+        pass, so the temporaries grow with B (about 0.8 MiB at B = 256 and
+        n = 511) and the caller bounds B.
         """
         p = self.params
         words = np.asarray(words)
@@ -485,28 +487,12 @@ class BchCodec:
             )
         if (words[:, -1] & (1 << -p.n % 8) - 1).any():
             raise ValueError("padding bits beyond n must be zero")
-        ok = np.zeros(len(words), dtype=bool)
-        messages = np.zeros((len(words), (p.k + 7) // 8), dtype=np.uint8)
-        for start in range(0, len(words), _BATCH_CHUNK):
-            chunk = slice(start, start + _BATCH_CHUNK)
-            ok[chunk], messages[chunk] = self._decode_rows(words[chunk])
-        return ok, messages
-
-    def _decode_rows(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decode rows of packed word bytes, in the ``BitString`` format.
-
-        Returns the ok mask and the packed messages, zero where a row
-        fails. This is ``decode_batch``'s pipeline whatever the row count:
-        the fused-table syndromes, the masked ``_locators``, the table root
-        search ``_roots`` and a byte XOR.
-        """
-        p = self.params
-        length, locators = self._locators(self._odd_syndromes(packed))
+        length, locators = self._locators(self._odd_syndromes(words))
         # A locator longer than t fails on its length whatever its roots.
         roots = self._roots(locators[:, : p.t + 1])
         ok = (length <= p.t) & (np.bitwise_count(roots).sum(axis=1) == length)
-        size = (p.k + 7) // 8
-        messages = np.where(ok[:, None], packed[:, :size] ^ roots.view(np.uint8)[:, :size], 0)
+        kbytes = (p.k + 7) // 8
+        messages = np.where(ok[:, None], words[:, :kbytes] ^ roots.view(np.uint8)[:, :kbytes], 0)
         messages[:, -1] &= 0xFF << (-p.k % 8) & 0xFF  # parity bits past k
         return ok, messages
 
@@ -517,11 +503,11 @@ class BchCodec:
         syndrome when it has value v, so each byte is one row gathered and
         XORed in. Bytes are gathered under ``_SYNDROME_GATHER``: numpy
         widens the gather index to int64, so one row takes all 64 bytes of
-        a 511-bit word at once and a 256-row chunk 4 bytes per call.
+        a 511-bit word at once and a 256-row batch 4 bytes per call.
         """
         index = packed.T + self._syndrome_rows
         odd = np.zeros((len(packed), self.params.t), dtype=np.uint16)
-        step = max(4, _SYNDROME_GATHER // len(packed))
+        step = max(4, _SYNDROME_GATHER // max(1, len(packed)))
         for first in range(0, len(index), step):
             terms = self._syndrome_table.take(index[first : first + step], axis=0)
             odd ^= np.bitwise_xor.reduce(terms, axis=0)
@@ -587,7 +573,7 @@ class BchCodec:
             # Past the old longest length and past reach, cur_log and prev
             # hold only the sentinel, so the save stops there.
             saved = min(width, max(longest + 1, reach + 1))
-            longest = int(length.max())
+            longest = int(length.max(initial=0))
             top = longest + 1
             cur[:top] ^= exp[scale + prev[:top]]
             np.copyto(prev[:saved], cur_log[:saved], where=grow)
@@ -615,7 +601,7 @@ class BchCodec:
         values = np.zeros((rows, self._root_table.shape[1]), dtype=np.uint64)
         for slab in index.reshape(2 * count, rows):
             values ^= self._root_table.take(slab, axis=0)
-        planes = values.reshape(rows, -1, self._root_valid.size)
+        planes = values.reshape(rows, self._n.bit_length(), self._root_valid.size)
         return ~np.bitwise_or.reduce(planes, axis=1) & self._root_valid
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .ecc import CodeParams, codec_for
 from .kdf import expand_seed, hkdf_sha256
 from .quantize import BitString, QuantizerConfig, quantize, quantize_rows
-from .synthbio import Embedding, _check_unit_rows
+from .synthbio import Embedding, check_unit_rows
 
 __all__ = [
     "KEY_BYTES",
@@ -147,7 +147,7 @@ def fe_reproduce_batch(
     if any(h is not first and (h.code != code or h.quant != quant) for h in helpers):
         raise ValueError("helpers must all use one code and quantizer")
     words = quantize_rows(samples, quant)  # checks the shape first
-    _check_unit_rows(samples)
+    check_unit_rows(samples)
     offsets = np.frombuffer(b"".join(h.offset.data for h in helpers), dtype=np.uint8)
     ok, messages = codec_for(code).decode_batch(words ^ offsets.reshape(words.shape))
     return [
@@ -174,15 +174,13 @@ def encode_helper(helper: HelperData) -> bytes:
 def decode_helper(data: bytes) -> HelperData:
     """Strict parse of the canonical helper encoding. The component types
     check the rest: ``BitString`` the offset length, ``CodeParams`` the code
-    and ``QuantizerConfig`` the dim."""
+    and its stored k, and ``QuantizerConfig`` the dim."""
     if len(data) < _HEADER.size:
         raise ValueError(f"helper data truncated at {len(data)} bytes")
     version, salt, n, k, t, dim = _HEADER.unpack_from(data)
     if version != HELPER_VERSION:
         raise ValueError(f"unsupported helper version {version}")
-    return HelperData(
-        salt=salt,
-        offset=BitString(data[_HEADER.size :], n),
-        code=CodeParams(n, k, t),
-        quant=QuantizerConfig.default(dim, n),
-    )
+    offset = BitString(data[_HEADER.size :], n)
+    code = CodeParams(n, t)
+    code.check_k(k)
+    return HelperData(salt=salt, offset=offset, code=code, quant=QuantizerConfig.default(dim, n))

@@ -66,7 +66,7 @@ __all__ = [
 # that still carries 256 key bits; sigma is calibrated with the evaluation
 # sweep as the largest grid value whose FRR Wilson-95 upper bound stays
 # under 1% (see the calibration entry in CHANGES.md).
-DEFAULT_CODE = CodeParams(n=511, k=259, t=30)
+DEFAULT_CODE = CodeParams(n=511, t=30)
 SIGMA_DEFAULT = 0.003
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "sample_genuine",
     "sample_impostor",
     "sample_impostors",
+    "check_unit_rows",
 ]
 
 DEFAULT_DIM = 512
@@ -69,7 +70,7 @@ def _normals(seed: int, label: str, dim: int) -> np.ndarray:
     return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
 
 
-def _check_unit_rows(values: np.ndarray) -> None:
+def check_unit_rows(values: np.ndarray) -> None:
     """Raise ValueError unless every row of a 2-d float array is finite and
     unit norm. ``Embedding`` checks its vector as one row."""
     for square in np.vecdot(values, values).tolist():
@@ -92,7 +93,7 @@ class Embedding:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("embedding must be a non-empty 1-d vector")
-        _check_unit_rows(v[None])
+        check_unit_rows(v[None])
 
     @property
     def dim(self) -> int:
@@ -162,5 +163,5 @@ def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_D
         generator.standard_normal(out=values[row - first:end - first])
         row = end
     values /= np.sqrt(np.vecdot(values, values))[:, None]
-    _check_unit_rows(values)
+    check_unit_rows(values)
     return values

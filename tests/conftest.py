@@ -10,7 +10,7 @@ from bbcreds.synthbio import new_identity
 # Fixed clock for everything time-dependent: 2025-06-15T15:20:00Z.
 NOW = 1_750_000_800
 
-SMALL_CODE = CodeParams(n=15, k=7, t=2)
+SMALL_CODE = CodeParams(n=15, t=2)
 
 
 @pytest.fixture(scope="session")

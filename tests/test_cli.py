@@ -155,8 +155,33 @@ class TestEnroll:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert decode_record(path.read_bytes()).helper.code == CodeParams(1023, 1, 511)
+        assert decode_record(path.read_bytes()).helper.code == CodeParams(1023, 511)
         assert peak < 8 << 20
+
+    def test_code_k_may_be_left_out(self, tmp_path, keys_prefix, capsys):
+        """code_n and code_t determine k, so a config may leave code_k out,
+        and the record equals the one written with code_k=1 stated."""
+        records = {}
+        for name, k_line in (("derived", ""), ("stated", "code_k=1\n")):
+            config = tmp_path / f"{name}.conf"
+            config.write_text(f"dim=1024\ncode_n=1023\n{k_line}code_t=511\n")
+            path = tmp_path / f"{name}.bbc"
+            argv = [
+                "enroll",
+                "--keys", keys_prefix,
+                "--identity-seed", IDENTITY_SEED,
+                "--dob", ADULT_DOB,
+                "--out", str(path),
+                "--seed", RUN_SEED,
+                "--clock", str(NOW),
+                "--config", str(config),
+            ]
+            assert main(argv) == EXIT_OK
+            records[name] = path.read_bytes()
+        assert records["derived"] == records["stated"]
+        capsys.readouterr()
+        assert main(["inspect", "--record", str(tmp_path / "derived.bbc")]) == EXIT_OK
+        assert "code: n=1023 k=1 t=511" in capsys.readouterr().out.splitlines()
 
     def test_underage_denied(self, tmp_path, keys_prefix, capsys):
         code = main(
@@ -605,13 +630,19 @@ class TestConfigFile:
         ("auth", [UNSEEDED, "--clock", "-5"]),
         # The helper header stores dim in 2 bytes.
         ("enroll", ["--config", "dim70000.conf"]),
+        # A required age the RP cannot check would grant any credential.
+        ("auth", ["--required-age", "-5"]),
+        ("auth", ["--required-age", "0"]),
+        ("auth", ["--required-age", "150"]),
+        ("auth", [UNSEEDED, "--required-age", "0"]),
     ],
     ids=["enroll-threshold-0", "enroll-sigma-negative", "auth-sigma-negative", "config-dim-4",
          "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
          "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
          "auth-impostor-clock-negative", "enroll-unseeded-clock-negative",
-         "auth-unseeded-clock-negative", "config-dim-70000"],
+         "auth-unseeded-clock-negative", "config-dim-70000", "auth-required-age-negative",
+         "auth-required-age-0", "auth-required-age-150", "auth-unseeded-required-age-0"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):

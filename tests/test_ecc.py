@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import operator
@@ -10,13 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bbcreds import ecc
+from bbcreds import ecc, evaluate
 from bbcreds.ecc import BchCodec, CodeParams, codec_for
 from bbcreds.quantize import BitString
 
 from conftest import SMALL_CODE
 
-PROD_CODE = CodeParams(511, 259, 30)
+PROD_CODE = CodeParams(511, 30)
 
 
 def _random_message(rng, k):
@@ -114,41 +115,30 @@ def _reference_encode(params, generator, msg):
 class TestCodeParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CodeParams(15, 0, 2)
+            CodeParams(15, -1)
         with pytest.raises(ValueError):
-            CodeParams(15, 16, 2)
-        with pytest.raises(ValueError):
-            CodeParams(15, 7, -1)
-        with pytest.raises(ValueError):
-            CodeParams(15, 1, 8)  # 2t >= n: no BCH code
+            CodeParams(15, 8)  # 2t >= n: no BCH code
 
     def test_unsupported_length_rejected(self):
         with pytest.raises(ValueError):
-            BchCodec(CodeParams(100, 50, 5))
-
-    def test_inconsistent_k_rejected(self):
-        # 511 with t=30 supports exactly k=259 by the standard tables.
-        with pytest.raises(ValueError):
-            BchCodec(CodeParams(511, 300, 30))
+            BchCodec(CodeParams(100, 5))
 
     @pytest.mark.parametrize(
         "n, t, k",
         [(15, 2, 7), (31, 3, 16), (63, 6, 30), (255, 18, 131), (511, 30, 259), (1023, 1, 1013)],
     )
     def test_k_from_cyclotomic_cosets(self, n, t, k):
+        # The standard tables' k for each (n, t) is the oracle for the derivation.
         assert n - sum(map(len, ecc._cyclotomic_cosets(n, t))) == k
-        assert CodeParams(n, k, t).k == k
+        assert CodeParams(n, t).k == k
 
-    def test_wrong_k_rejected_before_tables(self, monkeypatch):
-        def build_generator(*args):
-            raise AssertionError("generator built for a rejected parameter set")
-
-        monkeypatch.setattr(BchCodec, "_build_generator", build_generator)
-        with pytest.raises(ValueError, match="has k=268"):
-            CodeParams(511, 259, 29)
+    def test_k_is_derived(self):
+        assert [f.name for f in dataclasses.fields(CodeParams) if f.init] == ["n", "t"]
+        assert CodeParams(511, 30).k == 259
+        assert CodeParams(1023, 511).k == 1
 
     def test_codec_cache_returns_shared_instance(self):
-        assert codec_for(SMALL_CODE) is codec_for(CodeParams(15, 7, 2))
+        assert codec_for(SMALL_CODE) is codec_for(CodeParams(15, 2))
 
 
 class TestSmallCodeExhaustive:
@@ -208,14 +198,14 @@ class TestReferenceEquality:
         "params, rounds, kinds",
         [
             # The Hamming code is perfect: every word lies within t of a codeword.
-            (CodeParams(7, 4, 1), 20, {"correct", "miscorrect"}),
-            (CodeParams(31, 16, 3), 20, {"correct", "fail", "miscorrect"}),
-            (CodeParams(63, 30, 6), 8, {"correct", "fail", "miscorrect"}),
+            (CodeParams(7, 1), 20, {"correct", "miscorrect"}),
+            (CodeParams(31, 3), 20, {"correct", "fail", "miscorrect"}),
+            (CodeParams(63, 6), 8, {"correct", "fail", "miscorrect"}),
             # Beyond t these longer codes almost never land near another codeword.
-            (CodeParams(127, 64, 10), 8, {"correct", "fail"}),
-            (CodeParams(255, 131, 18), 2, {"correct", "fail"}),
+            (CodeParams(127, 10), 8, {"correct", "fail"}),
+            (CodeParams(255, 18), 2, {"correct", "fail"}),
             (PROD_CODE, 1, {"correct", "fail"}),
-            (CodeParams(1023, 923, 10), 2, {"correct", "fail"}),
+            (CodeParams(1023, 10), 2, {"correct", "fail"}),
         ],
         ids=["n7", "n31", "n63", "n127", "n255", "n511", "n1023"],
     )
@@ -280,13 +270,13 @@ class TestBatchEquality:
     @pytest.mark.parametrize(
         "params",
         [
-            CodeParams(31, 16, 3),
-            CodeParams(63, 30, 6),
-            CodeParams(255, 131, 18),
+            CodeParams(31, 3),
+            CodeParams(63, 6),
+            CodeParams(255, 18),
             PROD_CODE,
             # Edge cases: no correction at all, and the longest supported length.
-            CodeParams(15, 15, 0),
-            CodeParams(1023, 1013, 1),
+            CodeParams(15, 0),
+            CodeParams(1023, 1),
         ],
         ids=["n31", "n63", "n255", "n511", "n15-t0", "n1023-t1"],
     )
@@ -346,11 +336,12 @@ class TestBatchEquality:
         ok, _ = _assert_batch_equals_decode(codec, np.array(late))
         assert ok.all()
 
+    # Sizes either side of the evaluation reports' decode batch, and beyond it.
     @pytest.mark.parametrize(
-        "size", [0, 1, 2, ecc._BATCH_CHUNK - 1, ecc._BATCH_CHUNK + 1, 1000]
+        "size", [0, 1, 2, evaluate._BATCH_CHUNK - 1, evaluate._BATCH_CHUNK + 1, 1000]
     )
     def test_batch_sizes(self, size):
-        codec = codec_for(CodeParams(63, 30, 6))
+        codec = codec_for(CodeParams(63, 6))
         rng = np.random.default_rng(size)
         words = np.array(
             [codec.encode(_random_message(rng, 30)).bits() for _ in range(size)], dtype=np.uint8
@@ -394,14 +385,14 @@ def _brute_force_roots(n, coefficients):
 
 # One code for each supported field size m = 3 .. 10.
 CODE_PER_M = [
-    CodeParams(7, 4, 1),
+    CodeParams(7, 1),
     SMALL_CODE,
-    CodeParams(31, 16, 3),
-    CodeParams(63, 30, 6),
-    CodeParams(127, 64, 10),
-    CodeParams(255, 131, 18),
+    CodeParams(31, 3),
+    CodeParams(63, 6),
+    CodeParams(127, 10),
+    CodeParams(255, 18),
     PROD_CODE,
-    CodeParams(1023, 923, 10),
+    CodeParams(1023, 10),
 ]
 
 
@@ -471,7 +462,7 @@ def _zero_first_syndrome_errors(n, rng, triples):
 # Every field size, plus the edges of n - k: no parity at all, and 10 bits
 # of parity under a 1013-bit message. (7, 4, 1) pads its message with more
 # bits (4) than it has parity bits (3).
-ENCODE_CODES = CODE_PER_M + [CodeParams(15, 15, 0), CodeParams(1023, 1013, 1)]
+ENCODE_CODES = CODE_PER_M + [CodeParams(15, 0), CodeParams(1023, 1)]
 
 
 def _code_id(params):
@@ -516,10 +507,9 @@ class TestEncodeReference:
 
 
 class TestChunkStages:
-    """The stages of ``_decode_rows``, ``decode_batch``'s pipeline, against
-    plain-Python oracles, at chunk sizes on both sides of each syndrome
-    gather-step boundary, 1 row included. ``decode`` shares only
-    ``_odd_syndromes``."""
+    """The stages of ``decode_batch``'s pipeline against plain-Python
+    oracles, at batch sizes on both sides of each syndrome gather-step
+    boundary, 1 row included. ``decode`` shares only ``_odd_syndromes``."""
 
     @pytest.mark.parametrize("params", CODE_PER_M, ids=_m_id)
     def test_odd_syndromes_match_reference(self, params):
@@ -536,7 +526,7 @@ class TestChunkStages:
             assert odd.dtype == np.uint16 and odd.shape == (rows, t)
             assert np.array_equal(odd, expected[:rows])
 
-    @pytest.mark.parametrize("params", [CodeParams(63, 30, 6), PROD_CODE], ids=["n63", "n511"])
+    @pytest.mark.parametrize("params", [CodeParams(63, 6), PROD_CODE], ids=["n63", "n511"])
     def test_locators_match_locator(self, params):
         """Error patterns within t, with S_1 = 0, beyond t, uniform random
         words, and codewords of a code with t' < t, whose first 2t'
@@ -544,7 +534,7 @@ class TestChunkStages:
         much; cycled, and every row checked against ``_locator``."""
         codec = codec_for(params)
         n, t = params.n, params.t
-        smaller = [codec_for(CodeParams(n, ecc._bch_k(n, u), u)) for u in range(1, t)]
+        smaller = [codec_for(CodeParams(n, u)) for u in range(1, t)]
         rng = np.random.default_rng(3 * n)
         errors = np.zeros((256, n), dtype=np.uint8)
         for i, row in enumerate(errors):
@@ -576,10 +566,10 @@ class TestChunkStages:
                 assert not coefficients[i, len(logs) :].any()
 
     def test_chunk_memory_bound(self):
-        """A full chunk of random words keeps its temporaries under 1 MiB."""
+        """A report chunk of random words keeps its temporaries under 1 MiB."""
         codec = codec_for(PROD_CODE)
         rng = np.random.default_rng(256)
-        bits = rng.integers(0, 2, size=(ecc._BATCH_CHUNK, PROD_CODE.n), dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(evaluate._BATCH_CHUNK, PROD_CODE.n), dtype=np.uint8)
         words = np.packbits(bits, axis=1)
         codec.decode_batch(words)
         tracemalloc.start()
@@ -591,10 +581,10 @@ class TestChunkStages:
         assert peak < 1 << 20
 
     def test_decode_runs_no_chunk_stage(self, monkeypatch):
-        """``decode`` is the one-word pipeline: it never reaches the numpy
-        chunk stages ``decode_batch`` runs."""
+        """``decode`` is the one-word pipeline: it never reaches
+        ``decode_batch`` or the numpy stages it runs."""
         codec = BchCodec(PROD_CODE)
-        for name in ("_decode_rows", "_locators", "_roots"):
+        for name in ("decode_batch", "_locators", "_roots"):
             monkeypatch.setattr(codec, name, None)
         rng = np.random.default_rng(7)
         msg = _random_message(rng, PROD_CODE.k)
@@ -634,7 +624,7 @@ class TestLazyTables:
 
     @pytest.mark.parametrize(
         "params, bound",
-        [(PROD_CODE, 256 << 10), (CodeParams(1023, 1, 511), 1 << 20)],
+        [(PROD_CODE, 256 << 10), (CodeParams(1023, 511), 1 << 20)],
         ids=["n511", "n1023"],
     )
     def test_encoder_memory_bound(self, params, bound):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from bbcreds import ecc, evaluate, synthbio
+from bbcreds import evaluate, synthbio
 from bbcreds.binding import AuthFailure, SketchVariant
 from bbcreds.evaluate import (
     CSV_HEADER,
@@ -190,7 +190,7 @@ class TestBatchedReportsEqualTrials:
 
     def test_frr_with_mixed_outcomes(self, cfg):
         # 200 trials fit in one chunk; _BATCH_CHUNK + 1 crosses a chunk boundary.
-        for count in (200, ecc._BATCH_CHUNK + 1):
+        for count in (200, evaluate._BATCH_CHUNK + 1):
             noisy = replace(cfg, sigma=0.005)
             report = estimate_frr(noisy, count, SEED)
             trials = Counter(frr_trial(noisy, SEED, i) for i in range(count))

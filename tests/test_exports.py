@@ -42,6 +42,22 @@ def test_one_public_home_per_name():
     assert borrowed == []
 
 
+def test_no_private_imports_between_modules():
+    # An underscore name belongs to its module; a second module that needs
+    # it needs a public name.
+    package = Path(bbcreds.__file__).parent
+    private = [
+        f"{path.stem}: from {node.module} import {alias.name}"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "bbcreds")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_traced_layers_resolve():
     # bench/tracer.py patches these (module, attribute) pairs; a rename in the
     # package would otherwise only fail `bench/run.py --trace 1`. The file is

@@ -22,7 +22,7 @@ from bbcreds.synthbio import (
     sample_impostors,
 )
 
-CODE = CodeParams(511, 259, 30)
+CODE = CodeParams(511, 30)
 QCFG = QuantizerConfig.default(512, 511)
 
 
@@ -138,7 +138,7 @@ def test_batch_rejects_bad_input(batch):
     nan, scaled = samples.copy(), samples.copy()
     nan[3, 7] = np.nan
     scaled[3] *= 2
-    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 268, 29), 1)[1]
+    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 29), 1)[1]
     for bad_samples, bad_helpers in [
         (nan, helpers),
         (scaled, helpers),

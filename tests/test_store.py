@@ -17,7 +17,7 @@ from bbcreds.binding import (
     encode_sketch,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, generate_issuer_keys, issue_agecred
-from bbcreds.ecc import CodeParams, codec_for
+from bbcreds.ecc import BchCodec, CodeParams, codec_for
 from bbcreds.fextract import HelperData, decode_helper, encode_helper
 from bbcreds.quantize import BitString, QuantizerConfig
 from bbcreds.store import (
@@ -43,7 +43,7 @@ def _random_record(rng=None) -> DeviceRecord:
         helper=HelperData(
             salt=rng(16),
             offset=BitString(bytes(offset_bits), n),
-            code=CodeParams(511, 259, 30),
+            code=CodeParams(511, 30),
             quant=QuantizerConfig.default(dim, n),
         ),
         sketch=Sketch(variant, payload),
@@ -192,6 +192,22 @@ class TestStrictness:
             decode_record(patched)
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
 
+    @pytest.mark.parametrize("k", [0, 258, 300, 512])
+    def test_wrong_k_rejected_before_tables(self, enrollment, monkeypatch, k):
+        # The header stores k, which (n, t) = (511, 30) fixes at 259.
+        def build_generator(*args):
+            raise AssertionError("generator built for a rejected helper header")
+
+        monkeypatch.setattr(BchCodec, "_build_generator", build_generator)
+        data = encode_record(enrollment["record"])
+        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 2  # TLV head, helper version, salt, n
+        assert int.from_bytes(data[pos : pos + 2], "big") == 259
+        patched = data[:pos] + k.to_bytes(2, "big") + data[pos + 2 :]
+        with pytest.raises(FormatError) as err:
+            decode_record(patched)
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert f"k={k}" in str(err.value)
+
     def test_parsing_builds_no_codec(self):
         # A helper may name any valid code. Validating (1023, 1, 511) must not
         # build its codec, whose decoder tables take 114 MiB (tracemalloc).
@@ -199,7 +215,7 @@ class TestStrictness:
         helper = HelperData(
             salt=record.helper.salt,
             offset=BitString.zeros(1023),
-            code=CodeParams(1023, 1, 511),
+            code=CodeParams(1023, 511),
             quant=QuantizerConfig.default(1024, 1023),
         )
         data = encode_record(DeviceRecord(helper, record.sketch, record.digest, record.bound))

@@ -138,7 +138,7 @@ def test_impostor_deterministic_and_normalized():
 def test_impostor_windows_agree(count):
     # Any window of a stream equals the same rows of a longer window. The
     # starts and counts straddle the 16-row block, and the counts also
-    # ecc._BATCH_CHUNK, the row count of one report chunk.
+    # evaluate._BATCH_CHUNK, the row count of one report chunk.
     seed = 2**64 - 1 - 7919
     for first in (0, 5, 15, 16, 250):
         rows = sample_impostors(seed, first, count, 64)
