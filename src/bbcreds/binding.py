@@ -3,13 +3,16 @@
 Enrollment draws a random 32-byte secret, links it to the biometric key
 through a public sketch (XOR one-time pad, or an authenticated encryption
 of the secret under a key-derived wrapping key), and encrypts the age
-credential under a key derived from the secret. Authentication runs the
-stages in a fixed order -- key-hash check, secret recovery, credential
-decryption, credential decode -- and reports the stage that failed, which
-is what the evaluation harness histograms.
+credential under a key derived from the secret. Authentication runs four
+stages in a fixed order and reports the stage that failed, which is what
+the evaluation harness histograms. ``recover_secret`` runs (a) the
+key-hash check and (b) the sketch open, and ``unbind_auth`` runs it, then
+(c) the credential decryption and (d) the credential decode.
 
-Neither the stable key nor the secret appears in any output: the sketch,
-the key digest and the encrypted credential are safe to store.
+Neither the stable key nor the secret appears in any stored artifact: the
+sketch, the key digest and the encrypted credential are safe to store.
+``recover_secret`` returns the secret to its caller in memory, and no
+caller stores it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "TAG_BYTES",
     "BOUND_VERSION",
     "KEYHASH_LABEL",
-    "ONEWAY_LABEL",
     "SketchVariant",
     "StableSecret",
     "Sketch",
@@ -43,8 +45,8 @@ __all__ = [
     "AuthFailure",
     "hash_key",
     "bind_enroll",
+    "recover_secret",
     "unbind_auth",
-    "bind_oneway",
     "encode_sketch",
     "decode_sketch",
     "encode_bound",
@@ -58,7 +60,6 @@ TAG_BYTES = 16
 BOUND_VERSION = 1
 
 KEYHASH_LABEL = "bbcreds/keyhash/v1"
-ONEWAY_LABEL = "bbcreds/oneway/v1"
 _SKETCH_KDF_LABEL = "bbcreds/sketch/v1"
 _CRED_KDF_LABEL = "bbcreds/cred/v1"
 _ENROLL_LABEL = "bbcreds/bind/enroll/v1"
@@ -192,6 +193,22 @@ def bind_enroll(
     return sketch, hash_key(key), bound
 
 
+def recover_secret(key_candidate: StableKey, sketch: Sketch, digest: KeyDigest) -> StableSecret:
+    """Run stages (a) key-hash check and (b) sketch open, and return the secret;
+    raise AuthFailure at the first that fails. The credential is not read."""
+    if not hmac.compare_digest(hash_key(key_candidate).digest, digest.digest):
+        raise AuthFailure(FailureReason.HASH_MISMATCH)
+
+    if sketch.variant is SketchVariant.XOR:
+        return StableSecret(_xor32(key_candidate.key, sketch.payload))
+    nonce, ct = sketch.payload[:NONCE_BYTES], sketch.payload[NONCE_BYTES:]
+    try:
+        secret = _sketch_cipher(key_candidate).decrypt(nonce, ct, None)
+    except InvalidTag:
+        raise AuthFailure(FailureReason.SKETCH_OPEN_FAILED) from None
+    return StableSecret(secret)
+
+
 def unbind_auth(
     key_candidate: StableKey,
     sketch: Sketch,
@@ -200,23 +217,12 @@ def unbind_auth(
 ) -> AgeCred:
     """Recover the credential, or raise AuthFailure at the first failing stage.
 
-    The stage order is part of the contract: (a) key-hash check, (b) secret
-    recovery from the sketch, (c) authenticated decryption, (d) decode.
+    The stage order is part of the contract: (a) and (b) in ``recover_secret``,
+    then (c) authenticated decryption and (d) decode.
     """
-    if not hmac.compare_digest(hash_key(key_candidate).digest, digest.digest):
-        raise AuthFailure(FailureReason.HASH_MISMATCH)
-
-    if sketch.variant is SketchVariant.XOR:
-        secret = _xor32(key_candidate.key, sketch.payload)
-    else:
-        nonce, ct = sketch.payload[:NONCE_BYTES], sketch.payload[NONCE_BYTES:]
-        try:
-            secret = _sketch_cipher(key_candidate).decrypt(nonce, ct, None)
-        except InvalidTag:
-            raise AuthFailure(FailureReason.SKETCH_OPEN_FAILED) from None
-
+    secret = recover_secret(key_candidate, sketch, digest)
     try:
-        plaintext = _cred_cipher(secret).decrypt(bound.nonce, bound.ciphertext, _AAD)
+        plaintext = _cred_cipher(secret.secret).decrypt(bound.nonce, bound.ciphertext, _AAD)
     except InvalidTag:
         raise AuthFailure(FailureReason.DECRYPT_FAILED) from None
 
@@ -224,20 +230,6 @@ def unbind_auth(
         return decode_agecred(plaintext)
     except ValueError:
         raise AuthFailure(FailureReason.MALFORMED_CREDENTIAL) from None
-
-
-def bind_oneway(secret: StableSecret, sketch: Sketch) -> bytes:
-    """Derived credential token Hash(secret XOR sketch) for internally
-    generated credentials; compromise of the token reveals neither input.
-
-    The enrollment path binds an issued credential with ``bind_enroll``
-    instead. This is the paper's one-way variant, for a credential the
-    device generates itself; acceptance criterion 6 pins its algebra: with
-    sketch = key XOR secret, the token is the key's hash under ONEWAY_LABEL.
-    """
-    if sketch.variant is not SketchVariant.XOR:
-        raise ValueError("one-way binding is defined for XOR sketches only")
-    return tagged_hash(ONEWAY_LABEL, _xor32(secret.secret, sketch.payload))
 
 
 # Canonical byte encodings, consumed by the device-record store.

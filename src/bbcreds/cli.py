@@ -81,6 +81,10 @@ _SETTINGS = {
 # default; code_k may be left out, and when given must be the k they fix.
 _CODE_KEYS = ("code_n", "code_k", "code_t")
 _CONFIG_KEYS = {*_SETTINGS, *_CODE_KEYS}
+# Every subcommand refuses a key unknown to all of them, as they share one
+# file, but resolves only the keys it reads (its parser's config_keys).
+_AUTH_KEYS = ("sigma_default",)
+_EVAL_KEYS = ("dim", "variant", *_CODE_KEYS)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -105,8 +109,9 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy]:
-    """Protocol and issuance settings: defaults, then the config file, then flags."""
+    """Protocol and issuance settings: defaults, then the file's config_keys, then flags."""
     entries = _parse_config_file(args.config) if args.config else {}
+    entries = {key: value for key, value in entries.items() if key in args.config_keys}
     fields: dict[type, dict[str, object]] = {ProtocolConfig: {}, AgePolicy: {}}
     try:
         code = {key.removeprefix("code_"): int(entries[key])
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     enroll.add_argument("--config", default=None,
                         help="key=value config file; flags take precedence, and "
                              "code_k may be left out, as code_n and code_t determine it")
-    enroll.set_defaults(handler=cmd_enroll)
+    enroll.set_defaults(handler=cmd_enroll, config_keys=_CONFIG_KEYS)
 
     auth = sub.add_parser("auth", help="authenticate against a record and query the RP")
     auth.add_argument("--record", required=True, help="device record path")
@@ -367,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(auth)
     _add_clock(auth)
     auth.add_argument("--config", default=None,
-                      help="key=value config file; the record supplies dim, code and "
-                           "variant, so auth uses only sigma_default (--sigma takes precedence)")
-    auth.set_defaults(handler=cmd_auth)
+                      help=f"key=value config file; auth reads only {', '.join(_AUTH_KEYS)} "
+                           "(--sigma takes precedence), as the record holds dim, code, variant")
+    auth.set_defaults(handler=cmd_auth, config_keys=_AUTH_KEYS)
 
     evaluate = sub.add_parser("eval", help="run the FRR/FAR sweep and write CSV")
     evaluate.add_argument("--sigmas", required=True,
@@ -378,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True, help="output CSV path")
     _add_seed(evaluate)
     evaluate.add_argument("--config", default=None,
-                          help="key=value config file; eval reads only dim, code_* and "
-                               "variant (--sigmas sets the noise levels)")
-    evaluate.set_defaults(handler=cmd_eval)
+                          help=f"key=value config file; eval reads only {', '.join(_EVAL_KEYS)} "
+                               "(--sigmas sets the noise levels)")
+    evaluate.set_defaults(handler=cmd_eval, config_keys=_EVAL_KEYS)
 
     inspect = sub.add_parser("inspect", help="print record metadata without decrypting")
     inspect.add_argument("--record", required=True, help="device record path")

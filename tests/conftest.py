@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from bbcreds.binding import SketchVariant, StableSecret, hash_key, unbind_auth
+from bbcreds.binding import SketchVariant, recover_secret, unbind_auth
 from bbcreds.credential import generate_issuer_keys
 from bbcreds.ecc import CodeParams
 from bbcreds.fextract import fe_reproduce
@@ -29,29 +31,43 @@ def asp(issuer_keys):
 
 
 def recover_secrets(identity, record):
-    """The stable key and secret of an XOR-sketch record, recovered the way
-    anyone holding the record and a genuine capture could: the key is the
-    extractor's output on the reference embedding, and the secret is that
-    key XOR the sketch. The key is proven to be the enrolled one by its
-    digest and by unlocking the credential, which also proves the secret,
-    since the credential's AEAD opens only under it."""
-    assert record.sketch.variant is SketchVariant.XOR
+    """The stable key and secret of a record of either sketch variant,
+    recovered the way anyone holding the record and a genuine capture
+    could: the key is the extractor's output on the reference embedding,
+    and ``recover_secret`` checks it against the digest and opens the
+    sketch with it. Unlocking the credential proves both, since its AEAD
+    opens only under the secret that ``recover_secret`` returns."""
     key = fe_reproduce(identity, record.helper)
-    assert hash_key(key) == record.digest
+    secret = recover_secret(key, record.sketch, record.digest)
     unbind_auth(key, record.sketch, record.digest, record.bound)
-    secret = bytes(a ^ b for a, b in zip(key.key, record.sketch.payload))
-    return key, StableSecret(secret)
+    return key, secret
 
 
-@pytest.fixture(scope="session")
-def enrollment(issuer_keys, default_cfg):
-    """One shared enrollment, with its key and secret recovered for audits."""
-    identity = new_identity(424242, default_cfg.dim)
+def _audited_enrollment(issuer_keys, cfg):
+    identity = new_identity(424242, cfg.dim)
     record = device_enroll(
         identity,
         InProcessAsp(issuer_keys, AgePolicy(threshold=18), now=NOW),
-        default_cfg,
+        cfg,
         rng_seed=777001,
     )
     key, secret = recover_secrets(identity, record)
     return {"identity": identity, "record": record, "key": key, "secret": secret}
+
+
+@pytest.fixture(scope="session")
+def enrollment(issuer_keys, default_cfg):
+    """One shared XOR-sketch enrollment, with its key and secret recovered for audits."""
+    assert default_cfg.sketch_variant is SketchVariant.XOR
+    return _audited_enrollment(issuer_keys, default_cfg)
+
+
+@pytest.fixture(scope="session")
+def enrollments(enrollment, issuer_keys, default_cfg):
+    """The shared enrollment and its ENCRYPTED-sketch twin (same identity and
+    seed), by variant, for the privacy audits that cover both variants."""
+    encrypted = replace(default_cfg, sketch_variant=SketchVariant.ENCRYPTED)
+    return {
+        SketchVariant.XOR: enrollment,
+        SketchVariant.ENCRYPTED: _audited_enrollment(issuer_keys, encrypted),
+    }

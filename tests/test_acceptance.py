@@ -24,16 +24,14 @@ from bbcreds.binding import (
     FailureReason,
     KeyDigest,
     SketchVariant,
-    StableSecret,
     bind_enroll,
-    bind_oneway,
+    recover_secret,
     unbind_auth,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, issue_agecred
 from bbcreds.ecc import CodeParams, codec_for
 from bbcreds.evaluate import estimate_far, estimate_frr
 from bbcreds.fextract import StableKey, fe_generate
-from bbcreds.kdf import tagged_hash
 from bbcreds.parties import (
     SIGMA_DEFAULT,
     AgePolicy,
@@ -114,22 +112,22 @@ def test_criterion_05_ecc_exhaustive_oracle():
     _passed(5, "ecc-exhaustive-oracle")
 
 
-def test_criterion_06_sketch_algebra():
+def test_criterion_06_sketch_algebra(issuer_keys):
     rng = np.random.default_rng(SEED)
     blobs = rng.integers(0, 256, size=(100000, 2, 32), dtype=np.uint8)
     a, b = blobs[:, 0, :], blobs[:, 1, :]
     assert np.array_equal((a ^ b) ^ b, a)
 
-    # One-way variation: with sketch = key XOR secret, the derived token
-    # equals the key's hash under the matching domain label.
-    for _ in range(50):
+    # The XOR sketch is key XOR the secret that recover_secret returns, and
+    # both variants bound at one seed hide that same secret.
+    cred = issue_agecred(issuer_keys, os.urandom(16), 18, NOW, 86400)
+    for seed in rng.integers(0, 2**63, size=50).tolist():
         key = StableKey(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
-        secret = StableSecret(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
-        payload = bytes(x ^ y for x, y in zip(key.key, secret.secret))
-        from bbcreds.binding import ONEWAY_LABEL, Sketch
-
-        token = bind_oneway(secret, Sketch(SketchVariant.XOR, payload))
-        assert token == tagged_hash(ONEWAY_LABEL, key.key)
+        xor_sketch, xor_digest, _ = bind_enroll(key, cred, SketchVariant.XOR, seed)
+        enc_sketch, enc_digest, _ = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
+        secret = recover_secret(key, xor_sketch, xor_digest).secret
+        assert xor_sketch.payload == bytes(x ^ y for x, y in zip(key.key, secret))
+        assert recover_secret(key, enc_sketch, enc_digest).secret == secret
     _passed(6, "sketch-algebra")
 
 
@@ -163,22 +161,23 @@ def test_criterion_07_tamper_rejection(issuer_keys):
     _passed(7, "tamper-rejection")
 
 
-def test_criterion_08_retained_artifact_audit(enrollment):
-    data = encode_record(enrollment["record"])
-    tags = []
-    pos = 5
-    while pos < len(data):
-        tags.append(data[pos])
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-        pos += 5 + length
-    assert tags == [0x01, 0x02, 0x03, 0x04]  # helper, sketch, digest, bound
+def test_criterion_08_retained_artifact_audit(enrollments):
+    for variant, enrollment in enrollments.items():
+        data = encode_record(enrollment["record"])
+        tags = []
+        pos = 5
+        while pos < len(data):
+            tags.append(data[pos])
+            length = int.from_bytes(data[pos + 1 : pos + 5], "big")
+            pos += 5 + length
+        assert tags == [0x01, 0x02, 0x03, 0x04], variant  # helper, sketch, digest, bound
 
-    key, secret = enrollment["key"].key, enrollment["secret"].secret
-    # Substring search covers every 32-byte window of the record.
-    assert key not in data and secret not in data
-    for window_start in range(len(data) - 31):
-        window = data[window_start : window_start + 32]
-        assert window != key and window != secret
+        key, secret = enrollment["key"].key, enrollment["secret"].secret
+        # Substring search covers every 32-byte window of the record.
+        assert key not in data and secret not in data, variant
+        for window_start in range(len(data) - 31):
+            window = data[window_start : window_start + 32]
+            assert window != key and window != secret, variant
     _passed(8, "retained-artifact-audit")
 
 

@@ -4,23 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcreds import binding
 from bbcreds.binding import (
     AuthFailure,
     BOUND_VERSION,
     BoundCredential,
     FailureReason,
     KEYHASH_LABEL,
-    ONEWAY_LABEL,
+    KeyDigest,
     Sketch,
     SketchVariant,
     StableSecret,
     bind_enroll,
-    bind_oneway,
     decode_bound,
     decode_sketch,
     encode_bound,
     encode_sketch,
     hash_key,
+    recover_secret,
     unbind_auth,
 )
 from bbcreds.credential import generate_issuer_keys, issue_agecred
@@ -106,33 +107,45 @@ class TestBindUnbindRoundtrip:
     def test_outputs_never_contain_key_or_secret(self, cred):
         for seed in range(200):
             key = StableKey(os.urandom(32))
-            # Both variants encrypt the credential under one secret per seed,
-            # and the XOR sketch reveals it to the key's holder.
-            xor_sketch, _, _ = bind_enroll(key, cred, SketchVariant.XOR, seed)
-            secret = bytes(a ^ b for a, b in zip(key.key, xor_sketch.payload))
             sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
+            secret = recover_secret(key, sketch, digest).secret
             blob = encode_sketch(sketch) + digest.digest + encode_bound(bound)
             assert key.key not in blob
             assert secret not in blob
+
+
+def _must_not_run(*args):
+    raise AssertionError("stage ran out of order")
+
+
+def _recoveries(sketch, digest, bound):
+    """Both entry points to the unlock stages, each as a function of the key:
+    ``recover_secret`` runs stages (a) and (b), ``unbind_auth`` all four."""
+    return (
+        lambda key: recover_secret(key, sketch, digest),
+        lambda key: unbind_auth(key, sketch, digest, bound),
+    )
 
 
 class TestUnbindStages:
     def test_any_single_key_bit_flip_hits_hash_check(self, cred):
         key = _key()
         sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, 5)
-        for bit in range(256):
-            tampered = bytearray(key.key)
-            tampered[bit // 8] ^= 1 << (bit % 8)
-            with pytest.raises(AuthFailure) as err:
-                unbind_auth(StableKey(bytes(tampered)), sketch, digest, bound)
-            assert err.value.reason is FailureReason.HASH_MISMATCH
+        for unlock in _recoveries(sketch, digest, bound):
+            for bit in range(256):
+                tampered = bytearray(key.key)
+                tampered[bit // 8] ^= 1 << (bit % 8)
+                with pytest.raises(AuthFailure) as err:
+                    unlock(StableKey(bytes(tampered)))
+                assert err.value.reason is FailureReason.HASH_MISMATCH
 
     def test_random_keys_rejected_at_hash_stage(self, cred):
         sketch, digest, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 5)
-        for _ in range(10000):
-            with pytest.raises(AuthFailure) as err:
-                unbind_auth(StableKey(os.urandom(32)), sketch, digest, bound)
-            assert err.value.reason is FailureReason.HASH_MISMATCH
+        for unlock in _recoveries(sketch, digest, bound):
+            for _ in range(10000):
+                with pytest.raises(AuthFailure) as err:
+                    unlock(StableKey(os.urandom(32)))
+                assert err.value.reason is FailureReason.HASH_MISMATCH
 
     def test_ciphertext_tamper_hits_decrypt_stage(self, cred):
         key = _key()
@@ -163,9 +176,27 @@ class TestUnbindStages:
         sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, 6)
         for index in range(len(sketch.payload)):
             tampered = Sketch(sketch.variant, _flip(sketch.payload, index))
+            for unlock in _recoveries(tampered, digest, bound):
+                with pytest.raises(AuthFailure) as err:
+                    unlock(key)
+                assert err.value.reason is FailureReason.SKETCH_OPEN_FAILED
+
+    def test_hash_check_precedes_sketch_open(self, cred, monkeypatch):
+        key = _key()
+        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, 6)
+        tampered = KeyDigest(_flip(digest.digest, 0))
+        monkeypatch.setattr(binding, "_sketch_cipher", _must_not_run)
+        for unlock in _recoveries(sketch, tampered, bound):
             with pytest.raises(AuthFailure) as err:
-                unbind_auth(key, tampered, digest, bound)
-            assert err.value.reason is FailureReason.SKETCH_OPEN_FAILED
+                unlock(key)
+            assert err.value.reason is FailureReason.HASH_MISMATCH
+
+    def test_recover_secret_never_reads_the_credential(self, cred, monkeypatch):
+        key = _key()
+        enrolled = [bind_enroll(key, cred, variant, 6) for variant in SketchVariant]
+        monkeypatch.setattr(binding, "_cred_cipher", _must_not_run)
+        secrets = {recover_secret(key, sketch, digest) for sketch, digest, _ in enrolled}
+        assert len(secrets) == 1
 
     def test_hash_check_precedes_decryption(self, cred):
         # Wrong key plus tampered ciphertext must still report the hash stage.
@@ -178,36 +209,6 @@ class TestUnbindStages:
         with pytest.raises(AuthFailure) as err:
             unbind_auth(_key(0xA5), sketch, digest, tampered)
         assert err.value.reason is FailureReason.HASH_MISMATCH
-
-
-class TestOneWayBinding:
-    def test_zero_sketch_hashes_secret(self):
-        secret = StableSecret(os.urandom(32))
-        sketch = Sketch(SketchVariant.XOR, bytes(32))
-        assert bind_oneway(secret, sketch) == tagged_hash(ONEWAY_LABEL, secret.secret)
-
-    def test_consistent_inputs_hash_the_stable_key(self, cred):
-        # With sketch = key XOR secret, the token equals the key's one-way
-        # hash under the same label.
-        key = StableKey(os.urandom(32))
-        seed = 31337
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, seed)
-        secret = StableSecret(bytes(a ^ b for a, b in zip(key.key, sketch.payload)))
-        # The key opens the credential, so the sketch holds the secret it is
-        # encrypted under.
-        assert unbind_auth(key, sketch, digest, bound) == cred
-        assert bind_oneway(secret, sketch) == tagged_hash(ONEWAY_LABEL, key.key)
-
-    def test_deterministic(self):
-        secret = StableSecret(bytes(range(32)))
-        sketch = Sketch(SketchVariant.XOR, bytes(reversed(range(32))))
-        assert bind_oneway(secret, sketch) == bind_oneway(secret, sketch)
-
-    def test_encrypted_sketch_rejected(self, cred):
-        key = _key()
-        sketch, _, _ = bind_enroll(key, cred, SketchVariant.ENCRYPTED, 1)
-        with pytest.raises(ValueError):
-            bind_oneway(StableSecret(bytes(32)), sketch)
 
 
 @settings(max_examples=200)

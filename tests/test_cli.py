@@ -295,31 +295,33 @@ class TestEnroll:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORD_SHA256[variant]
 
     def test_no_key_material_on_any_stream(self, tmp_path, keys_prefix, capsys):
-        path = tmp_path / "scan.bbc"
-        code = main(
-            [
-                "enroll",
-                "--keys", keys_prefix,
-                "--identity-seed", IDENTITY_SEED,
-                "--dob", ADULT_DOB,
-                "--out", str(path),
-                "--seed", RUN_SEED,
-                "--clock", str(NOW),
-            ]
-        )
-        assert code == EXIT_OK
-        captured = capsys.readouterr()
-        streams = (captured.out + captured.err).lower()
+        for variant in ("xor", "encrypted"):
+            path = tmp_path / f"scan-{variant}.bbc"
+            code = main(
+                [
+                    "enroll",
+                    "--keys", keys_prefix,
+                    "--identity-seed", IDENTITY_SEED,
+                    "--dob", ADULT_DOB,
+                    "--out", str(path),
+                    "--seed", RUN_SEED,
+                    "--clock", str(NOW),
+                    "--variant", variant,
+                ]
+            )
+            assert code == EXIT_OK
+            captured = capsys.readouterr()
+            streams = (captured.out + captured.err).lower()
 
-        # Recover the key and secret from the record the CLI wrote.
-        record_bytes = path.read_bytes()
-        key, secret = recover_secrets(
-            new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
-        )
-        assert key.key not in record_bytes
-        assert secret.secret not in record_bytes
-        assert key.key.hex() not in streams
-        assert secret.secret.hex() not in streams
+            # Recover the key and secret from the record the CLI wrote.
+            record_bytes = path.read_bytes()
+            key, secret = recover_secrets(
+                new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
+            )
+            assert key.key not in record_bytes, variant
+            assert secret.secret not in record_bytes, variant
+            assert key.key.hex() not in streams, variant
+            assert secret.secret.hex() not in streams, variant
 
 
 class TestAuth:
@@ -601,6 +603,40 @@ class TestConfigFile:
         )
         assert code == EXIT_USAGE
 
+    # enroll refuses each of these values (test_bad_settings_are_usage_errors),
+    # so a subcommand that read the key would exit 2.
+    @pytest.mark.parametrize("entry", ["code_n=100", "dim=4"])
+    def test_auth_skips_keys_it_does_not_read(self, tmp_path, record_path, keys_prefix,
+                                              capsys, entry):
+        config = tmp_path / "shared.conf"
+        config.write_text(entry + "\n")
+        argv = [
+            "auth",
+            "--record", record_path,
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--seed", "555",
+            "--clock", str(NOW + 100),
+        ]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main(argv + ["--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0"])
+    def test_eval_skips_keys_it_does_not_read(self, tmp_path, capsys, entry):
+        config = tmp_path / "shared.conf"
+        config.write_text(entry + "\n")
+        out = tmp_path / "rates.csv"
+        argv = ["eval", "--sigmas", "0.003", "--trials", "20", "--seed", "42", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr(), out.read_bytes()
+        out.unlink()
+        assert main(argv + ["--config", str(config)]) == EXIT_OK
+        assert (capsys.readouterr(), out.read_bytes()) == plain
+
 
 @pytest.mark.parametrize(
     "command, extra",
@@ -630,6 +666,11 @@ class TestConfigFile:
         ("auth", [UNSEEDED, "--clock", "-5"]),
         # The helper header stores dim in 2 bytes.
         ("enroll", ["--config", "dim70000.conf"]),
+        # enroll reads every key of a config file, also those auth or eval skip.
+        ("enroll", ["--config", "n100.conf"]),
+        ("enroll", ["--config", "threshold0.conf"]),
+        ("enroll", ["--config", "sigma2.conf"]),
+        ("enroll", ["--config", "validity0.conf"]),
         # A required age the RP cannot check would grant any credential.
         ("auth", ["--required-age", "-5"]),
         ("auth", ["--required-age", "0"]),
@@ -641,8 +682,10 @@ class TestConfigFile:
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
          "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
          "auth-impostor-clock-negative", "enroll-unseeded-clock-negative",
-         "auth-unseeded-clock-negative", "config-dim-70000", "auth-required-age-negative",
-         "auth-required-age-0", "auth-required-age-150", "auth-unseeded-required-age-0"],
+         "auth-unseeded-clock-negative", "config-dim-70000", "config-code-n-100",
+         "config-threshold-0", "config-sigma-2", "config-validity-0",
+         "auth-required-age-negative", "auth-required-age-0", "auth-required-age-150",
+         "auth-unseeded-required-age-0"],
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
@@ -651,6 +694,9 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
     # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
     (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
     (tmp_path / "validity.conf").write_text("validity_seconds=99999999999999999999\n")
+    for name, entry in [("n100", "code_n=100"), ("threshold0", "age_threshold=0"),
+                        ("sigma2", "sigma_default=2"), ("validity0", "validity_seconds=0")]:
+        (tmp_path / f"{name}.conf").write_text(entry + "\n")
     seeded = UNSEEDED not in extra
     extra = [str(tmp_path / a) if a.endswith(".conf") else a for a in extra if a != UNSEEDED]
     if command == "enroll":
@@ -763,6 +809,31 @@ def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, caps
     assert out == ""
     assert err.startswith("error: cannot read config file:")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+def test_unknown_and_repeated_keys_refused_by_every_subcommand(tmp_path, keys_prefix,
+                                                                record_path, capsys, command):
+    # Each subcommand reads its own keys from a file shared by all of them,
+    # so each refuses a key none of them knows and a key stated twice.
+    out_path = tmp_path / "out.file"
+    argv = {
+        "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                   "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
+        "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
+                 "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
+        "eval": ["eval", "--sigmas", "0.003", "--trials", "20", "--out", str(out_path)],
+    }[command]
+    config = tmp_path / "shared.conf"
+    for text, line in [
+        ("dim=512\nnope=1\n", f"error: {config}:2: unknown config key 'nope'\n"),
+        ("code_n=100\ncode_n=511\n", f"error: {config}:2: duplicate config key 'code_n'\n"),
+    ]:
+        config.write_text(text)
+        capsys.readouterr()
+        assert main(argv + ["--seed", RUN_SEED, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", line)
+        assert not out_path.exists()
 
 
 def test_duplicate_config_key_rejected(tmp_path, keys_prefix, capsys):

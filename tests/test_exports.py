@@ -58,6 +58,36 @@ def test_no_private_imports_between_modules():
     assert private == []
 
 
+# Public names that no module of the package or of bench/ reads, each kept
+# for its own reason.
+_UNREAD_EXPORTS = {
+    "estimate_frr": "the public FRR estimator, the genuine half of every report",
+    "frr_trial": "the single-trial reference TestBatchedReportsEqualTrials holds reports to",
+    "far_trial": "the single-trial reference TestBatchedReportsEqualTrials holds reports to",
+}
+
+
+def test_every_export_is_read_outside_tests():
+    # A public name that only tests read is production code kept for tests.
+    # A name counts as read where it is loaded, bare or as an attribute.
+    root = Path(__file__).resolve().parents[1]
+    package = Path(bbcreds.__file__).parent
+    read = set()
+    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {
+        name
+        for info in pkgutil.iter_modules(bbcreds.__path__)
+        for name in getattr(importlib.import_module(f"bbcreds.{info.name}"), "__all__", ())
+        if name not in read
+    }
+    assert unread == set(_UNREAD_EXPORTS)
+
+
 def test_traced_layers_resolve():
     # bench/tracer.py patches these (module, attribute) pairs; a rename in the
     # package would otherwise only fail `bench/run.py --trace 1`. The file is

@@ -215,19 +215,21 @@ class TestDeviceEnroll:
         assert err.value.reason is DenyReason.UNDER_AGE
 
     def test_only_request_fields_cross_the_boundary(self, issuer_keys, default_cfg):
-        counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         identity = new_identity(11, default_cfg.dim)
-        record = device_enroll(identity, counting, default_cfg, rng_seed=3)
-        key, secret = recover_secrets(identity, record)
-        assert counting.calls == 1
-        (request,) = counting.requests
-        # The request object is all that reaches the ASP: subject, evidence, nonce.
-        assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
-        assert isinstance(request.evidence, AlwaysApproveEvidence)
-        sent = request.subject_id + request.request_nonce
-        assert key.key not in sent
-        assert secret.secret not in sent
-        assert identity.values.tobytes() not in sent
+        for variant in SketchVariant:
+            counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
+            cfg = replace(default_cfg, sketch_variant=variant)
+            record = device_enroll(identity, counting, cfg, rng_seed=3)
+            key, secret = recover_secrets(identity, record)
+            assert counting.calls == 1
+            (request,) = counting.requests
+            # The request object is all that reaches the ASP: subject, evidence, nonce.
+            assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
+            assert isinstance(request.evidence, AlwaysApproveEvidence)
+            sent = request.subject_id + request.request_nonce
+            assert key.key not in sent, variant
+            assert secret.secret not in sent, variant
+            assert identity.values.tobytes() not in sent
 
     def test_enrolled_variant_matches_config(self, issuer_keys, default_cfg):
         cfg = replace(default_cfg, sketch_variant=SketchVariant.ENCRYPTED)
@@ -302,13 +304,14 @@ class TestRelyingParty:
         decision = rp_check_access(cred, issuer_keys.public, NOW + 10, 21)
         assert decision.reason is RejectReason.THRESHOLD_NOT_MET
 
-    def test_credential_disjoint_from_secrets(self, enrollment, default_cfg):
+    def test_credential_disjoint_from_secrets(self, enrollments, default_cfg):
         from bbcreds.credential import encode_agecred
 
-        sample = sample_genuine(
-            enrollment["identity"], NoiseModel(default_cfg.sigma), 34
-        )
-        cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
-        blob = encode_agecred(cred)
-        assert enrollment["key"].key not in blob
-        assert enrollment["secret"].secret not in blob
+        for variant, enrollment in enrollments.items():
+            sample = sample_genuine(
+                enrollment["identity"], NoiseModel(default_cfg.sigma), 34
+            )
+            cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
+            blob = encode_agecred(cred)
+            assert enrollment["key"].key not in blob, variant
+            assert enrollment["secret"].secret not in blob, variant
