@@ -1,24 +1,25 @@
 """Monte-Carlo measurement of false rejection and false acceptance rates.
 
-Genuine trials enroll a fresh identity and authenticate with a new noisy
-capture; impostor trials authenticate unrelated captures against one
-enrolled record. Enrollment always passes liveness, so the configured
-liveness policy gates only each trial's authentication. Every genuine
-trial derives its own sub-seed from the harness seed under a label naming
-its index, and impostor trial i is row i of the one impostor stream the
-harness seed names (``_impostor_stream``). So each trial is a pure
-function of (seed, index), trial order cannot change the counts, and the
-reports at seeds S and S+1 share no trial.
+``estimate_frr`` and ``estimate_far`` are the reports, one per rate, of
+any positive number of trials, and ``sweep`` writes both per noise level.
+Genuine trials enroll a fresh identity and authenticate a new noisy
+capture; impostor trials authenticate unrelated captures against the one
+record a FAR report enrolls. Enrollment always passes liveness, so the
+configured policy gates only authentication. Genuine trial i derives its
+sub-seed from the report seed under a label naming i; impostor trial i is
+row i of the impostor stream the seed names. So each trial is a pure
+function of (cfg, seed, index), trial order cannot change the counts, and
+the reports at seeds S and S+1 share no trial.
 
-``frr_trial`` and ``far_trial`` run one trial through
-``device_authenticate``. The reports draw the same trials a chunk at a
-time as the rows of one sample matrix (a window of the impostor stream
-for FAR, the stacked genuine captures for FRR) and pass it through the
-device's stages in one go: the liveness gate once per report, one batched
-key reproduction (``fe_reproduce_batch``, which decodes with
-``BchCodec.decode_batch``), then ``unbind_auth`` for each key that came
-out. Each report's counts equal the tally of the single-trial functions
-over the same indices.
+``frr_trial`` and ``far_trial``, both ``(cfg, seed, index)``, run trial
+``index`` of the report at (cfg, seed) through ``device_authenticate``.
+The reports draw the same trials a chunk at a time as the rows of one
+sample matrix (a window of the impostor stream for FAR, the stacked
+genuine captures for FRR) and pass it through the device's stages in one
+go: the liveness gate once per report, one batched key reproduction
+(``fe_reproduce_batch``, which decodes with ``BchCodec.decode_batch``),
+then ``unbind_auth`` for each key that came out. Each report's counts
+equal the tally of its single-trial reference over the same indices.
 
 Each trial is counted under the ``stage`` of the device's refusal that
 ended it: ``"Liveness"`` (LivenessFailed), ``"Extract"`` (ExtractFailure)
@@ -28,7 +29,7 @@ or else ``"Success"``. ``OUTCOMES`` lists them in chain order; every
 report's ``stage_counts`` has exactly these keys.
 
 Rates carry Wilson 95% intervals, which stay meaningful at the zero
-boundary where these measurements usually sit.
+boundary where these measurements usually sit, and for few trials.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from .binding import AuthFailure, FailureReason, unbind_auth
-from .credential import generate_issuer_keys
+from .credential import IssuerKeyPair, generate_issuer_keys
 from .fextract import ExtractFailure, fe_reproduce_batch
 from .kdf import subseed
 from .parties import (
@@ -123,9 +124,13 @@ def wilson_interval(count: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _eval_asp(seed: int) -> InProcessAsp:
-    keys = generate_issuer_keys(subseed(seed, "bbcreds/eval/issuer/v1"))
-    return InProcessAsp(keys, AgePolicy(), now=_EVAL_CLOCK)
+def _eval_keys(seed: int) -> IssuerKeyPair:
+    return generate_issuer_keys(subseed(seed, "bbcreds/eval/issuer/v1"))
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
 
 
 def _outcome(sample, record: DeviceRecord, cfg: ProtocolConfig) -> str:
@@ -152,7 +157,8 @@ def _tally(
     stages: one sample matrix, one batched key reproduction, which decodes
     the chunk in one ``decode_batch`` call, and ``unbind_auth`` for each
     key that came out. Memory grows with the chunk (256 samples take 1 MiB
-    at dim 512, their decode 0.8 MiB at n = 511) and not with the trials.
+    at dim 512, their decode 0.8 MiB at n = 511) and not with the trials,
+    as long as ``draw`` keeps nothing, such as an ASP, past its chunk.
     """
     counts = dict.fromkeys(OUTCOMES, 0)
     if not liveness_check(liveness):
@@ -176,20 +182,28 @@ def _tally(
     return counts
 
 
-def _enroll(identity: Embedding, asp, cfg: ProtocolConfig, seed: int) -> DeviceRecord:
-    """A report's enrollment, always under ``AlwaysPass``: the configured
-    liveness policy gates only each trial's authentication."""
+def _enroll(
+    identity: Embedding, keys: IssuerKeyPair, cfg: ProtocolConfig, seed: int
+) -> DeviceRecord:
+    """A report's enrollment, under ``AlwaysPass`` and through a fresh ASP:
+    liveness gates only authentication, and no replay set outlives it."""
+    asp = InProcessAsp(keys, AgePolicy(), now=_EVAL_CLOCK)
     cfg = replace(cfg, liveness=AlwaysPass())
     return device_enroll(identity, asp, cfg, subseed(seed, "bbcreds/eval/enroll/v1"))
 
 
+def _far_record(cfg: ProtocolConfig, seed: int) -> DeviceRecord:
+    """The one record every impostor of the FAR report at ``seed`` tries."""
+    return _enroll(new_identity(seed, cfg.dim), _eval_keys(seed), cfg, seed)
+
+
 def _genuine_trial(
-    cfg: ProtocolConfig, seed: int, index: int, asp: InProcessAsp
+    cfg: ProtocolConfig, seed: int, index: int, keys: IssuerKeyPair
 ) -> tuple[Embedding, DeviceRecord]:
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
     identity = new_identity(base, cfg.dim)
-    record = _enroll(identity, asp, cfg, base)
+    record = _enroll(identity, keys, cfg, base)
     sample = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
     )
@@ -202,21 +216,18 @@ def _impostor_stream(seed: int) -> int:
 
 
 def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
-    """One genuine trial: enroll the identity derived from ``seed`` for trial
-    ``index``, then authenticate a fresh capture at noise level ``cfg.sigma``.
-
-    The ASP is rebuilt deterministically from the seed, so running trials
-    individually, reordered, or through ``estimate_frr`` gives the same
-    outcomes.
-    """
-    sample, record = _genuine_trial(cfg, seed, index, _eval_asp(seed))
+    """Genuine trial ``index`` of ``estimate_frr(cfg, trials, seed)``: enroll
+    the identity derived from (seed, index), then authenticate a fresh
+    capture at noise level ``cfg.sigma``."""
+    sample, record = _genuine_trial(cfg, seed, index, _eval_keys(seed))
     return _outcome(sample, record, cfg)
 
 
-def far_trial(record: DeviceRecord, cfg: ProtocolConfig, seed: int, index: int) -> str:
-    """One impostor trial against an already enrolled record."""
+def far_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
+    """Impostor trial ``index`` of ``estimate_far(cfg, trials, seed)``: its row
+    of the report's impostor stream against the report's record, enrolled anew."""
     sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1, cfg.dim)[0])
-    return _outcome(sample, record, cfg)
+    return _outcome(sample, _far_record(cfg, seed), cfg)
 
 
 def _report(
@@ -231,18 +242,31 @@ def _report(
     return EvalReport(sigma=sigma, trials=trials, seed=seed, stage_counts=counts, **rates)
 
 
-def _frr_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    asp = _eval_asp(seed)
+def estimate_frr(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
+    """False rejection rate over ``trials`` fresh genuine identities at noise
+    level ``cfg.sigma``: ``frr_trial(cfg, seed, i)`` for i below ``trials``."""
+    _check_trials(trials)
+    keys = _eval_keys(seed)
 
     def draw(indices: range) -> tuple[np.ndarray, list[DeviceRecord]]:
-        pairs = [_genuine_trial(cfg, seed, i, asp) for i in indices]
+        pairs = [_genuine_trial(cfg, seed, i, keys) for i in indices]
         return np.stack([sample.values for sample, _ in pairs]), [r for _, r in pairs]
 
     return _report(cfg.sigma, seed, _tally(draw, trials, cfg.liveness), trials, "frr")
 
 
-def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    record = _enroll(new_identity(seed, cfg.dim), _eval_asp(seed), cfg, seed)
+def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
+    """False acceptance rate of ``trials`` impostor captures against one
+    enrolled record: ``far_trial(cfg, seed, i)`` for i below ``trials``.
+
+    An independent impostor is accepted only if its quantized bits lie
+    within t of the enrolled ones, with chance V(511, 30) / 2**511, about
+    2**-350, per trial at the default code. A report of such impostors
+    therefore shows that the pipeline rejects them, not how close a
+    look-alike may come before it is accepted.
+    """
+    _check_trials(trials)
+    record = _far_record(cfg, seed)
     stream = _impostor_stream(seed)
     counts = _tally(
         lambda indices: (
@@ -255,28 +279,6 @@ def _far_report(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     return _report(cfg.sigma, seed, counts, trials, "far")
 
 
-def estimate_frr(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    """False rejection rate over fresh genuine identities at noise level
-    ``cfg.sigma``."""
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    return _frr_report(cfg, trials, seed)
-
-
-def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
-    """False acceptance rate of impostor captures against one enrolled record.
-
-    An independent impostor is accepted only if its quantized bits lie
-    within t of the enrolled ones, with chance V(511, 30) / 2**511, about
-    2**-350, per trial at the default code. A report of such impostors
-    therefore shows that the pipeline rejects them, not how close a
-    look-alike may come before it is accepted.
-    """
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {trials}")
-    return _far_report(cfg, trials, seed)
-
-
 def sweep(
     cfg: ProtocolConfig,
     sigmas: Sequence[float],
@@ -284,25 +286,21 @@ def sweep(
     seed: int,
     sink: IO[str],
 ) -> list[str]:
-    """Run FRR and FAR at every noise level and write one CSV row each.
-
-    Both rates use ``trials`` trials per row (the standalone estimators'
-    minimum-trial floors do not apply here). Returns the data rows, header
-    excluded; rerunning with the same arguments reproduces the output byte
-    for byte.
+    """Write one CSV row per noise level: the fields of ``estimate_frr`` and
+    ``estimate_far`` at that sigma. Returns the data rows, header excluded;
+    rerunning with the same arguments reproduces the output byte for byte.
     """
     if not sigmas:
         raise ValueError("sigmas must be nonempty")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_trials(trials)
     # Every row's config is built, and so every sigma checked, before the
     # header is written: a bad argument leaves the sink empty.
     row_cfgs = [replace(cfg, sigma=sigma) for sigma in sigmas]
     sink.write(CSV_HEADER + "\n")
     rows = []
     for sigma, row_cfg in zip(sigmas, row_cfgs):
-        frr_report = _frr_report(row_cfg, trials, seed)
-        far_report = _far_report(row_cfg, trials, seed)
+        frr_report = estimate_frr(row_cfg, trials, seed)
+        far_report = estimate_far(row_cfg, trials, seed)
         row = (
             f"{sigma:g},{trials},"
             f"{frr_report.frr:.6f},{frr_report.frr_lo:.6f},{frr_report.frr_hi:.6f},"

@@ -85,9 +85,7 @@ class TestFrr:
         for lower, higher in zip(reports, reports[1:]):
             assert higher.frr >= lower.frr or higher.frr_hi >= lower.frr_lo
 
-    def test_requires_100_trials(self, cfg):
-        with pytest.raises(ValueError):
-            estimate_frr(replace(cfg, sigma=0.0), 99, SEED)
+    def test_negative_sigma_rejected(self, cfg):
         with pytest.raises(ValueError):
             estimate_frr(replace(cfg, sigma=-0.1), 100, SEED)
 
@@ -102,9 +100,12 @@ class TestFar:
     def test_deterministic(self, cfg):
         assert estimate_far(cfg, 1000, SEED) == estimate_far(cfg, 1000, SEED)
 
-    def test_requires_1000_trials(self, cfg):
-        with pytest.raises(ValueError):
-            estimate_far(cfg, 999, SEED)
+
+@pytest.mark.parametrize("estimate", [estimate_frr, estimate_far])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_nonpositive_trials_rejected(cfg, estimate, trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        estimate(cfg, trials, SEED)
 
 
 # Reports recorded with the general 2t-step BCH decoder. Any change to the
@@ -142,7 +143,7 @@ class TestTrialIndependence:
         assert Counter(forward) == Counter(backward)
         assert forward == list(reversed(backward))
 
-    def test_adjacent_seeds_share_no_trial(self, cfg, enrollment, monkeypatch):
+    def test_adjacent_seeds_share_no_trial(self, cfg, monkeypatch):
         enrolled, impostors = [], []
 
         def recording_identity(seed, dim):
@@ -153,27 +154,17 @@ class TestTrialIndependence:
             impostors.extend((stream, i) for i in range(first, first + count))
             return sample_impostors(stream, first, count, dim)
 
-        monkeypatch.setattr(evaluate, "new_identity", recording_identity)
+        trials = [pair for i in range(5) for pair in ((SEED, i + 1), (SEED + 1, i))]
         monkeypatch.setattr(evaluate, "sample_impostors", recording_impostors)
-        for i in range(5):
-            for seed, index in ((SEED, i + 1), (SEED + 1, i)):
-                frr_trial(replace(cfg, sigma=0.003), seed, index)
-                far_trial(enrollment["record"], cfg, seed, index)
+        for seed, index in trials:
+            far_trial(cfg, seed, index)
+        # Identities are recorded for genuine trials only, since every
+        # far_trial enrolls the same record of its report again.
+        monkeypatch.setattr(evaluate, "new_identity", recording_identity)
+        for seed, index in trials:
+            frr_trial(replace(cfg, sigma=0.003), seed, index)
         assert len(set(enrolled)) == len(enrolled) == 10
         assert len(set(impostors)) == len(impostors) == 10
-
-
-def _capture_enrollments(monkeypatch):
-    """Record every record the harness enrolls."""
-    records = []
-    enroll = evaluate.device_enroll
-
-    def recording_enroll(identity, asp, cfg, rng_seed, **kw):
-        records.append(enroll(identity, asp, cfg, rng_seed, **kw))
-        return records[-1]
-
-    monkeypatch.setattr(evaluate, "device_enroll", recording_enroll)
-    return records
 
 
 class TestBatchedReportsEqualTrials:
@@ -181,11 +172,9 @@ class TestBatchedReportsEqualTrials:
     tally of the single-trial functions, which authenticate one by one."""
 
     @pytest.mark.parametrize("seed", [SEED, 0xACCE97])
-    def test_far(self, cfg, monkeypatch, seed):
-        records = _capture_enrollments(monkeypatch)
+    def test_far(self, cfg, seed):
         report = estimate_far(cfg, 1000, seed)
-        (record,) = records
-        trials = Counter(far_trial(record, cfg, seed, i) for i in range(1000))
+        trials = Counter(far_trial(cfg, seed, i) for i in range(1000))
         assert Counter(report.stage_counts) == trials
 
     def test_frr_with_mixed_outcomes(self, cfg):
@@ -197,14 +186,28 @@ class TestBatchedReportsEqualTrials:
             assert Counter(report.stage_counts) == trials
             assert trials["Extract"] and trials["Success"]
 
-    def test_liveness_failure(self, cfg, monkeypatch):
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, evaluate._BATCH_CHUNK + 1])
+    def test_any_trial_count(self, cfg, trials):
+        # 17 FAR trials end one row into the second 16-row impostor block;
+        # _BATCH_CHUNK + 1 ends one trial into the second chunk.
+        noisy = replace(cfg, sigma=0.005)
+        frr = estimate_frr(noisy, trials, SEED)
+        far = estimate_far(noisy, trials, SEED)
+        assert frr.trials == far.trials == trials
+        assert Counter(frr.stage_counts) == Counter(
+            frr_trial(noisy, SEED, i) for i in range(trials)
+        )
+        assert Counter(far.stage_counts) == Counter(
+            far_trial(noisy, SEED, i) for i in range(trials)
+        )
+
+    def test_liveness_failure(self, cfg):
         # The harness enrolls under AlwaysPass, so authentication is what fails.
-        records = _capture_enrollments(monkeypatch)
         failing = replace(cfg, liveness=AlwaysFail())
         far = estimate_far(failing, 1000, SEED)
         frr = estimate_frr(replace(failing, sigma=0.003), 100, SEED)
         assert Counter(far.stage_counts) == Counter(
-            far_trial(records[0], failing, SEED, i) for i in range(1000)
+            far_trial(failing, SEED, i) for i in range(1000)
         ) == {"Liveness": 1000}
         assert Counter(frr.stage_counts) == Counter(
             frr_trial(replace(failing, sigma=0.003), SEED, i) for i in range(100)
@@ -230,6 +233,16 @@ class TestSweep:
         sink = io.StringIO()
         rows = sweep(cfg, [0.003, 0.0], 100, SEED, sink)
         assert rows[0].startswith("0.003,") and rows[1].startswith("0,")
+
+    def test_row_holds_the_estimators_fields(self, cfg):
+        rows = sweep(cfg, [0.005], 20, SEED, io.StringIO())
+        noisy = replace(cfg, sigma=0.005)
+        frr, far = estimate_frr(noisy, 20, SEED), estimate_far(noisy, 20, SEED)
+        assert dict(zip(CSV_HEADER.split(","), rows[0].split(","))) == {
+            "sigma": "0.005", "trials": "20", "seed": str(SEED),
+            **{name: f"{getattr(frr, name):.6f}" for name in ("frr", "frr_lo", "frr_hi")},
+            **{name: f"{getattr(far, name):.6f}" for name in ("far", "far_lo", "far_hi")},
+        }
 
     def test_empty_sigmas_rejected(self, cfg):
         with pytest.raises(ValueError):
@@ -258,13 +271,31 @@ def test_liveness_policy_gates_authentication_only(cfg, enrollment):
     assert refusal.value.stage == "Liveness"
 
 
-def test_far_trial_composable(cfg, enrollment):
-    outcome = far_trial(enrollment["record"], cfg, SEED, 0)
+def test_far_trial_composable(cfg):
+    outcome = far_trial(cfg, SEED, 0)
     assert outcome in OUTCOMES and outcome != "Success"
     sample = sample_impostor(evaluate._impostor_stream(SEED), cfg.dim)
     with pytest.raises(ExtractFailure) as refusal:
-        device_authenticate(sample, enrollment["record"], cfg.liveness)
+        device_authenticate(sample, evaluate._far_record(cfg, SEED), cfg.liveness)
     assert refusal.value.stage == outcome == "Extract"
+
+
+def test_no_asp_outlives_its_trial(cfg, monkeypatch):
+    # A report enrolls each genuine trial through its own ASP, so no replay
+    # set grows with the trials.
+    built = []
+
+    class RecordingAsp(evaluate.InProcessAsp):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(evaluate, "InProcessAsp", RecordingAsp)
+    trials = evaluate._BATCH_CHUNK + 1
+    estimate_frr(replace(cfg, sigma=0.003), trials, SEED)
+    estimate_far(cfg, trials, SEED)
+    assert len(built) == trials + 1
+    assert max(len(asp._seen) for asp in built) == 1
 
 
 def test_far_report_seeds_one_generator_per_block(cfg, monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -61,7 +62,6 @@ def test_no_private_imports_between_modules():
 # Public names that no module of the package or of bench/ reads, each kept
 # for its own reason.
 _UNREAD_EXPORTS = {
-    "estimate_frr": "the public FRR estimator, the genuine half of every report",
     "frr_trial": "the single-trial reference TestBatchedReportsEqualTrials holds reports to",
     "far_trial": "the single-trial reference TestBatchedReportsEqualTrials holds reports to",
 }
@@ -109,18 +109,27 @@ def test_traced_layers_resolve():
     assert layers and missing == []
 
 
+_BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+_BENCH_MODULES = {"binding", "credential", "evaluate", "fextract", "parties", "store", "synthbio"}
+
+
+def _bench_attribute(node) -> bool:
+    """Whether ``node`` is a ``module.name`` of the package in bench/run.py."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in _BENCH_MODULES
+    )
+
+
 def test_bench_names_resolve():
     # bench/run.py reaches the package through module attributes such as
     # ``parties.InProcessAsp``; a rename would otherwise only fail when the
     # benchmark runs. The file is read, not imported.
-    run = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    modules = {"binding", "credential", "evaluate", "fextract", "parties", "store", "synthbio"}
     used = {
         (node.value.id, node.attr)
-        for node in ast.walk(ast.parse(run.read_text()))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in modules
+        for node in ast.walk(ast.parse(_BENCH_RUN.read_text()))
+        if _bench_attribute(node)
     }
     missing = [
         f"{module}.{name}"
@@ -128,3 +137,28 @@ def test_bench_names_resolve():
         if not hasattr(importlib.import_module(f"bbcreds.{module}"), name)
     ]
     assert used and missing == []
+
+
+def test_bench_calls_bind():
+    # Each ``module.name(...)`` call in bench/run.py must still fit its
+    # callee: the same number of positional arguments and the same keyword
+    # names bind to the callee's signature. A signature change would
+    # otherwise only fail when the benchmark runs.
+    calls = [
+        node for node in ast.walk(ast.parse(_BENCH_RUN.read_text()))
+        if isinstance(node, ast.Call) and _bench_attribute(node.func)
+    ]
+    unbound = []
+    for call in calls:
+        module, name = call.func.value.id, call.func.attr
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(keyword.arg for keyword in call.keywords)
+        callee = getattr(importlib.import_module(f"bbcreds.{module}"), name)
+        try:
+            inspect.signature(callee).bind(
+                *call.args, **{keyword.arg: None for keyword in call.keywords}
+            )
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {module}.{name}: {exc}")
+    assert calls
+    assert unbound == []
