@@ -28,6 +28,7 @@ from .fextract import HELPER_VERSION, ExtractFailure
 from .kdf import SEED_MASK
 from .parties import (
     DEFAULT_CODE,
+    LATEST_CLOCK,
     AgePolicy,
     AlwaysFail,
     AlwaysPass,
@@ -49,11 +50,6 @@ EXIT_ISSUANCE_DENIED = 3
 EXIT_LIVENESS = 4
 EXIT_AUTH_FAILED = 5
 EXIT_RP_DENIED = 6
-
-# 9999-12-31 23:59:59 UTC, the last second datetime can read. Computed
-# through a float timestamp it would round up to 253402300800, year 10000.
-_LATEST_CLOCK = 253402300799
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -84,7 +80,7 @@ _CONFIG_KEYS = {*_SETTINGS, *_CODE_KEYS}
 # Every subcommand refuses a key unknown to all of them, as they share one
 # file, but resolves only the keys it reads (its parser's config_keys).
 _AUTH_KEYS = ("sigma_default",)
-_EVAL_KEYS = ("dim", "variant", *_CODE_KEYS)
+_EVAL_KEYS = ("dim", *_CODE_KEYS)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -146,8 +142,8 @@ def _clock(args: argparse.Namespace) -> int:
     stores it unsigned, so it must fall between 1970 and the end of 9999.
     """
     clock = args.clock if args.clock is not None else int(time.time())
-    if not 0 <= clock <= _LATEST_CLOCK:
-        raise CliError(f"clock must be in [0, {_LATEST_CLOCK}] (1970 to 9999), got {clock}")
+    if not 0 <= clock <= LATEST_CLOCK:
+        raise CliError(f"clock must be in [0, {LATEST_CLOCK}] (1970 to 9999), got {clock}")
     return clock
 
 

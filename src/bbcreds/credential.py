@@ -181,7 +181,13 @@ def verify_agecred(
     required_age_over: int,
 ) -> Verdict:
     """Accept iff the signature is valid, ``issued_at <= now < expires_at``
-    and the credential's threshold covers the required one."""
+    and the credential's threshold covers the required one. A required age
+    outside (0, MAX_AGE_OVER) raises ValueError, as such an ``age_over``
+    does at issuance: one of 0 or below would grant every credential."""
+    if not 0 < required_age_over < MAX_AGE_OVER:
+        raise ValueError(
+            f"required age must be in (0, {MAX_AGE_OVER}), got {required_age_over}"
+        )
     try:
         Ed25519PublicKey.from_public_bytes(issuer_public).verify(
             c.signature, _signed_prefix(c)

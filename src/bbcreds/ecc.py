@@ -46,7 +46,7 @@ ORs, and one integer XOR that corrects the word. ``decode_batch`` runs
 all rows of a (B, ceil(n/8)) byte matrix in one pass, with masked numpy
 Berlekamp-Massey (``_locators``) and the numpy root search (``_roots``);
 its temporaries grow with B, so its caller sizes the batch, as the
-evaluation reports do (256 rows). On one word numpy's per-call overhead
+evaluation reports do (512 rows). On one word numpy's per-call overhead
 outweighs its arithmetic: on a 2-core machine at n=511, t=30, one random
 row took 0.59 ms in ``_locators`` against 0.10 ms in ``_locator``, and
 the root search at 8 and 30 errors 12 and 15 us in ``_roots`` against 5
@@ -69,9 +69,9 @@ rows as Python ints for ``_root_mask`` (898 KiB). So a codec that runs one
 pipeline holds about 1.9 MiB and one that runs both 2.75 MiB, and a first
 call takes about 5-7 ms (tracemalloc, and best of 15 on a 2-core
 machine). At (1023, 1, 511) the same three tables take 32, 40 and 42 MiB.
-The root search holds 576 bytes per row. A 256-row batch of random words
-peaks at about 0.8 MiB of temporaries, most of it Berlekamp-Massey's
-int64 log arrays.
+The root search holds 576 bytes per row. A batch of random words peaks at
+about 3.2 KB of temporaries per row (0.8 MiB at 256 rows, 1.6 MiB at
+512), most of it Berlekamp-Massey's int64 log arrays.
 
 Beyond radius t the decoder may return a wrong message (miscorrection)
 or fail; callers are expected to verify the result against independent
@@ -475,7 +475,7 @@ class BchCodec:
         failures and miscorrections included, though the two run separate
         pipelines after the syndromes; ``TestBatchEquality`` and
         ``TestReferenceEquality`` hold them to that. The B rows run in one
-        pass, so the temporaries grow with B (about 0.8 MiB at B = 256 and
+        pass, so the temporaries grow with B (about 1.6 MiB at B = 512 and
         n = 511) and the caller bounds B.
         """
         p = self.params

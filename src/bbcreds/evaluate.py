@@ -82,8 +82,12 @@ _Z95 = 1.959963984540054
 # credential validity must never interfere.
 _EVAL_CLOCK = 1_750_000_000
 
-# Trials per chunk and decode_batch call: about 2 MiB, and few numpy calls per row.
-_BATCH_CHUNK = 256
+# Trials per chunk and decode_batch call, which pays a fixed numpy cost per
+# call. estimate_far(cfg, 1000, s) took a median 23.6 / 22.0 / 22.8 / 22.3
+# ms of CPU at 256 / 512 / 768 / 1024 rows per chunk (512 beat 256 in 74 of
+# 80 interleaved calls) and peaked at 1.84 / 3.67 / 5.50 / 7.15 MiB traced,
+# on a 2-core machine: past 512 the time stays and the memory grows.
+_BATCH_CHUNK = 512
 
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"
 
@@ -156,8 +160,8 @@ def _tally(
     Otherwise trials run _BATCH_CHUNK at a time through the device's own
     stages: one sample matrix, one batched key reproduction, which decodes
     the chunk in one ``decode_batch`` call, and ``unbind_auth`` for each
-    key that came out. Memory grows with the chunk (256 samples take 1 MiB
-    at dim 512, their decode 0.8 MiB at n = 511) and not with the trials,
+    key that came out. Memory grows with the chunk (512 samples take 2 MiB
+    at dim 512, their decode 1.6 MiB at n = 511) and not with the trials,
     as long as ``draw`` keeps nothing, such as an ASP, past its chunk.
     """
     counts = dict.fromkeys(OUTCOMES, 0)

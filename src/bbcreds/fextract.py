@@ -150,10 +150,10 @@ def fe_reproduce_batch(
     check_unit_rows(samples)
     offsets = np.frombuffer(b"".join(h.offset.data for h in helpers), dtype=np.uint8)
     ok, messages = codec_for(code).decode_batch(words ^ offsets.reshape(words.shape))
-    return [
-        _derive_key(BitString(message.tobytes(), code.k), h.salt) if decoded else None
-        for decoded, message, h in zip(ok, messages, helpers)
-    ]
+    keys: list[StableKey | None] = [None] * len(helpers)
+    for i in np.flatnonzero(ok).tolist():  # rows that failed to decode cost nothing more
+        keys[i] = _derive_key(BitString(messages[i].tobytes(), code.k), helpers[i].salt)
+    return keys
 
 
 # Canonical byte encoding, consumed by the device-record store:

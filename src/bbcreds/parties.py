@@ -56,6 +56,7 @@ __all__ = [
     "AgePolicy",
     "age_in_years",
     "AspAccess",
+    "LATEST_CLOCK",
     "InProcessAsp",
     "device_enroll",
     "device_authenticate",
@@ -173,14 +174,24 @@ class AspAccess(Protocol):
     def handle(self, req: IssuanceRequest) -> AgeCred: ...
 
 
+# 9999-12-31 23:59:59 UTC, the last second datetime can read. Computed
+# through a float timestamp it would round up to 253402300800, year 10000.
+LATEST_CLOCK = 253402300799
+
+
 class InProcessAsp:
     """Default issuance access: a local ASP with a fixed clock.
 
-    The replay set is the only mutable state; it is updated under a lock
-    so the handler is safe for concurrent requests.
+    The clock is read as a UTC calendar date and stored in the credential
+    unsigned, so it must lie in [0, LATEST_CLOCK]; any other value raises
+    ValueError here, whatever evidence a request later carries. The replay
+    set is the only mutable state; it is updated under a lock so the
+    handler is safe for concurrent requests.
     """
 
     def __init__(self, keys: IssuerKeyPair, policy: AgePolicy, now: int):
+        if not 0 <= now <= LATEST_CLOCK:
+            raise ValueError(f"clock must be in [0, {LATEST_CLOCK}], got {now}")
         self._keys = keys
         self._policy = policy
         self._now = now

@@ -624,7 +624,9 @@ class TestConfigFile:
         assert main(argv + ["--config", str(config)]) == EXIT_OK
         assert capsys.readouterr() == plain
 
-    @pytest.mark.parametrize("entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0"])
+    @pytest.mark.parametrize(
+        "entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0", "variant=bogus"]
+    )
     def test_eval_skips_keys_it_does_not_read(self, tmp_path, capsys, entry):
         config = tmp_path / "shared.conf"
         config.write_text(entry + "\n")

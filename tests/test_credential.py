@@ -168,14 +168,19 @@ class TestVerification:
 
     def test_monotone_in_required_age(self, keys):
         cred = issue_agecred(keys, SUBJECT, 21, NOW, 86400)
-        accepted = [
-            verify_agecred(cred, keys.public, NOW + 1, r).granted for r in range(0, 40)
-        ]
+        required = range(1, 40)
+        accepted = [verify_agecred(cred, keys.public, NOW + 1, r).granted for r in required]
         # Accept at threshold r implies accept at every lower threshold.
         first_reject = accepted.index(False) if False in accepted else len(accepted)
         assert all(accepted[:first_reject])
         assert not any(accepted[first_reject:])
-        assert first_reject == 22  # inclusive at age_over
+        assert required[first_reject] == 22  # inclusive at age_over
+
+    @pytest.mark.parametrize("required", [-5, 0, 150])
+    def test_required_age_out_of_range_raises(self, keys, cred, required):
+        # 0 or below would grant every credential; issuance refuses the same values.
+        with pytest.raises(ValueError, match="required age"):
+            verify_agecred(cred, keys.public, NOW + 1, required)
 
 
 class TestKeyPairs:

@@ -566,7 +566,8 @@ class TestChunkStages:
                 assert not coefficients[i, len(logs) :].any()
 
     def test_chunk_memory_bound(self):
-        """A report chunk of random words keeps its temporaries under 1 MiB."""
+        """A report chunk of random words keeps its temporaries under 4 KiB
+        per row (3.2 KB measured at 256 and 512 rows)."""
         codec = codec_for(PROD_CODE)
         rng = np.random.default_rng(256)
         bits = rng.integers(0, 2, size=(evaluate._BATCH_CHUNK, PROD_CODE.n), dtype=np.uint8)
@@ -578,7 +579,7 @@ class TestChunkStages:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < (4 << 10) * evaluate._BATCH_CHUNK
 
     def test_decode_runs_no_chunk_stage(self, monkeypatch):
         """``decode`` is the one-word pipeline: it never reaches

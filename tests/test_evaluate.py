@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -296,6 +297,24 @@ def test_no_asp_outlives_its_trial(cfg, monkeypatch):
     estimate_far(cfg, trials, SEED)
     assert len(built) == trials + 1
     assert max(len(asp._seen) for asp in built) == 1
+
+
+def test_far_report_memory_grows_with_the_chunk(cfg):
+    # A chunk holds its samples (4 KiB per row at dim 512) and its decode
+    # temporaries (about 3.2 KB per row), and nothing outlives it.
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            estimate_far(cfg, trials, SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = evaluate._BATCH_CHUNK
+    estimate_far(cfg, 1, SEED)  # builds the decoder tables
+    one, eight = peak(chunk + 1), peak(8 * chunk + 1)
+    assert abs(eight - one) < 0.1 * one
+    assert max(one, eight) < (8 << 10) * chunk
 
 
 def test_far_report_seeds_one_generator_per_block(cfg, monkeypatch):

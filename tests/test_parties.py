@@ -101,6 +101,20 @@ class TestIssuance:
             self._handle(issuer_keys, "totally not evidence")
         assert err.value.reason is DenyReason.BAD_EVIDENCE
 
+    @pytest.mark.parametrize("now", [-5, parties.LATEST_CLOCK + 1, 2**40, 2**63])
+    def test_clock_out_of_range_refused_at_construction(self, issuer_keys, now):
+        # Refused before any request, so no evidence type decides how it fails.
+        with pytest.raises(ValueError, match="clock must be in"):
+            InProcessAsp(issuer_keys, AgePolicy(18), now=now)
+
+    @pytest.mark.parametrize("now", [0, parties.LATEST_CLOCK])
+    def test_clock_bounds_issue(self, issuer_keys, now):
+        asp = InProcessAsp(issuer_keys, AgePolicy(18), now=now)
+        cred = asp.handle(self._request(DateOfBirthEvidence(date(1900, 1, 1))))
+        assert cred.issued_at == now
+        cred = asp.handle(self._request(AlwaysApproveEvidence(), nonce=b"\x03" * 16))
+        assert cred.issued_at == now
+
     def test_nonce_replay_denied(self, asp):
         first = asp.handle(self._request(AlwaysApproveEvidence()))
         assert first.subject_id == b"\x02" * 16
