@@ -149,7 +149,7 @@ def hash_key(k: StableKey) -> KeyDigest:
     return KeyDigest(tagged_hash(KEYHASH_LABEL, k.key))
 
 
-def _enroll_draw(rng_seed: int) -> tuple[StableSecret, bytes, bytes]:
+def _enroll_draw(rng_seed: int | None) -> tuple[StableSecret, bytes, bytes]:
     """The secret, credential nonce and sketch nonce ``bind_enroll`` uses."""
     material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)
     nonces = material[SECRET_BYTES:]
@@ -172,12 +172,13 @@ def bind_enroll(
     key: StableKey,
     cred: AgeCred,
     variant: SketchVariant,
-    rng_seed: int,
+    rng_seed: int | None,
 ) -> tuple[Sketch, KeyDigest, BoundCredential]:
     """Bind a (trusted, already verified) credential to the stable key.
 
     The returned triple plus the extractor's helper data is the entire
-    retained state; the key and the secret are used and dropped here.
+    retained state; the key and the secret are used and dropped here. The
+    secret and nonces come from the OS's entropy when the seed is None.
     """
     stable, cred_nonce, sketch_nonce = _enroll_draw(rng_seed)
     secret = stable.secret

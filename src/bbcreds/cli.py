@@ -6,8 +6,11 @@ decision, record inspection, and the FRR/FAR evaluation sweep.
 
 Exit codes: 0 success, 2 usage/I-O/format problems, 3 issuance denied,
 4 liveness rejection, 5 authentication failure, 6 relying-party denial.
-Every source of randomness flows from --seed; when omitted, a seed is
-drawn and printed so the run can be reproduced afterwards.
+Without --seed, asp-keygen and enroll draw every key and secret from the OS
+and print nothing; with it, each is a function of that 64-bit seed
+(SEED_MASK), fit only for reproducible experiments. The seeds of auth and
+eval pick synthetic samples and write no key or secret; when omitted, one
+is drawn and printed.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def cmd_asp_keygen(args: argparse.Namespace) -> int:
         existing = [str(p) for p in (pub_path, key_path) if p.exists()]
         if existing:
             raise CliError(f"refusing to overwrite {', '.join(existing)} (use --force)")
-    keys = generate_issuer_keys(_run_seed(args))
+    keys = generate_issuer_keys(args.seed)
     try:
         pub_path.write_text(keys.public.hex() + "\n")
         _write_owner_only(key_path, (keys.private.hex() + "\n").encode())
@@ -213,13 +216,9 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     cfg, policy = _resolve_config(args)
     cfg = replace(cfg, liveness=_liveness(args))
     keys = _load_issuer_keys(args.keys)
-    # A usage error leaves stdout empty, so the clock is checked before
-    # _run_seed prints the seed it draws.
-    now = _clock(args)
-    seed = _run_seed(args)
-    asp = InProcessAsp(keys, policy, now=now)
+    asp = InProcessAsp(keys, policy, now=_clock(args))
     identity = new_identity(args.identity_seed, cfg.dim)
-    record = device_enroll(identity, asp, cfg, seed, evidence=DateOfBirthEvidence(args.dob))
+    record = device_enroll(identity, asp, cfg, args.seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
         _write_owner_only(Path(args.out), data)
@@ -286,12 +285,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = _run_seed(args)
     try:
         with open(args.out, "w") as sink:
-            rows = sweep(cfg, sigmas, args.trials, seed, sink)
+            sweep(cfg, sigmas, args.trials, seed, sink)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OSError as exc:
         raise CliError(f"cannot write CSV: {exc}") from exc
-    print(f"wrote {args.out} rows={len(rows)} seed={seed}")
+    print(f"wrote {args.out} rows={len(sigmas)} seed={seed}")
     return EXIT_OK
 
 
@@ -308,9 +307,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="64-bit run seed; drawn and printed when omitted")
+def _add_seed(parser: argparse.ArgumentParser, secrets: bool = False) -> None:
+    text = ("64-bit seed every key and secret is then a function of, fit only for "
+            "reproducible experiments; without it they come from the OS and nothing "
+            "is printed" if secrets else "64-bit run seed; drawn and printed when omitted")
+    parser.add_argument("--seed", type=int, default=None, help=text)
 
 
 def _add_clock(parser: argparse.ArgumentParser) -> None:
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     keygen = sub.add_parser("asp-keygen", help="generate the issuer signing keypair")
     keygen.add_argument("--out", required=True, help="path prefix for .pub/.key files")
     keygen.add_argument("--force", action="store_true", help="overwrite existing files")
-    _add_seed(keygen)
+    _add_seed(keygen, secrets=True)
     keygen.set_defaults(handler=cmd_asp_keygen)
 
     enroll = sub.add_parser("enroll", help="enroll an identity and bind a credential")
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     enroll.add_argument("--variant", choices=["xor", "encrypted"], default=None,
                         help="sketch protection variant")
     enroll.add_argument("--liveness", choices=["pass", "fail"], default="pass")
-    _add_seed(enroll)
+    _add_seed(enroll, secrets=True)
     _add_clock(enroll)
     enroll.add_argument("--config", default=None,
                         help="key=value config file; flags take precedence, and "

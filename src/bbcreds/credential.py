@@ -10,7 +10,6 @@ credentials.
 from __future__ import annotations
 
 import enum
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -120,10 +119,7 @@ class Verdict:
 
 def generate_issuer_keys(seed: int | None = None) -> IssuerKeyPair:
     """Fresh issuer keypair; seeded generation is fully deterministic."""
-    if seed is None:
-        private = os.urandom(32)
-    else:
-        private = expand_seed(seed, _KEYGEN_LABEL, 32)
+    private = expand_seed(seed, _KEYGEN_LABEL, 32)
     key = Ed25519PrivateKey.from_private_bytes(private)
     return IssuerKeyPair(public=key.public_key().public_bytes_raw(), private=private)
 

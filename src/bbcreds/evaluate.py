@@ -53,7 +53,6 @@ from .parties import (
     ProtocolConfig,
     device_authenticate,
     device_enroll,
-    liveness_check,
 )
 from .store import DeviceRecord
 from .synthbio import (
@@ -165,7 +164,7 @@ def _tally(
     as long as ``draw`` keeps nothing, such as an ASP, past its chunk.
     """
     counts = dict.fromkeys(OUTCOMES, 0)
-    if not liveness_check(liveness):
+    if not liveness.passes:
         counts[LivenessFailed.stage] = trials
         return counts
     extract, success = ExtractFailure.stage, "Success"
@@ -289,10 +288,10 @@ def sweep(
     trials: int,
     seed: int,
     sink: IO[str],
-) -> list[str]:
+) -> None:
     """Write one CSV row per noise level: the fields of ``estimate_frr`` and
-    ``estimate_far`` at that sigma. Returns the data rows, header excluded;
-    rerunning with the same arguments reproduces the output byte for byte.
+    ``estimate_far`` at that sigma, after the header. Rerunning with the same
+    arguments reproduces the output byte for byte.
     """
     if not sigmas:
         raise ValueError("sigmas must be nonempty")
@@ -301,7 +300,6 @@ def sweep(
     # header is written: a bad argument leaves the sink empty.
     row_cfgs = [replace(cfg, sigma=sigma) for sigma in sigmas]
     sink.write(CSV_HEADER + "\n")
-    rows = []
     for sigma, row_cfg in zip(sigmas, row_cfgs):
         frr_report = estimate_frr(row_cfg, trials, seed)
         far_report = estimate_far(row_cfg, trials, seed)
@@ -312,5 +310,3 @@ def sweep(
             f"{seed}"
         )
         sink.write(row + "\n")
-        rows.append(row)
-    return rows

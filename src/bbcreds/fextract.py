@@ -92,16 +92,19 @@ def _derive_key(message: BitString, salt: bytes) -> StableKey:
     return StableKey(hkdf_sha256(message.data, _KDF_LABEL, salt=salt))
 
 
-def _random_message(seed: int, k: int) -> tuple[bytes, BitString]:
+def _random_message(seed: int | None, k: int) -> tuple[bytes, BitString]:
     nbytes = (k + 7) // 8
     material = expand_seed(seed, _GEN_LABEL, SALT_BYTES + nbytes)
     value = int.from_bytes(material[SALT_BYTES:], "big") >> (8 * nbytes - k)
     return material[:SALT_BYTES], BitString.from_int(value, k)
 
 
-def fe_generate(e: Embedding, code: CodeParams, rng_seed: int) -> tuple[StableKey, HelperData]:
+def fe_generate(
+    e: Embedding, code: CodeParams, rng_seed: int | None
+) -> tuple[StableKey, HelperData]:
     """Enroll an embedding: returns the stable key and public helper data.
-    The quantizer reads the first ``code.n`` of the embedding's coordinates."""
+    The quantizer reads the first ``code.n`` of the embedding's coordinates.
+    The salt and message come from the OS's entropy when the seed is None."""
     quant = QuantizerConfig.default(e.dim, code.n)
     salt, message = _random_message(rng_seed, code.k)
     offset = quantize(e, quant) ^ codec_for(code).encode(message)

@@ -3,12 +3,14 @@
 Every derived value is domain-separated by an explicit label so that
 byte-equal inputs in different roles can never collide. Seeded expansion
 exists for reproducibility of the artifact: callers pass 64-bit seeds and
-get deterministic byte streams.
+get deterministic byte streams. A seed of None means OS entropy instead,
+so no key or secret drawn without a seed is a function of 64 bits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -34,13 +36,17 @@ def hkdf_sha256(ikm: bytes, label: str, salt: bytes | None = None) -> bytes:
     ).derive(ikm)
 
 
-def expand_seed(seed: int, label: str, nbytes: int) -> bytes:
+def expand_seed(seed: int | None, label: str, nbytes: int) -> bytes:
     """Deterministic byte stream from a 64-bit seed, per-label independent."""
+    if seed is None:
+        return os.urandom(nbytes)
     shake = hashlib.shake_256()
     shake.update(label.encode("ascii") + b"\x00" + (seed & SEED_MASK).to_bytes(8, "big"))
     return shake.digest(nbytes)
 
 
-def subseed(seed: int, label: str) -> int:
+def subseed(seed: int | None, label: str) -> int | None:
     """A 64-bit seed derived from ``seed`` under ``label``, for seeding one role's RNG."""
+    if seed is None:
+        return None
     return int.from_bytes(expand_seed(seed, label, 8), "big")

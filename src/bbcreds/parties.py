@@ -20,7 +20,7 @@ import enum
 import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Protocol, Union
+from typing import ClassVar, Protocol, Union
 
 from .binding import SketchVariant, bind_enroll, unbind_auth
 from .credential import (
@@ -45,7 +45,6 @@ __all__ = [
     "AlwaysPass",
     "AlwaysFail",
     "LivenessPolicy",
-    "liveness_check",
     "LivenessFailed",
     "DateOfBirthEvidence",
     "AlwaysApproveEvidence",
@@ -76,12 +75,12 @@ SIGMA_DEFAULT = 0.003
 
 @dataclass(frozen=True)
 class AlwaysPass:
-    pass
+    passes: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
 class AlwaysFail:
-    pass
+    passes: ClassVar[bool] = False
 
 
 LivenessPolicy = Union[AlwaysPass, AlwaysFail]
@@ -93,18 +92,9 @@ class LivenessFailed(Exception):
     stage = "Liveness"
 
 
-def liveness_check(policy: LivenessPolicy) -> bool:
-    """Whether the policy accepts this capture as coming from a present person."""
-    if isinstance(policy, AlwaysPass):
-        return True
-    if isinstance(policy, AlwaysFail):
-        return False
-    raise TypeError(f"unknown liveness policy {policy!r}")
-
-
 def _require_liveness(policy: LivenessPolicy) -> None:
     """The device's liveness gate: raises LivenessFailed unless the policy passes."""
-    if not liveness_check(policy):
+    if not policy.passes:
         raise LivenessFailed(f"policy {type(policy).__name__}")
 
 
@@ -251,13 +241,14 @@ def device_enroll(
     identity: Embedding,
     asp: AspAccess,
     cfg: ProtocolConfig,
-    rng_seed: int,
+    rng_seed: int | None,
     evidence: Evidence = AlwaysApproveEvidence(),
 ) -> DeviceRecord:
     """Full enrollment of the identity with reference embedding ``identity``:
     capture, liveness gate, key generation, issuance, binding. Returns the
     four retained artifacts and nothing else; the stable key and secret are
-    dropped on exit.
+    dropped on exit. A seed makes every draw a function of its 64 bits, for
+    reproducible experiments; None draws them all from the OS's entropy.
     """
     if identity.dim != cfg.dim:
         raise ValueError(f"identity has dim {identity.dim}, config has dim {cfg.dim}")

@@ -11,7 +11,6 @@ layer, so lengths here are code lengths, not embedding dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,28 +43,6 @@ class BitString:
         if pad and (self.data[-1] & ((1 << pad) - 1)):
             raise ValueError("padding bits beyond n must be zero")
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int] | np.ndarray) -> "BitString":
-        arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits,
-                         dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("bits must be a non-empty 1-d sequence")
-        if np.any(arr > 1):
-            raise ValueError("bits must be 0 or 1")
-        return cls(np.packbits(arr).tobytes(), int(arr.size))
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(bytes((n + 7) // 8), n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls.from_bits(np.ones(n, dtype=np.uint8))
-
-    def bits(self) -> np.ndarray:
-        """Unpacked bits as a uint8 array of length n."""
-        return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))[: self.n]
-
     def as_int(self) -> int:
         """Bits as an integer; bit j of the string is binary digit n-1-j."""
         return int.from_bytes(self.data, "big") >> (8 * len(self.data) - self.n)
@@ -77,17 +54,11 @@ class BitString:
         nbytes = (n + 7) // 8
         return cls((value << (8 * nbytes - n)).to_bytes(nbytes, "big"), n)
 
-    def weight(self) -> int:
-        return int.from_bytes(self.data, "big").bit_count()
-
     def __xor__(self, other: "BitString") -> "BitString":
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
         value = int.from_bytes(self.data, "big") ^ int.from_bytes(other.data, "big")
         return BitString(value.to_bytes(len(self.data), "big"), self.n)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)

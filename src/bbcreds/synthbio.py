@@ -66,7 +66,7 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _normals(seed: int, label: str, dim: int) -> np.ndarray:
+def _normals(seed: int | None, label: str, dim: int) -> np.ndarray:
     return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
 
 
@@ -125,7 +125,7 @@ def new_identity(seed: int, dim: int = DEFAULT_DIM) -> Embedding:
     return _normalized(_normals(seed, _IDENTITY_LABEL, dim))
 
 
-def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int) -> Embedding:
+def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> Embedding:
     """A noisy capture of the identity ``mean``: normalize(mean + sigma * g).
 
     With sigma == 0 the reference is returned unchanged (it is already

@@ -99,16 +99,15 @@ def test_criterion_04_impostor_rejection():
 def test_criterion_05_ecc_exhaustive_oracle():
     codec = codec_for(SMALL_CODE)
     n, k, t = SMALL_CODE.n, SMALL_CODE.k, SMALL_CODE.t
-    patterns = [()]
+    flips = [0]
     for weight in range(1, t + 1):
-        patterns.extend(itertools.combinations(range(n), weight))
+        flips.extend(sum(1 << p for p in positions)
+                     for positions in itertools.combinations(range(n), weight))
     for value in range(1 << k):
         message = BitString.from_int(value, k)
-        codeword = codec.encode(message).bits()
-        for positions in patterns:
-            noisy = codeword.copy()
-            noisy[list(positions)] ^= 1
-            assert codec.decode(BitString.from_bits(noisy)) == message
+        codeword = codec.encode(message).as_int()
+        for flip in flips:
+            assert codec.decode(BitString.from_int(codeword ^ flip, n)) == message
     _passed(5, "ecc-exhaustive-oracle")
 
 

@@ -19,6 +19,8 @@ from bbcreds.cli import (
     main,
 )
 from bbcreds.ecc import CodeParams, codec_for
+from bbcreds.fextract import _random_message
+from bbcreds.kdf import subseed
 from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
@@ -95,9 +97,15 @@ class TestKeygen:
         assert main(["asp-keygen", "--out", prefix, "--seed", "2", "--force"]) == EXIT_OK
         assert (tmp_path / "k.key").read_text() != before
 
-    def test_unseeded_run_prints_seed(self, tmp_path, capsys):
-        assert main(["asp-keygen", "--out", str(tmp_path / "r")]) == EXIT_OK
-        assert re.search(r"^seed=\d+$", capsys.readouterr().out, re.M)
+    def test_unseeded_runs_print_no_seed_and_differ(self, tmp_path, capsys):
+        # Without --seed the signing key comes from the OS: no seed is
+        # printed that would reproduce it, and two runs write different keys.
+        keys = []
+        for name in ("a", "b"):
+            assert main(["asp-keygen", "--out", str(tmp_path / name)]) == EXIT_OK
+            assert "seed=" not in capsys.readouterr().out
+            keys.append((tmp_path / f"{name}.key").read_text())
+        assert keys[0] != keys[1]
 
     def test_private_key_owner_only(self, tmp_path):
         """The signing key is mode 0o600, also after --force over a 0o644
@@ -114,6 +122,28 @@ class TestKeygen:
 
 
 class TestEnroll:
+    def test_unseeded_output_cannot_rebuild_the_salt(self, tmp_path, keys_prefix, capsys):
+        """A seeded record's public salt is rebuilt from its seed, which
+        checks any guess of the seed offline. An unseeded enroll draws the
+        salt, message and secret from the OS and prints no seed, and no
+        integer on its stdout rebuilds the salt."""
+        argv = ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                "--dob", ADULT_DOB, "--clock", str(NOW)]
+
+        def salt_from(seed, path):
+            k = decode_record(path.read_bytes()).helper.code.k
+            return _random_message(subseed(seed, "bbcreds/device/fe/v1"), k)[0]
+
+        seeded, unseeded = tmp_path / "seeded.bbc", tmp_path / "unseeded.bbc"
+        assert main(argv + ["--out", str(seeded), "--seed", RUN_SEED]) == EXIT_OK
+        assert salt_from(int(RUN_SEED), seeded) == decode_record(seeded.read_bytes()).helper.salt
+        capsys.readouterr()
+        assert main(argv + ["--out", str(unseeded)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "seed=" not in out and err == ""
+        salt = decode_record(unseeded.read_bytes()).helper.salt
+        assert all(salt_from(int(number), unseeded) != salt for number in re.findall(r"\d+", out))
+
     def test_happy_path_writes_record(self, tmp_path, keys_prefix, capsys):
         path = tmp_path / "r.bbc"
         code = main(
@@ -662,8 +692,8 @@ class TestConfigFile:
         # The clock is checked before the record is read and authenticated.
         ("auth", ["--clock", "-5"]),
         ("auth", ["--impostor", "--clock", "-5"]),
-        # Without --seed a run prints the seed it drew, but only once every
-        # setting has been checked.
+        # Without --seed auth prints the seed it drew, but only once every
+        # setting has been checked; enroll prints none.
         ("enroll", [UNSEEDED, "--clock", "-5", "--dob", "1940-01-01"]),
         ("auth", [UNSEEDED, "--clock", "-5"]),
         # The helper header stores dim in 2 bytes.

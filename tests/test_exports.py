@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import bbcreds
@@ -67,25 +68,49 @@ _UNREAD_EXPORTS = {
 }
 
 
+def _production_nodes():
+    """Every syntax node of the package's modules and of bench/."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(bbcreds.__file__).parent
+    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py")]:
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _exports():
+    """(module name, exported name, object) for every name in an ``__all__``."""
+    for info in pkgutil.iter_modules(bbcreds.__path__):
+        module = importlib.import_module(f"bbcreds.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            yield info.name, name, getattr(module, name)
+
+
 def test_every_export_is_read_outside_tests():
     # A public name that only tests read is production code kept for tests.
     # A name counts as read where it is loaded, bare or as an attribute.
-    root = Path(__file__).resolve().parents[1]
-    package = Path(bbcreds.__file__).parent
     read = set()
-    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    unread = {
-        name
-        for info in pkgutil.iter_modules(bbcreds.__path__)
-        for name in getattr(importlib.import_module(f"bbcreds.{info.name}"), "__all__", ())
-        if name not in read
-    }
+    for node in _production_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    unread = {name for _, name, _ in _exports() if name not in read}
     assert unread == set(_UNREAD_EXPORTS)
+
+
+def test_every_public_method_is_read_outside_tests():
+    # The rule above for the public methods of exported classes. A method
+    # is reached as an attribute, so only attribute names count: a local
+    # variable of the same name must not keep an unread method.
+    read = {node.attr for node in _production_nodes() if isinstance(node, ast.Attribute)}
+    kinds = (types.FunctionType, classmethod, staticmethod, property)
+    unread = [
+        f"{module}.{name}.{member}"
+        for module, name, owner in _exports()
+        if inspect.isclass(owner)
+        for member, value in vars(owner).items()
+        if not member.startswith("_") and isinstance(value, kinds) and member not in read
+    ]
+    assert unread == []
 
 
 def test_traced_layers_resolve():

@@ -71,7 +71,7 @@ def test_exactly_t_bit_flips_recover(enrolled):
     for _ in range(100):
         positions = rng.choice(QCFG.code_length, size=CODE.t, replace=False)
         noisy = _flip_coordinates(e, positions)
-        assert (quantize(noisy, QCFG) ^ baseline).weight() == CODE.t
+        assert (quantize(noisy, QCFG) ^ baseline).as_int().bit_count() == CODE.t
         assert fe_reproduce(noisy, helper) == key
 
 
@@ -189,21 +189,21 @@ def test_helper_invariants():
     with pytest.raises(ValueError):
         HelperData(
             salt=bytes(16),
-            offset=BitString.zeros(255),
+            offset=BitString.from_int(0, 255),
             code=CODE,
             quant=QCFG,
         )
     with pytest.raises(ValueError):
         HelperData(
             salt=bytes(15),
-            offset=BitString.zeros(511),
+            offset=BitString.from_int(0, 511),
             code=CODE,
             quant=QCFG,
         )
     with pytest.raises(ValueError, match="quantizer emits 255 bits"):
         HelperData(
             salt=bytes(16),
-            offset=BitString.zeros(511),
+            offset=BitString.from_int(0, 511),
             code=CODE,
             quant=QuantizerConfig.default(512, 255),
         )

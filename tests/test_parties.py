@@ -24,7 +24,6 @@ from bbcreds.parties import (
     age_in_years,
     device_authenticate,
     device_enroll,
-    liveness_check,
     rp_check_access,
 )
 from bbcreds.quantize import QuantizerConfig
@@ -50,10 +49,10 @@ class CountingAsp:
 
 class TestLiveness:
     def test_always_pass(self):
-        assert liveness_check(AlwaysPass()) is True
+        assert AlwaysPass().passes is True
 
     def test_always_fail(self):
-        assert liveness_check(AlwaysFail()) is False
+        assert AlwaysFail().passes is False
 
 
 
@@ -200,6 +199,24 @@ class TestDeviceEnroll:
             for _ in range(2)
         ]
         assert encode_record(records[0]) == encode_record(records[1])
+
+    def test_unseeded_enrollments_draw_fresh_secrets(self, issuer_keys, default_cfg):
+        # Without a seed the salt, message, secret and nonces come from the
+        # OS: two enrollments of one identity through one ASP share none of
+        # them, and each record still works.
+        identity = new_identity(14, default_cfg.dim)
+        asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
+        first, second = (device_enroll(identity, asp, default_cfg, None) for _ in range(2))
+        assert first.helper.salt != second.helper.salt
+        assert first.sketch != second.sketch
+        assert first.digest != second.digest
+        for i, record in enumerate((first, second)):
+            sample = sample_genuine(identity, NoiseModel(default_cfg.sigma), 40 + i)
+            assert device_authenticate(sample, record, AlwaysPass()).age_over == 18
+            with pytest.raises(ExtractFailure):
+                device_authenticate(
+                    sample_impostor(42 + i, default_cfg.dim), record, AlwaysPass()
+                )
 
     def test_liveness_failure_precedes_asp_contact(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))

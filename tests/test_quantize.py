@@ -13,20 +13,15 @@ def _embedding(values):
 
 
 def bitstring_of(n, rng):
-    return BitString.from_bits(rng.integers(0, 2, size=n).astype(np.uint8))
+    return BitString(np.packbits(rng.integers(0, 2, size=n).astype(np.uint8)).tobytes(), n)
 
 
 class TestBitString:
-    def test_roundtrip_bits(self):
-        bits = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 0], dtype=np.uint8)
-        bs = BitString.from_bits(bits)
-        assert bs.n == 10
-        assert np.array_equal(bs.bits(), bits)
-        assert bs.data == bytes([0b10110001, 0b10000000])
-
     def test_int_roundtrip(self):
         for value, n in [(0, 1), (0b1011, 4), (0b100000001, 9), ((1 << 63) - 5, 63)]:
             assert BitString.from_int(value, n).as_int() == value
+        # Packed MSB-first: the int's top binary digit is the first byte's top bit.
+        assert BitString.from_int(0b1011000110, 10).data == bytes([0b10110001, 0b10000000])
 
     def test_padding_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -38,11 +33,7 @@ class TestBitString:
 
     def test_xor_requires_equal_length(self):
         with pytest.raises(ValueError):
-            BitString.zeros(8) ^ BitString.zeros(9)
-
-    def test_weight(self):
-        assert BitString.ones(11).weight() == 11
-        assert BitString.zeros(11).weight() == 0
+            BitString.from_int(0, 8) ^ BitString.from_int(0, 9)
 
 
 class TestQuantizerConfig:
@@ -50,9 +41,9 @@ class TestQuantizerConfig:
         # quantize reads exactly the first code_length coordinates, in order.
         values = np.array([2.0, -1.0, 3.0, -1.0, 5.0, 5.0, -5.0, 5.0])
         cfg = QuantizerConfig.default(8, 3)
-        assert list(quantize(_embedding(values), cfg).bits()) == [1, 0, 1]
+        assert quantize(_embedding(values), cfg).as_int() == 0b101
         values[3:] = -values[3:]
-        assert list(quantize(_embedding(values), cfg).bits()) == [1, 0, 1]
+        assert quantize(_embedding(values), cfg).as_int() == 0b101
 
     def test_code_length_beyond_dim_rejected(self):
         for code_length in (9, 0):
@@ -74,15 +65,15 @@ class TestQuantize:
     def test_all_positive_gives_all_ones(self):
         cfg = QuantizerConfig.default(16, 16)
         e = _embedding(np.ones(16))
-        assert quantize(e, cfg) == BitString.ones(16)
+        assert quantize(e, cfg) == BitString.from_int(0xFFFF, 16)
 
     def test_negation_complements(self):
         cfg = QuantizerConfig.default(64, 64)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(64)
-        q_pos = quantize(_embedding(v), cfg).bits()
-        q_neg = quantize(_embedding(-v), cfg).bits()
-        assert np.array_equal(q_pos ^ q_neg, np.ones(64, dtype=np.uint8))
+        q_pos = quantize(_embedding(v), cfg)
+        q_neg = quantize(_embedding(-v), cfg)
+        assert (q_pos ^ q_neg).as_int() == (1 << 64) - 1
 
     def test_scale_invariance(self):
         # Positive scaling happens before the type-level normalization and
@@ -109,32 +100,34 @@ class TestHamming:
     def test_identity(self):
         rng = np.random.default_rng(2)
         x = bitstring_of(33, rng)
-        assert (x ^ x).weight() == 0
+        assert (x ^ x).as_int() == 0
 
     def test_complement(self):
-        assert (BitString.zeros(8) ^ BitString.ones(8)).weight() == 8
+        assert (BitString.from_int(0, 8) ^ BitString.from_int(0xFF, 8)).as_int().bit_count() == 8
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             n = int(rng.integers(1, 130))
             a, b = bitstring_of(n, rng), bitstring_of(n, rng)
-            a_bits, b_bits = a.bits(), b.bits()
+            a_bits, b_bits = f"{a.as_int():0{n}b}", f"{b.as_int():0{n}b}"
             naive = sum(a_bits[i] != b_bits[i] for i in range(n))
-            assert (a ^ b).weight() == naive
+            assert (a ^ b).as_int().bit_count() == naive
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            (BitString.zeros(8) ^ BitString.zeros(16)).weight()
+            BitString.from_int(0, 8) ^ BitString.from_int(0, 16)
 
     @settings(max_examples=100)
     @given(st.data())
     def test_metric_properties(self, data):
         n = data.draw(st.integers(min_value=1, max_value=96))
-        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-        a = BitString.from_bits(data.draw(bits))
-        b = BitString.from_bits(data.draw(bits))
-        c = BitString.from_bits(data.draw(bits))
-        assert (a ^ b).weight() == (b ^ a).weight()
-        assert ((a ^ b).weight() == 0) == (a == b)
-        assert (a ^ c).weight() <= (a ^ b).weight() + (b ^ c).weight()
+        values = st.integers(0, (1 << n) - 1)
+        a = BitString.from_int(data.draw(values), n)
+        b = BitString.from_int(data.draw(values), n)
+        c = BitString.from_int(data.draw(values), n)
+        ab, ba = (a ^ b).as_int().bit_count(), (b ^ a).as_int().bit_count()
+        bc, ac = (b ^ c).as_int().bit_count(), (a ^ c).as_int().bit_count()
+        assert ab == ba
+        assert (ab == 0) == (a == b)
+        assert ac <= ab + bc

@@ -214,7 +214,7 @@ class TestStrictness:
         record = _random_record()
         helper = HelperData(
             salt=record.helper.salt,
-            offset=BitString.zeros(1023),
+            offset=BitString.from_int(0, 1023),
             code=CodeParams(1023, 511),
             quant=QuantizerConfig.default(1024, 1023),
         )

@@ -80,7 +80,7 @@ def test_mean_bit_noise_monotone_in_sigma():
     for sigma in (0.01, 0.02, 0.05):
         noise = NoiseModel(sigma)
         total = sum(
-            (quantize(sample_genuine(p, noise, seed), QCFG) ^ reference).weight()
+            (quantize(sample_genuine(p, noise, seed), QCFG) ^ reference).as_int().bit_count()
             for seed in range(1000)
         )
         means.append(total / 1000)
@@ -96,7 +96,10 @@ def test_impostor_distance_concentrates_at_half():
     reference = quantize(p, QCFG)
     n = QCFG.code_length
     dists = np.array(
-        [(quantize(sample_impostor(seed, 512), QCFG) ^ reference).weight() for seed in range(1000)]
+        [
+            (quantize(sample_impostor(seed, 512), QCFG) ^ reference).as_int().bit_count()
+            for seed in range(1000)
+        ]
     )
     half_width = 5 * np.sqrt(n / 4)
     assert abs(dists.mean() - n / 2) <= half_width
