@@ -26,7 +26,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .credential import AgeCred, ENCODED_LEN, decode_agecred, encode_agecred
-from .fextract import KEY_BYTES, StableKey
+from .fextract import StableKey
 from .kdf import expand_seed, hkdf_sha256, tagged_hash
 
 __all__ = [

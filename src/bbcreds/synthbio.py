@@ -5,23 +5,22 @@ and measured without biometric data. An identity is a unit-norm Gaussian
 reference vector; genuine captures add per-coordinate Gaussian noise
 before renormalization, impostor captures are fresh independent vectors.
 
-All operations are pure functions of their seeds. Each role draws from its
-own stream, expanded from the caller's seed under a role label (identity,
-genuine noise, impostor), so one seed used in two roles gives independent
-vectors: impostor ``s`` is never identity ``s``, and the noise of a capture
-seeded ``s`` is unrelated to either. An identity is its reference
-``Embedding`` and nothing else; ``sample_genuine`` takes that mean.
-
-Identity and genuine-noise rows are numpy's own stream: the values of
-``np.random.default_rng(subseed(seed, role_label)).standard_normal(dim)``.
-Impostor rows are stream v3 (label ``bbcreds/synthbio/impostor/v3``): row
-i of stream s is row i mod 16 of block i // 16, and block b is the first
-16 * dim values, row-major, of a ``PCG64`` whose four state words are 32
-bytes of SHAKE-256 over ``f"{label}/{b}"`` and s (``kdf.expand_seed``).
-Those bytes are already uniform, so numpy's ``SeedSequence`` hash would
-only add cost. A window draws each block it touches and discards the rows
-before its first, so it equals the same rows of any longer window. The
-block size (``_IMPOSTOR_BLOCK``) is part of the stream's format.
+All draws follow one rule. Each role draws from its own stream: a
+``PCG64`` whose four state words are 32 bytes of ``kdf.expand_seed`` over
+the caller's seed and the role's label, so a seed of None draws them from
+the OS. Those bytes are already uniform, so numpy's ``SeedSequence`` hash
+would only add cost. The labels keep the roles apart: one seed used as
+identity (``bbcreds/synthbio/identity/v2``), genuine noise
+(``bbcreds/synthbio/genuine/v2``) and impostor stream (v3) gives three
+independent vectors. An identity, or the noise of a capture, is the first
+``dim`` normals of its stream. Row i of impostor stream s is row i mod 16
+of block i // 16, and block b is the first 16 * dim values, row-major, of
+the stream labelled ``f"bbcreds/synthbio/impostor/v3/{b}"``. A window
+draws each block it touches and discards the rows before its first, so it
+equals the same rows of any longer window. The block size
+(``_IMPOSTOR_BLOCK``) is part of the stream's format. An identity is its
+reference ``Embedding`` and nothing else; ``sample_genuine`` takes that
+mean.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .kdf import expand_seed, subseed
+from .kdf import expand_seed
 
 __all__ = [
     "DEFAULT_DIM",
@@ -49,8 +48,8 @@ __all__ = [
 DEFAULT_DIM = 512
 MIN_DIM = 8
 
-_IDENTITY_LABEL = "bbcreds/synthbio/identity/v1"
-_GENUINE_LABEL = "bbcreds/synthbio/genuine/v1"
+_IDENTITY_LABEL = "bbcreds/synthbio/identity/v2"
+_GENUINE_LABEL = "bbcreds/synthbio/genuine/v2"
 _IMPOSTOR_LABEL = "bbcreds/synthbio/impostor/v3"
 _IMPOSTOR_BLOCK = 16
 
@@ -66,8 +65,9 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _normals(seed: int | None, label: str, dim: int) -> np.ndarray:
-    return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
+def _generator(seed: int | None, label: str) -> np.random.Generator:
+    words = np.frombuffer(expand_seed(seed, label, 32), "<u8")
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def check_unit_rows(values: np.ndarray) -> None:
@@ -122,7 +122,7 @@ def new_identity(seed: int, dim: int = DEFAULT_DIM) -> Embedding:
     """A reproducible identity: its unit-norm Gaussian reference embedding."""
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    return _normalized(_normals(seed, _IDENTITY_LABEL, dim))
+    return _normalized(_generator(seed, _IDENTITY_LABEL).standard_normal(dim))
 
 
 def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> Embedding:
@@ -133,7 +133,7 @@ def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> 
     """
     if noise.sigma == 0.0:
         return Embedding(mean.values.copy())
-    g = _normals(rng_seed, _GENUINE_LABEL, mean.dim)
+    g = _generator(rng_seed, _GENUINE_LABEL).standard_normal(mean.dim)
     return _normalized(mean.values + noise.sigma * g)
 
 
@@ -156,8 +156,7 @@ def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_D
     while row < stop:
         block, skip = divmod(row, _IMPOSTOR_BLOCK)
         end = min(row - skip + _IMPOSTOR_BLOCK, stop)
-        words = np.frombuffer(expand_seed(rng_seed, f"{_IMPOSTOR_LABEL}/{block}", 32), "<u8")
-        generator = np.random.Generator(np.random.PCG64(_Words(words)))
+        generator = _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}")
         if skip:  # the block's rows before ``first``
             generator.standard_normal(skip * dim)
         generator.standard_normal(out=values[row - first:end - first])

@@ -29,7 +29,7 @@ from bbcreds.binding import (
     unbind_auth,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, issue_agecred
-from bbcreds.ecc import CodeParams, codec_for
+from bbcreds.ecc import codec_for
 from bbcreds.evaluate import estimate_far, estimate_frr
 from bbcreds.fextract import StableKey, fe_generate
 from bbcreds.parties import (

@@ -37,8 +37,8 @@ UNSEEDED = "<no --seed>"  # test_bad_settings_are_usage_errors drops --seed
 # TestEnroll.test_record_bytes_pinned, one per sketch variant. Any change to
 # the on-disk format or to a derivation feeding the record changes these.
 GOLDEN_RECORD_SHA256 = {
-    "xor": "c3c0f2d5b0ea64b0ec27dffd634269008a95949fc5daf324d65c8ecb69a6103e",
-    "encrypted": "0dfca8b6aca012f99b451e5d50353683786510e2ae7bc53a44f8911b1de27389",
+    "xor": "b75192c71d41b707c05c60be4924185a75075447676cadc93649fce2ae8fcb6f",
+    "encrypted": "2314a515d4747a0336165b322a3ede43ecc5b9d007215312bbb944e056675147",
 }
 
 
@@ -693,8 +693,8 @@ class TestConfigFile:
         ("auth", ["--clock", "-5"]),
         ("auth", ["--impostor", "--clock", "-5"]),
         # Without --seed auth prints the seed it drew, but only once every
-        # setting has been checked; enroll prints none.
-        ("enroll", [UNSEEDED, "--clock", "-5", "--dob", "1940-01-01"]),
+        # setting has been checked. Enroll prints no seed, so its unseeded
+        # run is enroll-clock-negative.
         ("auth", [UNSEEDED, "--clock", "-5"]),
         # The helper header stores dim in 2 bytes.
         ("enroll", ["--config", "dim70000.conf"]),
@@ -713,9 +713,8 @@ class TestConfigFile:
          "enroll-sigma-nan", "enroll-sigma-huge", "auth-sigma-huge", "config-code-1023",
          "enroll-clock-2-64", "enroll-clock-past-9999", "enroll-clock-negative",
          "config-validity-huge", "enroll-clock-year-10000", "auth-clock-negative",
-         "auth-impostor-clock-negative", "enroll-unseeded-clock-negative",
-         "auth-unseeded-clock-negative", "config-dim-70000", "config-code-n-100",
-         "config-threshold-0", "config-sigma-2", "config-validity-0",
+         "auth-impostor-clock-negative", "auth-unseeded-clock-negative", "config-dim-70000",
+         "config-code-n-100", "config-threshold-0", "config-sigma-2", "config-validity-0",
          "auth-required-age-negative", "auth-required-age-0", "auth-required-age-150",
          "auth-unseeded-required-age-0"],
 )

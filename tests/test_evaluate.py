@@ -110,7 +110,9 @@ def test_nonpositive_trials_rejected(cfg, estimate, trials):
 
 
 # Reports recorded with the general 2t-step BCH decoder. Any change to the
-# decoder's results, failures included, moves one of these.
+# decoder's results, failures included, moves one of these. The FRR rows on
+# identity and genuine streams v2 were recounted with test_ecc's
+# _reference_decode, which gave the same counts.
 PINNED_REPORTS = [
     (
         0xACCE97,
@@ -120,7 +122,7 @@ PINNED_REPORTS = [
     (
         20250909,
         (0.0, 0.0, 0.0038267584855551234, {"Extract": 1000}),
-        (0.03, 0.013820314340111346, 0.06389429245451925, {"Extract": 6, "Success": 194}),
+        (0.015, 0.00511423779325831, 0.04316572879269026, {"Extract": 3, "Success": 197}),
     ),
 ]
 

@@ -60,6 +60,29 @@ def test_no_private_imports_between_modules():
     assert private == []
 
 
+def test_every_import_is_read():
+    # The unused-import check of a linter, over the package and the tests:
+    # each name an import binds is loaded somewhere in its module.
+    root = Path(__file__).resolve().parents[1]
+    package = Path(bbcreds.__file__).parent
+    unread = []
+    for path in sorted([*package.glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.parent.name}/{path.name}: {bound}")
+    assert unread == []
+
+
 # Public names that no module of the package or of bench/ reads, each kept
 # for its own reason.
 _UNREAD_EXPORTS = {

@@ -20,7 +20,6 @@ from bbcreds.parties import (
     IssuanceDenied,
     IssuanceRequest,
     LivenessFailed,
-    ProtocolConfig,
     age_in_years,
     device_authenticate,
     device_enroll,

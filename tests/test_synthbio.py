@@ -1,9 +1,11 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
-from bbcreds.kdf import subseed
+from bbcreds.kdf import expand_seed
 from bbcreds.quantize import QuantizerConfig, quantize
 from bbcreds.synthbio import (
     Embedding,
@@ -199,20 +201,75 @@ def test_embedding_invariants():
     assert Embedding(v).dim == 16
 
 
-def _reference_normals(seed, label, dim):
-    """numpy's own stream for one role seed, the oracle of every sampler."""
-    return np.random.default_rng(subseed(seed, label)).standard_normal(dim)
+class _ExpandedSeed(ISeedSequence):
+    """The state ``PCG64`` asks for: four little-endian uint64 words read
+    from the 32 bytes ``expand_seed`` gives for (seed, label)."""
+
+    def __init__(self, seed, label):
+        self.seed, self.label = seed, label
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        raw = expand_seed(self.seed, self.label, 8 * n_words)
+        words = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 8)]
+        return np.array(words, dtype=np.uint64)
 
 
-def test_identity_and_genuine_follow_numpy_stream():
+def _reference_normals(seed, label, count):
+    """The stream rule every sampler follows: the first ``count`` normals of
+    a PCG64 keyed by ``expand_seed(seed, label, 32)``."""
+    return np.random.Generator(np.random.PCG64(_ExpandedSeed(seed, label))).standard_normal(count)
+
+
+def test_identity_and_genuine_follow_kdf_stream():
     for seed in (0, 3, 2**64 - 1):
-        mean = _reference_normals(seed, "bbcreds/synthbio/identity/v1", 512)
+        mean = _reference_normals(seed, "bbcreds/synthbio/identity/v2", 512)
         mean /= np.linalg.norm(mean)
         profile = new_identity(seed, 512)
         assert np.array_equal(profile.values, mean)
-        capture = mean + 0.003 * _reference_normals(seed, "bbcreds/synthbio/genuine/v1", 512)
+        capture = mean + 0.003 * _reference_normals(seed, "bbcreds/synthbio/genuine/v2", 512)
         capture /= np.linalg.norm(capture)
         assert np.array_equal(sample_genuine(profile, NoiseModel(0.003), seed).values, capture)
+        # Impostor block 1 of stream v3 keys its generator by the same rule.
+        block = _reference_normals(seed, "bbcreds/synthbio/impostor/v3/1", 16 * 64).reshape(16, 64)
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        np.testing.assert_allclose(sample_impostors(seed, 16, 16, 64), block, rtol=0, atol=1e-15)
+
+
+def test_unseeded_draws_follow_the_kdf_rule(monkeypatch):
+    # A seed of None reaches os.urandom only through kdf.expand_seed, so
+    # with the OS bytes fixed two unseeded captures are the same capture.
+    mean = new_identity(5, 512)
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+    first = sample_genuine(mean, NoiseModel(0.003), None).values
+    assert np.array_equal(sample_genuine(mean, NoiseModel(0.003), None).values, first)
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(1, n + 1)))
+    assert np.any(sample_genuine(mean, NoiseModel(0.003), None).values != first)
+
+
+def test_identity_and_genuine_values_are_standard_normal():
+    # The identity and genuine streams key PCG64 with raw SHAKE-256 words
+    # too, bypassing numpy's SeedSequence mixing, so their values get the
+    # checks test_impostor_values_are_standard_normal makes. A capture of
+    # the basis vector e0 carries its noise direction in coordinates 1..
+    from scipy import stats
+
+    dim = 512
+    e0 = np.zeros(dim)
+    e0[0] = 1.0
+    at_e0 = Embedding(e0)
+    identities = np.array([new_identity(seed, dim).values for seed in range(200)])
+    noise = np.array(
+        [sample_genuine(at_e0, NoiseModel(0.003), seed).values[1:] for seed in range(200)]
+    )
+    noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+    for rows in (identities, noise):
+        values = (np.sqrt(rows.shape[1]) * rows).ravel()
+        assert stats.kstest(values, "norm").pvalue > 1e-4
+        # About 102400 fair signs have a standard deviation of 160 around half.
+        assert abs(int((values > 0).sum()) - values.size // 2) < 5 * 160
+        # Adjacent seeds are unrelated: |cos| is about 0.044 in 512-d.
+        assert np.all(np.abs(np.vecdot(rows[:-1], rows[1:])) < 0.3)
 
 
 def test_impostor_rows_pinned():
