@@ -1,13 +1,14 @@
 """Credential binding and unbinding.
 
 Enrollment draws a random 32-byte secret, links it to the biometric key
-through a public sketch (XOR one-time pad, or an authenticated encryption
-of the secret under a key-derived wrapping key), and encrypts the age
-credential under a key derived from the secret. Authentication runs four
-stages in a fixed order and reports the stage that failed, which is what
-the evaluation harness histograms. ``recover_secret`` runs (a) the
-key-hash check and (b) the sketch open, and ``unbind_auth`` runs it, then
-(c) the credential decryption and (d) the credential decode.
+through a public sketch, the one-time pad key XOR secret (the key binding
+of Juels and Wattenberg's fuzzy commitment), and encrypts the age
+credential under a key derived from the secret. Authentication runs three
+stages that can refuse, in a fixed order, and reports the stage that
+failed, which is what the evaluation harness histograms.
+``recover_secret`` runs (a) the key-hash check and opens the pad, and
+``unbind_auth`` runs it, then (b) the credential decryption and (c) the
+credential decode. A tampered pad yields a wrong secret, which (b) refuses.
 
 Neither the stable key nor the secret appears in any stored artifact: the
 sketch, the key digest and the encrypted credential are safe to store.
@@ -36,7 +37,6 @@ __all__ = [
     "TAG_BYTES",
     "BOUND_VERSION",
     "KEYHASH_LABEL",
-    "SketchVariant",
     "StableSecret",
     "Sketch",
     "KeyDigest",
@@ -60,17 +60,10 @@ TAG_BYTES = 16
 BOUND_VERSION = 1
 
 KEYHASH_LABEL = "bbcreds/keyhash/v1"
-_SKETCH_KDF_LABEL = "bbcreds/sketch/v1"
 _CRED_KDF_LABEL = "bbcreds/cred/v1"
 _ENROLL_LABEL = "bbcreds/bind/enroll/v1"
 
-_ENC_SKETCH_LEN = NONCE_BYTES + SECRET_BYTES + TAG_BYTES
 _AAD = bytes([BOUND_VERSION])  # the credential ciphertext's associated data
-
-
-class SketchVariant(enum.Enum):
-    XOR = 1
-    ENCRYPTED = 2
 
 
 @dataclass(frozen=True)
@@ -86,17 +79,14 @@ class StableSecret:
 
 @dataclass(frozen=True)
 class Sketch:
-    """Public value linking the stable key to the stable secret."""
+    """Public pad linking the stable key to the stable secret: key XOR secret."""
 
-    variant: SketchVariant
     payload: bytes
 
     def __post_init__(self) -> None:
-        expected = SECRET_BYTES if self.variant is SketchVariant.XOR else _ENC_SKETCH_LEN
-        if len(self.payload) != expected:
+        if len(self.payload) != SECRET_BYTES:
             raise ValueError(
-                f"{self.variant.name} sketch payload must be {expected} bytes, "
-                f"got {len(self.payload)}"
+                f"sketch payload must be {SECRET_BYTES} bytes, got {len(self.payload)}"
             )
 
 
@@ -130,7 +120,6 @@ class BoundCredential:
 
 class FailureReason(enum.Enum):
     HASH_MISMATCH = "HashMismatch"
-    SKETCH_OPEN_FAILED = "SketchOpenFailed"
     DECRYPT_FAILED = "DecryptFailed"
     MALFORMED_CREDENTIAL = "MalformedCredential"
 
@@ -149,19 +138,14 @@ def hash_key(k: StableKey) -> KeyDigest:
     return KeyDigest(tagged_hash(KEYHASH_LABEL, k.key))
 
 
-def _enroll_draw(rng_seed: int | None) -> tuple[StableSecret, bytes, bytes]:
-    """The secret, credential nonce and sketch nonce ``bind_enroll`` uses."""
-    material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES * 2)
-    nonces = material[SECRET_BYTES:]
-    return StableSecret(material[:SECRET_BYTES]), nonces[:NONCE_BYTES], nonces[NONCE_BYTES:]
+def _enroll_draw(rng_seed: int | None) -> tuple[StableSecret, bytes]:
+    """The secret and credential nonce ``bind_enroll`` uses."""
+    material = expand_seed(rng_seed, _ENROLL_LABEL, SECRET_BYTES + NONCE_BYTES)
+    return StableSecret(material[:SECRET_BYTES]), material[SECRET_BYTES:]
 
 
 def _xor32(a: bytes, b: bytes) -> bytes:
     return ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big"))).to_bytes(32, "big")
-
-
-def _sketch_cipher(key: StableKey) -> ChaCha20Poly1305:
-    return ChaCha20Poly1305(hkdf_sha256(key.key, _SKETCH_KDF_LABEL))
 
 
 def _cred_cipher(secret: bytes) -> ChaCha20Poly1305:
@@ -171,43 +155,28 @@ def _cred_cipher(secret: bytes) -> ChaCha20Poly1305:
 def bind_enroll(
     key: StableKey,
     cred: AgeCred,
-    variant: SketchVariant,
     rng_seed: int | None,
 ) -> tuple[Sketch, KeyDigest, BoundCredential]:
     """Bind a (trusted, already verified) credential to the stable key.
 
     The returned triple plus the extractor's helper data is the entire
     retained state; the key and the secret are used and dropped here. The
-    secret and nonces come from the OS's entropy when the seed is None.
+    secret and nonce come from the OS's entropy when the seed is None.
     """
-    stable, cred_nonce, sketch_nonce = _enroll_draw(rng_seed)
+    stable, cred_nonce = _enroll_draw(rng_seed)
     secret = stable.secret
-
-    if variant is SketchVariant.XOR:
-        sketch = Sketch(variant, _xor32(key.key, secret))
-    else:
-        ct = _sketch_cipher(key).encrypt(sketch_nonce, secret, None)
-        sketch = Sketch(variant, sketch_nonce + ct)
-
+    sketch = Sketch(_xor32(key.key, secret))
     ciphertext = _cred_cipher(secret).encrypt(cred_nonce, encode_agecred(cred), _AAD)
     bound = BoundCredential(nonce=cred_nonce, ciphertext=ciphertext)
     return sketch, hash_key(key), bound
 
 
 def recover_secret(key_candidate: StableKey, sketch: Sketch, digest: KeyDigest) -> StableSecret:
-    """Run stages (a) key-hash check and (b) sketch open, and return the secret;
-    raise AuthFailure at the first that fails. The credential is not read."""
+    """Run stage (a), the key-hash check, then open the pad and return the
+    secret; raise AuthFailure if the check fails. The credential is not read."""
     if not hmac.compare_digest(hash_key(key_candidate).digest, digest.digest):
         raise AuthFailure(FailureReason.HASH_MISMATCH)
-
-    if sketch.variant is SketchVariant.XOR:
-        return StableSecret(_xor32(key_candidate.key, sketch.payload))
-    nonce, ct = sketch.payload[:NONCE_BYTES], sketch.payload[NONCE_BYTES:]
-    try:
-        secret = _sketch_cipher(key_candidate).decrypt(nonce, ct, None)
-    except InvalidTag:
-        raise AuthFailure(FailureReason.SKETCH_OPEN_FAILED) from None
-    return StableSecret(secret)
+    return StableSecret(_xor32(key_candidate.key, sketch.payload))
 
 
 def unbind_auth(
@@ -218,8 +187,8 @@ def unbind_auth(
 ) -> AgeCred:
     """Recover the credential, or raise AuthFailure at the first failing stage.
 
-    The stage order is part of the contract: (a) and (b) in ``recover_secret``,
-    then (c) authenticated decryption and (d) decode.
+    The stage order is part of the contract: (a) in ``recover_secret``, then
+    (b) authenticated decryption and (c) decode.
     """
     secret = recover_secret(key_candidate, sketch, digest)
     try:
@@ -235,26 +204,27 @@ def unbind_auth(
 
 # Canonical byte encodings, consumed by the device-record store.
 
-_SKETCH_HEAD = struct.Struct(">BI")  # variant(1) | length(4 BE)
+# The sketch header, variant(1) | length(4 BE), is two format constants:
+# variant 1, the 32-byte XOR pad. The decoder refuses any other variant.
+_SKETCH_HEAD = struct.Struct(">BI")
+_SKETCH_VARIANT = 1
 _BOUND_HEAD = struct.Struct(">B12sI")  # BOUND_VERSION(1) | nonce(12) | length(4 BE)
 
 
 def encode_sketch(sketch: Sketch) -> bytes:
-    return _SKETCH_HEAD.pack(sketch.variant.value, len(sketch.payload)) + sketch.payload
+    return _SKETCH_HEAD.pack(_SKETCH_VARIANT, SECRET_BYTES) + sketch.payload
 
 
 def decode_sketch(data: bytes) -> Sketch:
     if len(data) < _SKETCH_HEAD.size:
         raise ValueError(f"sketch truncated at {len(data)} bytes")
-    variant_code, length = _SKETCH_HEAD.unpack_from(data)
-    try:
-        variant = SketchVariant(variant_code)
-    except ValueError:
-        raise ValueError(f"unknown sketch variant {variant_code}") from None
+    variant, length = _SKETCH_HEAD.unpack_from(data)
+    if variant != _SKETCH_VARIANT:
+        raise ValueError(f"unknown sketch variant {variant}")
     payload = data[_SKETCH_HEAD.size :]
     if len(payload) != length:
         raise ValueError(f"sketch payload is {len(payload)} bytes, header says {length}")
-    return Sketch(variant, payload)
+    return Sketch(payload)
 
 
 def encode_bound(bound: BoundCredential) -> bytes:

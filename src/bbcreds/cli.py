@@ -5,7 +5,9 @@ against an in-process ASP, device authentication plus the relying-party
 decision, record inspection, and the FRR/FAR evaluation sweep.
 
 Exit codes: 0 success, 2 usage/I-O/format problems, 3 issuance denied,
-4 liveness rejection, 5 authentication failure, 6 relying-party denial.
+4 liveness rejection, 5 authentication failure (key extraction, or the
+record's key-hash check, credential decryption or credential decode),
+6 relying-party denial.
 Without --seed, asp-keygen and enroll draw every key and secret from the OS
 and print nothing; with it, each is a function of that 64-bit seed
 (SEED_MASK), fit only for reproducible experiments. The seeds of auth and
@@ -24,7 +26,7 @@ from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
-from .binding import AuthFailure, SketchVariant
+from .binding import AuthFailure
 from .credential import MAX_AGE_OVER, IssuerKeyPair, generate_issuer_keys
 from .evaluate import sweep
 from .fextract import HELPER_VERSION, ExtractFailure
@@ -60,18 +62,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_variant(value: str) -> SketchVariant:
-    try:
-        return SketchVariant[value.upper()]
-    except KeyError:
-        raise CliError(f"unknown sketch variant {value!r} (use xor or encrypted)") from None
-
-
 # Each config key: the argparse dest of the flag that overrides it (None if
 # no flag does), the settings class and field it sets, and its parser.
 _SETTINGS = {
     "dim": (None, ProtocolConfig, "dim", int),
-    "variant": ("variant", ProtocolConfig, "sketch_variant", _parse_variant),
     "sigma_default": ("sigma", ProtocolConfig, "sigma", float),
     "age_threshold": ("threshold", AgePolicy, "threshold", int),
     "validity_seconds": (None, AgePolicy, "validity_seconds", int),
@@ -226,7 +220,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         raise CliError(f"cannot write record: {exc}") from exc
     print(
         f"enrolled: record={args.out} bytes={len(data)} "
-        f"code=({cfg.code.n},{cfg.code.k},{cfg.code.t}) variant={cfg.sketch_variant.name}"
+        f"code=({cfg.code.n},{cfg.code.k},{cfg.code.t})"
     )
     return EXIT_OK
 
@@ -301,7 +295,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"helper_version={HELPER_VERSION}")
     print(f"code: n={helper.code.n} k={helper.code.k} t={helper.code.t}")
     print(f"dim={helper.quant.dim}")
-    print(f"sketch_variant={record.sketch.variant.name}")
     print(f"digest={record.digest.digest.hex()}")
     print(f"ciphertext_bytes={len(record.bound.ciphertext)}")
     return EXIT_OK
@@ -345,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     enroll.add_argument("--sigma", type=float, default=None, help="capture noise level")
     enroll.add_argument("--threshold", type=int, default=None,
                         help="age threshold the issuer certifies")
-    enroll.add_argument("--variant", choices=["xor", "encrypted"], default=None,
-                        help="sketch protection variant")
     enroll.add_argument("--liveness", choices=["pass", "fail"], default="pass")
     _add_seed(enroll, secrets=True)
     _add_clock(enroll)
@@ -370,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_clock(auth)
     auth.add_argument("--config", default=None,
                       help=f"key=value config file; auth reads only {', '.join(_AUTH_KEYS)} "
-                           "(--sigma takes precedence), as the record holds dim, code, variant")
+                           "(--sigma takes precedence), as the record holds dim and code")
     auth.set_defaults(handler=cmd_auth, config_keys=_AUTH_KEYS)
 
     evaluate = sub.add_parser("eval", help="run the FRR/FAR sweep and write CSV")

@@ -37,22 +37,24 @@ Decoding is the binary form of the classical chain:
 - Correction: the root mask is packed like the word, so the message is
   the XOR of the two on the word's first bytes.
 
-Two pipelines run that chain, chosen by row count, and share the
-syndrome table and the field tables. ``decode`` runs one word, the
-device's path, in Python integers after the syndromes: the plain-Python
-``_locator``, then ``_root_mask``, which XORs each coefficient's two
-table rows held as Python ints and folds the m planes with shifts and
-ORs, and one integer XOR that corrects the word. ``decode_batch`` runs
-all rows of a (B, ceil(n/8)) byte matrix in one pass, with masked numpy
-Berlekamp-Massey (``_locators``) and the numpy root search (``_roots``);
-its temporaries grow with B, so its caller sizes the batch, as the
-evaluation reports do (512 rows). On one word numpy's per-call overhead
-outweighs its arithmetic: on a 2-core machine at n=511, t=30, one random
-row took 0.59 ms in ``_locators`` against 0.10 ms in ``_locator``, and
-the root search at 8 and 30 errors 12 and 15 us in ``_roots`` against 5
-and 10 us in ``_root_mask``. Words and messages stay packed in the
-``BitString`` byte layout throughout, so a caller that holds packed rows
-never unpacks a bit.
+Two pipelines run that chain and share the syndrome table and the field
+tables. The caller's path picks one: ``fe_reproduce`` calls ``decode``
+and ``fe_reproduce_batch`` calls ``decode_batch``, even for one row (a
+switch on the row count was tried and not kept). ``decode`` runs one
+word, the device's path, in Python integers after the syndromes: the
+plain-Python ``_locator``, then ``_root_mask``, which XORs each
+coefficient's two table rows held as Python ints and folds the m planes
+with shifts and ORs, and one integer XOR that corrects the word.
+``decode_batch`` runs all rows of a (B, ceil(n/8)) byte matrix in one
+pass, with masked numpy Berlekamp-Massey (``_locators``) and the numpy
+root search (``_roots``); its temporaries grow with B, so its caller
+sizes the batch, as the evaluation reports do (512 rows). On one word
+numpy's per-call overhead outweighs its arithmetic: on a 2-core machine
+at n=511, t=30, one random row took 0.59 ms in ``_locators`` against
+0.10 ms in ``_locator``, and the root search at 8 and 30 errors 12 and
+15 us in ``_roots`` against 5 and 10 us in ``_root_mask``. Words and
+messages stay packed in the ``BitString`` byte layout throughout, so a
+caller that holds packed rows never unpacks a bit.
 
 The constructor builds only what ``encode`` and the index arithmetic
 read, and each decoder table is built on first use by the pipeline that

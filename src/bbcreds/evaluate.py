@@ -24,9 +24,9 @@ equal the tally of its single-trial reference over the same indices.
 Each trial is counted under the ``stage`` of the device's refusal that
 ended it: ``"Liveness"`` (LivenessFailed), ``"Extract"`` (ExtractFailure)
 or an AuthFailure's ``FailureReason`` value (``"HashMismatch"``,
-``"SketchOpenFailed"``, ``"DecryptFailed"``, ``"MalformedCredential"``),
-or else ``"Success"``. ``OUTCOMES`` lists them in chain order; every
-report's ``stage_counts`` has exactly these keys.
+``"DecryptFailed"``, ``"MalformedCredential"``), or else ``"Success"``.
+``OUTCOMES`` lists them in chain order; every report's ``stage_counts``
+has exactly these keys.
 
 Rates carry Wilson 95% intervals, which stay meaningful at the zero
 boundary where these measurements usually sit, and for few trials.
@@ -99,12 +99,13 @@ OUTCOMES = (LivenessFailed.stage, ExtractFailure.stage,
 class EvalReport:
     sigma: float
     trials: int
-    frr: float
-    frr_lo: float
-    frr_hi: float
-    far: float
-    far_lo: float
-    far_hi: float
+    # A report measures one rate; the other rate's three fields are None.
+    frr: float | None
+    frr_lo: float | None
+    frr_hi: float | None
+    far: float | None
+    far_lo: float | None
+    far_hi: float | None
     seed: int
     stage_counts: Mapping[str, int]
 
@@ -237,10 +238,11 @@ def _report(
     sigma: float, seed: int, counts: dict[str, int], trials: int, rate: str
 ) -> EvalReport:
     """The report of one rate, ``"frr"`` (trials not ending in ``"Success"``)
-    or ``"far"`` (trials that did), with the other rate's fields zero."""
+    or ``"far"`` (trials that did), with the other rate's fields None, as it
+    was not measured."""
     count = trials - counts["Success"] if rate == "frr" else counts["Success"]
     lo, hi = wilson_interval(count, trials)
-    rates = dict.fromkeys(("frr", "frr_lo", "frr_hi", "far", "far_lo", "far_hi"), 0.0)
+    rates = dict.fromkeys(("frr", "frr_lo", "frr_hi", "far", "far_lo", "far_hi"))
     rates.update({rate: count / trials, f"{rate}_lo": lo, f"{rate}_hi": hi})
     return EvalReport(sigma=sigma, trials=trials, seed=seed, stage_counts=counts, **rates)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import ClassVar, Protocol, Union
 
-from .binding import SketchVariant, bind_enroll, unbind_auth
+from .binding import bind_enroll, unbind_auth
 from .credential import (
     MAX_AGE_OVER,
     AgeCred,
@@ -228,7 +228,6 @@ class ProtocolConfig:
 
     dim: int = DEFAULT_DIM
     code: CodeParams = DEFAULT_CODE
-    sketch_variant: SketchVariant = SketchVariant.XOR
     sigma: float = SIGMA_DEFAULT
     liveness: LivenessPolicy = field(default_factory=AlwaysPass)
 
@@ -265,9 +264,7 @@ def device_enroll(
     )
     cred = asp.handle(request)
 
-    sketch, digest, bound = bind_enroll(
-        key, cred, cfg.sketch_variant, subseed(rng_seed, "bbcreds/device/bind/v1")
-    )
+    sketch, digest, bound = bind_enroll(key, cred, subseed(rng_seed, "bbcreds/device/bind/v1"))
     return DeviceRecord(helper=helper, sketch=sketch, digest=digest, bound=bound)
 
 

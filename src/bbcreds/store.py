@@ -5,7 +5,8 @@ data, sketch, key digest, and the encrypted credential. The file format
 is a strict TLV container -- magic, format version, then one tag per
 component in ascending order -- and parsing fails closed: unknown tags,
 duplicates, truncation, or any component invariant violation abort with
-a positioned FormatError rather than yielding a partial record.
+a positioned FormatError rather than yielding a partial record; a
+component's violation is placed at the first byte of its entry's value.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ _TAG_HELPER = 0x01
 _TAG_SKETCH = 0x02
 _TAG_DIGEST = 0x03
 _TAG_BOUND = 0x04
-_REQUIRED_TAGS = (_TAG_HELPER, _TAG_SKETCH, _TAG_DIGEST, _TAG_BOUND)
+# Each tag's component decoder, in tag order, which is DeviceRecord's field order.
+_DECODERS = {
+    _TAG_HELPER: decode_helper,
+    _TAG_SKETCH: decode_sketch,
+    _TAG_DIGEST: KeyDigest,
+    _TAG_BOUND: decode_bound,
+}
+_REQUIRED_TAGS = tuple(_DECODERS)
 
 _TLV_HEAD = struct.Struct(">BI")
 
@@ -99,7 +107,7 @@ def decode_record(data: bytes) -> DeviceRecord:
             FormatReason.BAD_VERSION, len(MAGIC), f"unsupported version {data[len(MAGIC)]}"
         )
 
-    values: dict[int, bytes] = {}
+    values: dict[int, tuple[int, bytes]] = {}  # tag -> (value offset, value)
     pos = len(MAGIC) + 1
     last_tag = 0
     while pos < len(data):
@@ -117,7 +125,7 @@ def decode_record(data: bytes) -> DeviceRecord:
         pos += _TLV_HEAD.size
         if len(data) - pos < length:
             raise FormatError(FormatReason.TRUNCATED, pos, "entry value incomplete")
-        values[tag] = data[pos : pos + length]
+        values[tag] = (pos, data[pos : pos + length])
         pos += length
         last_tag = tag
 
@@ -129,13 +137,11 @@ def decode_record(data: bytes) -> DeviceRecord:
             f"missing tag(s) {', '.join(f'0x{t:02x}' for t in missing)}",
         )
 
-    try:
-        record = DeviceRecord(
-            helper=decode_helper(values[_TAG_HELPER]),
-            sketch=decode_sketch(values[_TAG_SKETCH]),
-            digest=KeyDigest(values[_TAG_DIGEST]),
-            bound=decode_bound(values[_TAG_BOUND]),
-        )
-    except ValueError as exc:
-        raise FormatError(FormatReason.INVARIANT_VIOLATION, pos, str(exc)) from exc
-    return record
+    components = []
+    for tag in _REQUIRED_TAGS:
+        offset, value = values[tag]
+        try:
+            components.append(_DECODERS[tag](value))
+        except ValueError as exc:
+            raise FormatError(FormatReason.INVARIANT_VIOLATION, offset, str(exc)) from exc
+    return DeviceRecord(*components)

@@ -23,7 +23,7 @@ from bbcreds.binding import (
     BoundCredential,
     FailureReason,
     KeyDigest,
-    SketchVariant,
+    Sketch,
     bind_enroll,
     recover_secret,
     unbind_auth,
@@ -117,23 +117,20 @@ def test_criterion_06_sketch_algebra(issuer_keys):
     a, b = blobs[:, 0, :], blobs[:, 1, :]
     assert np.array_equal((a ^ b) ^ b, a)
 
-    # The XOR sketch is key XOR the secret that recover_secret returns, and
-    # both variants bound at one seed hide that same secret.
+    # The sketch is key XOR the secret that recover_secret returns.
     cred = issue_agecred(issuer_keys, os.urandom(16), 18, NOW, 86400)
     for seed in rng.integers(0, 2**63, size=50).tolist():
         key = StableKey(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
-        xor_sketch, xor_digest, _ = bind_enroll(key, cred, SketchVariant.XOR, seed)
-        enc_sketch, enc_digest, _ = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
-        secret = recover_secret(key, xor_sketch, xor_digest).secret
-        assert xor_sketch.payload == bytes(x ^ y for x, y in zip(key.key, secret))
-        assert recover_secret(key, enc_sketch, enc_digest).secret == secret
+        sketch, digest, _ = bind_enroll(key, cred, seed)
+        secret = recover_secret(key, sketch, digest).secret
+        assert sketch.payload == bytes(x ^ y for x, y in zip(key.key, secret))
     _passed(6, "sketch-algebra")
 
 
 def test_criterion_07_tamper_rejection(issuer_keys):
     cred = issue_agecred(issuer_keys, os.urandom(16), 18, NOW, 86400)
     key = StableKey(os.urandom(32))
-    sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, SEED)
+    sketch, digest, bound = bind_enroll(key, cred, SEED)
 
     for index in range(len(bound.ciphertext)):
         mutated = bytearray(bound.ciphertext)
@@ -151,6 +148,15 @@ def test_criterion_07_tamper_rejection(issuer_keys):
             unbind_auth(key, sketch, digest, tampered)
         assert err.value.reason is FailureReason.DECRYPT_FAILED
 
+    # A flipped pad byte passes the hash check and opens to a wrong secret,
+    # under which the credential's AEAD fails.
+    for index in range(len(sketch.payload)):
+        mutated = bytearray(sketch.payload)
+        mutated[index] ^= 0x40
+        with pytest.raises(AuthFailure) as err:
+            unbind_auth(key, Sketch(bytes(mutated)), digest, bound)
+        assert err.value.reason is FailureReason.DECRYPT_FAILED
+
     for index in range(len(digest.digest)):
         mutated = bytearray(digest.digest)
         mutated[index] ^= 0x40
@@ -160,23 +166,22 @@ def test_criterion_07_tamper_rejection(issuer_keys):
     _passed(7, "tamper-rejection")
 
 
-def test_criterion_08_retained_artifact_audit(enrollments):
-    for variant, enrollment in enrollments.items():
-        data = encode_record(enrollment["record"])
-        tags = []
-        pos = 5
-        while pos < len(data):
-            tags.append(data[pos])
-            length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-            pos += 5 + length
-        assert tags == [0x01, 0x02, 0x03, 0x04], variant  # helper, sketch, digest, bound
+def test_criterion_08_retained_artifact_audit(enrollment):
+    data = encode_record(enrollment["record"])
+    tags = []
+    pos = 5
+    while pos < len(data):
+        tags.append(data[pos])
+        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
+        pos += 5 + length
+    assert tags == [0x01, 0x02, 0x03, 0x04]  # helper, sketch, digest, bound
 
-        key, secret = enrollment["key"].key, enrollment["secret"].secret
-        # Substring search covers every 32-byte window of the record.
-        assert key not in data and secret not in data, variant
-        for window_start in range(len(data) - 31):
-            window = data[window_start : window_start + 32]
-            assert window != key and window != secret, variant
+    key, secret = enrollment["key"].key, enrollment["secret"].secret
+    # Substring search covers every 32-byte window of the record.
+    assert key not in data and secret not in data
+    for window_start in range(len(data) - 31):
+        window = data[window_start : window_start + 32]
+        assert window != key and window != secret
     _passed(8, "retained-artifact-audit")
 
 

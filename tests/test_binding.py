@@ -11,9 +11,7 @@ from bbcreds.binding import (
     BoundCredential,
     FailureReason,
     KEYHASH_LABEL,
-    KeyDigest,
     Sketch,
-    SketchVariant,
     StableSecret,
     bind_enroll,
     decode_bound,
@@ -62,16 +60,15 @@ class TestHashKey:
 
 
 class TestBindUnbindRoundtrip:
-    @pytest.mark.parametrize("variant", list(SketchVariant))
-    def test_roundtrip_many_credentials(self, issuer_keys, variant):
+    def test_roundtrip_many_credentials(self, issuer_keys):
         for i in range(100):
             cred = issue_agecred(issuer_keys, os.urandom(16), 18 + i % 30, NOW + i, 3600)
             key = StableKey(os.urandom(32))
-            sketch, digest, bound = bind_enroll(key, cred, variant, rng_seed=i)
+            sketch, digest, bound = bind_enroll(key, cred, rng_seed=i)
             assert unbind_auth(key, sketch, digest, bound) == cred
 
     def test_retained_set_shapes(self, cred):
-        sketch, digest, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 7)
+        sketch, digest, bound = bind_enroll(_key(), cred, 7)
         assert len(sketch.payload) == 32
         assert len(digest.digest) == 32
         assert len(bound.nonce) == 12
@@ -80,34 +77,23 @@ class TestBindUnbindRoundtrip:
     def test_zero_key_xor_sketch_equals_secret(self, cred):
         # The zero key's sketch is the seed's secret itself, so any key's
         # sketch at that seed is the key XOR that same secret.
-        zero, _, _ = bind_enroll(StableKey(bytes(32)), cred, SketchVariant.XOR, 1234)
+        zero, _, _ = bind_enroll(StableKey(bytes(32)), cred, 1234)
         for byte in (0x01, 0x5A, 0xFF):
             key = _key(byte)
-            sketch, _, _ = bind_enroll(key, cred, SketchVariant.XOR, 1234)
+            sketch, _, _ = bind_enroll(key, cred, 1234)
             assert bytes(a ^ b for a, b in zip(sketch.payload, zero.payload)) == key.key
 
-    def test_variants_share_digest_and_bound_credential(self, cred):
-        # The variant changes only the sketch: the key digest and the
-        # credential ciphertext, and so the secret it is encrypted under,
-        # are the same for both at one seed.
-        for seed in (0, 1234, 2**64 - 1):
-            key = StableKey(os.urandom(32))
-            _, xor_digest, xor_bound = bind_enroll(key, cred, SketchVariant.XOR, seed)
-            _, enc_digest, enc_bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
-            assert enc_digest == xor_digest
-            assert enc_bound == xor_bound
-
     def test_deterministic_in_seed(self, cred):
-        a = bind_enroll(_key(), cred, SketchVariant.XOR, 99)
-        b = bind_enroll(_key(), cred, SketchVariant.XOR, 99)
+        a = bind_enroll(_key(), cred, 99)
+        b = bind_enroll(_key(), cred, 99)
         assert a == b
-        c = bind_enroll(_key(), cred, SketchVariant.XOR, 100)
+        c = bind_enroll(_key(), cred, 100)
         assert a != c
 
     def test_outputs_never_contain_key_or_secret(self, cred):
         for seed in range(200):
             key = StableKey(os.urandom(32))
-            sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, seed)
+            sketch, digest, bound = bind_enroll(key, cred, seed)
             secret = recover_secret(key, sketch, digest).secret
             blob = encode_sketch(sketch) + digest.digest + encode_bound(bound)
             assert key.key not in blob
@@ -120,7 +106,7 @@ def _must_not_run(*args):
 
 def _recoveries(sketch, digest, bound):
     """Both entry points to the unlock stages, each as a function of the key:
-    ``recover_secret`` runs stages (a) and (b), ``unbind_auth`` all four."""
+    ``recover_secret`` runs stage (a), ``unbind_auth`` all three."""
     return (
         lambda key: recover_secret(key, sketch, digest),
         lambda key: unbind_auth(key, sketch, digest, bound),
@@ -130,7 +116,7 @@ def _recoveries(sketch, digest, bound):
 class TestUnbindStages:
     def test_any_single_key_bit_flip_hits_hash_check(self, cred):
         key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, 5)
+        sketch, digest, bound = bind_enroll(key, cred, 5)
         for unlock in _recoveries(sketch, digest, bound):
             for bit in range(256):
                 tampered = bytearray(key.key)
@@ -140,7 +126,7 @@ class TestUnbindStages:
                 assert err.value.reason is FailureReason.HASH_MISMATCH
 
     def test_random_keys_rejected_at_hash_stage(self, cred):
-        sketch, digest, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 5)
+        sketch, digest, bound = bind_enroll(_key(), cred, 5)
         for unlock in _recoveries(sketch, digest, bound):
             for _ in range(10000):
                 with pytest.raises(AuthFailure) as err:
@@ -149,7 +135,7 @@ class TestUnbindStages:
 
     def test_ciphertext_tamper_hits_decrypt_stage(self, cred):
         key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, 6)
+        sketch, digest, bound = bind_enroll(key, cred, 6)
         for index in range(len(bound.ciphertext)):
             tampered = BoundCredential(
                 nonce=bound.nonce,
@@ -161,7 +147,7 @@ class TestUnbindStages:
 
     def test_nonce_tamper_hits_decrypt_stage(self, cred):
         key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, 6)
+        sketch, digest, bound = bind_enroll(key, cred, 6)
         for index in range(len(bound.nonce)):
             tampered = BoundCredential(
                 nonce=_flip(bound.nonce, index),
@@ -171,37 +157,31 @@ class TestUnbindStages:
                 unbind_auth(key, sketch, digest, tampered)
             assert err.value.reason is FailureReason.DECRYPT_FAILED
 
-    def test_sketch_tamper_hits_sketch_stage_for_encrypted_variant(self, cred):
+    def test_sketch_tamper_hits_decrypt_stage(self, cred):
+        # A flipped pad byte passes the hash check but opens to a wrong
+        # secret, under which the credential's AEAD fails.
         key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, 6)
+        sketch, digest, bound = bind_enroll(key, cred, 6)
         for index in range(len(sketch.payload)):
-            tampered = Sketch(sketch.variant, _flip(sketch.payload, index))
-            for unlock in _recoveries(tampered, digest, bound):
-                with pytest.raises(AuthFailure) as err:
-                    unlock(key)
-                assert err.value.reason is FailureReason.SKETCH_OPEN_FAILED
-
-    def test_hash_check_precedes_sketch_open(self, cred, monkeypatch):
-        key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.ENCRYPTED, 6)
-        tampered = KeyDigest(_flip(digest.digest, 0))
-        monkeypatch.setattr(binding, "_sketch_cipher", _must_not_run)
-        for unlock in _recoveries(sketch, tampered, bound):
+            tampered = Sketch(_flip(sketch.payload, index))
+            assert recover_secret(key, tampered, digest).secret != recover_secret(
+                key, sketch, digest
+            ).secret
             with pytest.raises(AuthFailure) as err:
-                unlock(key)
-            assert err.value.reason is FailureReason.HASH_MISMATCH
+                unbind_auth(key, tampered, digest, bound)
+            assert err.value.reason is FailureReason.DECRYPT_FAILED
 
     def test_recover_secret_never_reads_the_credential(self, cred, monkeypatch):
         key = _key()
-        enrolled = [bind_enroll(key, cred, variant, 6) for variant in SketchVariant]
+        sketch, digest, _ = bind_enroll(key, cred, 6)
         monkeypatch.setattr(binding, "_cred_cipher", _must_not_run)
-        secrets = {recover_secret(key, sketch, digest) for sketch, digest, _ in enrolled}
-        assert len(secrets) == 1
+        secret = recover_secret(key, sketch, digest).secret
+        assert secret == bytes(a ^ b for a, b in zip(key.key, sketch.payload))
 
     def test_hash_check_precedes_decryption(self, cred):
         # Wrong key plus tampered ciphertext must still report the hash stage.
         key = _key()
-        sketch, digest, bound = bind_enroll(key, cred, SketchVariant.XOR, 6)
+        sketch, digest, bound = bind_enroll(key, cred, 6)
         tampered = BoundCredential(
             nonce=bound.nonce,
             ciphertext=_flip(bound.ciphertext, 0),
@@ -214,7 +194,7 @@ class TestUnbindStages:
 @settings(max_examples=200)
 @given(a=st.binary(min_size=32, max_size=32), b=st.binary(min_size=32, max_size=32))
 def test_xor_involution(a, b):
-    sk = Sketch(SketchVariant.XOR, b)
+    sk = Sketch(b)
     recovered = bytes(x ^ y for x, y in zip(a, b))
     assert bytes(x ^ y for x, y in zip(recovered, b)) == a
     assert len(sk.payload) == 32
@@ -222,24 +202,26 @@ def test_xor_involution(a, b):
 
 class TestCanonicalEncodings:
     def test_sketch_roundtrip(self, cred):
-        for variant in SketchVariant:
-            sketch, _, _ = bind_enroll(_key(), cred, variant, 3)
-            data = encode_sketch(sketch)
-            assert data[0] == variant.value
-            assert decode_sketch(data) == sketch
+        sketch, _, _ = bind_enroll(_key(), cred, 3)
+        data = encode_sketch(sketch)
+        assert data[:5] == bytes([1, 0, 0, 0, 32])  # variant 1, length 32
+        assert decode_sketch(data) == sketch
 
     def test_bound_roundtrip(self, cred):
-        _, _, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 3)
+        _, _, bound = bind_enroll(_key(), cred, 3)
         data = encode_bound(bound)
         assert data[0] == BOUND_VERSION
         assert decode_bound(data) == bound
 
     def test_strict_parsing(self, cred):
-        sketch, _, bound = bind_enroll(_key(), cred, SketchVariant.XOR, 3)
+        sketch, _, bound = bind_enroll(_key(), cred, 3)
         with pytest.raises(ValueError):
             decode_sketch(encode_sketch(sketch)[:-1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown sketch variant 7"):
             decode_sketch(b"\x07" + encode_sketch(sketch)[1:])
+        # Variant 2, an AEAD-wrapped secret of 60 bytes, is refused.
+        with pytest.raises(ValueError, match="unknown sketch variant 2"):
+            decode_sketch(b"\x02" + (60).to_bytes(4, "big") + bytes(60))
         with pytest.raises(ValueError):
             decode_bound(encode_bound(bound) + b"\x00")
         with pytest.raises(ValueError, match="unsupported bound credential version 2"):
@@ -249,9 +231,9 @@ class TestCanonicalEncodings:
 class TestTypeInvariants:
     def test_sketch_payload_length(self):
         with pytest.raises(ValueError):
-            Sketch(SketchVariant.XOR, bytes(31))
+            Sketch(bytes(31))
         with pytest.raises(ValueError):
-            Sketch(SketchVariant.ENCRYPTED, bytes(32))
+            Sketch(bytes(60))
 
     def test_secret_length(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from bbcreds.kdf import subseed
 from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
-from conftest import NOW, recover_secrets
+from conftest import NOW, recover_secrets, with_encrypted_sketch
 
 ADULT_DOB = "1990-01-01"
 CHILD_DOB = "2015-06-15"
@@ -34,12 +34,9 @@ IDENTITY_SEED = "31415"
 UNSEEDED = "<no --seed>"  # test_bad_settings_are_usage_errors drops --seed
 
 # SHA-256 of the record written by the pinned enrollment in
-# TestEnroll.test_record_bytes_pinned, one per sketch variant. Any change to
-# the on-disk format or to a derivation feeding the record changes these.
-GOLDEN_RECORD_SHA256 = {
-    "xor": "b75192c71d41b707c05c60be4924185a75075447676cadc93649fce2ae8fcb6f",
-    "encrypted": "2314a515d4747a0336165b322a3ede43ecc5b9d007215312bbb944e056675147",
-}
+# TestEnroll.test_record_bytes_pinned. Any change to the on-disk format or
+# to a derivation feeding the record changes it.
+GOLDEN_RECORD_SHA256 = "b75192c71d41b707c05c60be4924185a75075447676cadc93649fce2ae8fcb6f"
 
 
 def _mode(path: Path) -> int:
@@ -304,8 +301,7 @@ class TestEnroll:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("variant", sorted(GOLDEN_RECORD_SHA256))
-    def test_record_bytes_pinned(self, tmp_path, variant):
+    def test_record_bytes_pinned(self, tmp_path):
         prefix = str(tmp_path / "golden")
         assert main(["asp-keygen", "--out", prefix, "--seed", "1"]) == EXIT_OK
         path = tmp_path / "golden.bbc"
@@ -318,40 +314,58 @@ class TestEnroll:
                 "--out", str(path),
                 "--seed", "4",
                 "--clock", "1750000000",
-                "--variant", variant,
             ]
         )
         assert code == EXIT_OK
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORD_SHA256[variant]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORD_SHA256
 
     def test_no_key_material_on_any_stream(self, tmp_path, keys_prefix, capsys):
-        for variant in ("xor", "encrypted"):
-            path = tmp_path / f"scan-{variant}.bbc"
-            code = main(
-                [
-                    "enroll",
-                    "--keys", keys_prefix,
-                    "--identity-seed", IDENTITY_SEED,
-                    "--dob", ADULT_DOB,
-                    "--out", str(path),
-                    "--seed", RUN_SEED,
-                    "--clock", str(NOW),
-                    "--variant", variant,
-                ]
-            )
-            assert code == EXIT_OK
-            captured = capsys.readouterr()
-            streams = (captured.out + captured.err).lower()
+        path = tmp_path / "scan.bbc"
+        code = main(
+            [
+                "enroll",
+                "--keys", keys_prefix,
+                "--identity-seed", IDENTITY_SEED,
+                "--dob", ADULT_DOB,
+                "--out", str(path),
+                "--seed", RUN_SEED,
+                "--clock", str(NOW),
+            ]
+        )
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        streams = (captured.out + captured.err).lower()
 
-            # Recover the key and secret from the record the CLI wrote.
-            record_bytes = path.read_bytes()
-            key, secret = recover_secrets(
-                new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
-            )
-            assert key.key not in record_bytes, variant
-            assert secret.secret not in record_bytes, variant
-            assert key.key.hex() not in streams, variant
-            assert secret.secret.hex() not in streams, variant
+        # Recover the key and secret from the record the CLI wrote.
+        record_bytes = path.read_bytes()
+        key, secret = recover_secrets(
+            new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
+        )
+        assert key.key not in record_bytes
+        assert secret.secret not in record_bytes
+        assert key.key.hex() not in streams
+        assert secret.secret.hex() not in streams
+
+    def test_sketch_variant_knob_is_gone(self, tmp_path, keys_prefix, capsys):
+        # Every record's sketch is the XOR pad: neither the --variant flag nor
+        # the variant config key exists.
+        config = tmp_path / "variant.conf"
+        config.write_text("variant=xor\n")
+        argv = [
+            "enroll",
+            "--keys", keys_prefix,
+            "--identity-seed", IDENTITY_SEED,
+            "--dob", ADULT_DOB,
+            "--out", str(tmp_path / "x.bbc"),
+            "--seed", RUN_SEED,
+            "--clock", str(NOW),
+        ]
+        capsys.readouterr()
+        assert main(argv + ["--config", str(config)]) == EXIT_USAGE
+        assert "unknown config key 'variant'" in capsys.readouterr().err
+        assert main(argv + ["--variant", "xor"]) == EXIT_USAGE
+        assert "unrecognized arguments: --variant xor" in capsys.readouterr().err
+        assert not (tmp_path / "x.bbc").exists()
 
 
 class TestAuth:
@@ -537,11 +551,26 @@ class TestInspect:
         assert main(["inspect", "--record", record_path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "n=511" in out and "k=259" in out and "t=30" in out
-        assert "sketch_variant=XOR" in out
         assert re.search(r"digest=[0-9a-f]{64}", out)
         assert "ciphertext_bytes=130" in out
         # no decrypted credential fields
         assert "age_over" not in out and "subject" not in out
+
+    def test_encrypted_sketch_record_is_bad_record(self, tmp_path, record_path,
+                                                   keys_prefix, capsys):
+        # A record whose sketch is variant 2, the AEAD-wrapped secret that
+        # earlier versions could write, is refused by every reader.
+        old = tmp_path / "encrypted.bbc"
+        old.write_bytes(with_encrypted_sketch(Path(record_path).read_bytes()))
+        capsys.readouterr()
+        for argv in (["inspect", "--record", str(old)],
+                     ["auth", "--record", str(old), "--keys", keys_prefix, "--seed", "1",
+                      "--identity-seed", IDENTITY_SEED, "--clock", str(NOW)]):
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: bad record: InvariantViolation")
+            assert "unknown sketch variant 2" in err
 
     def test_truncated_record_fails(self, tmp_path, record_path, capsys):
         stub = tmp_path / "cut.bbc"
@@ -655,7 +684,7 @@ class TestConfigFile:
         assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize(
-        "entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0", "variant=bogus"]
+        "entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0"]
     )
     def test_eval_skips_keys_it_does_not_read(self, tmp_path, capsys, entry):
         config = tmp_path / "shared.conf"

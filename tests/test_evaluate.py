@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from bbcreds import evaluate, synthbio
-from bbcreds.binding import AuthFailure, SketchVariant
+from bbcreds.binding import AuthFailure
 from bbcreds.evaluate import (
     CSV_HEADER,
     OUTCOMES,
@@ -107,6 +107,14 @@ class TestFar:
 def test_nonpositive_trials_rejected(cfg, estimate, trials):
     with pytest.raises(ValueError, match="trials must be positive"):
         estimate(cfg, trials, SEED)
+
+
+def test_reports_leave_the_unmeasured_rate_none(cfg):
+    # A report measures one rate; the other reads None, not a rate of 0.
+    frr, far = estimate_frr(cfg, 10, SEED), estimate_far(cfg, 10, SEED)
+    assert (frr.far, frr.far_lo, frr.far_hi) == (None, None, None)
+    assert (far.frr, far.frr_lo, far.frr_hi) == (None, None, None)
+    assert None not in (frr.frr, frr.frr_lo, frr.frr_hi, far.far, far.far_lo, far.far_hi)
 
 
 # Reports recorded with the general 2t-step BCH decoder. Any change to the
@@ -343,25 +351,22 @@ def _flip_last(data: bytes) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "variant, tamper, expected",
+    "tamper, expected",
     [
-        (SketchVariant.XOR,
-         lambda r: replace(r, bound=replace(r.bound, ciphertext=_flip_last(r.bound.ciphertext))),
+        (lambda r: replace(r, bound=replace(r.bound, ciphertext=_flip_last(r.bound.ciphertext))),
          "DecryptFailed"),
-        (SketchVariant.ENCRYPTED,
-         lambda r: replace(r, sketch=replace(r.sketch, payload=_flip_last(r.sketch.payload))),
-         "SketchOpenFailed"),
-        (SketchVariant.XOR,
-         lambda r: replace(r, digest=replace(r.digest, digest=_flip_last(r.digest.digest))),
+        # A tampered pad opens to a wrong secret, which the credential's AEAD refuses.
+        (lambda r: replace(r, sketch=replace(r.sketch, payload=_flip_last(r.sketch.payload))),
+         "DecryptFailed"),
+        (lambda r: replace(r, digest=replace(r.digest, digest=_flip_last(r.digest.digest))),
          "HashMismatch"),
     ],
-    ids=["ciphertext", "encrypted-sketch", "digest"],
+    ids=["ciphertext", "sketch", "digest"],
 )
-def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, asp, variant, tamper,
-                                                     expected):
+def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, asp, tamper, expected):
     enroll = evaluate.device_enroll
     monkeypatch.setattr(evaluate, "device_enroll", lambda *a, **kw: tamper(enroll(*a, **kw)))
-    tampered = replace(cfg, sketch_variant=variant, sigma=0.0)
+    tampered = replace(cfg, sigma=0.0)
     report = estimate_frr(tampered, 100, SEED)
     assert tuple(report.stage_counts) == OUTCOMES
     assert report.stage_counts[expected] == report.trials == 100

@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 
 from bbcreds import parties
-from bbcreds.binding import AuthFailure, SketchVariant
+from bbcreds.binding import AuthFailure
 from bbcreds.credential import RejectReason
 from bbcreds.fextract import ExtractFailure
 from bbcreds.parties import (
@@ -182,6 +182,10 @@ class TestDeviceEnroll:
         names = [f.name for f in fields(type(enrollment["record"]))]
         assert names == ["helper", "sketch", "digest", "bound"]
 
+    def test_config_has_no_sketch_choice(self, default_cfg):
+        # Every record's sketch is the XOR pad, so the config names none.
+        assert [f.name for f in fields(default_cfg)] == ["dim", "code", "sigma", "liveness"]
+
     def test_record_quantizer_follows_config(self, enrollment, default_cfg):
         quant = enrollment["record"].helper.quant
         assert quant == QuantizerConfig(default_cfg.dim, default_cfg.code.n)
@@ -246,32 +250,18 @@ class TestDeviceEnroll:
 
     def test_only_request_fields_cross_the_boundary(self, issuer_keys, default_cfg):
         identity = new_identity(11, default_cfg.dim)
-        for variant in SketchVariant:
-            counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-            cfg = replace(default_cfg, sketch_variant=variant)
-            record = device_enroll(identity, counting, cfg, rng_seed=3)
-            key, secret = recover_secrets(identity, record)
-            assert counting.calls == 1
-            (request,) = counting.requests
-            # The request object is all that reaches the ASP: subject, evidence, nonce.
-            assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
-            assert isinstance(request.evidence, AlwaysApproveEvidence)
-            sent = request.subject_id + request.request_nonce
-            assert key.key not in sent, variant
-            assert secret.secret not in sent, variant
-            assert identity.values.tobytes() not in sent
-
-    def test_enrolled_variant_matches_config(self, issuer_keys, default_cfg):
-        cfg = replace(default_cfg, sketch_variant=SketchVariant.ENCRYPTED)
-        record = device_enroll(
-            new_identity(12, cfg.dim),
-            InProcessAsp(issuer_keys, AgePolicy(18), now=NOW),
-            cfg,
-            rng_seed=4,
-        )
-        assert record.sketch.variant is SketchVariant.ENCRYPTED
-        sample = sample_genuine(new_identity(12, cfg.dim), NoiseModel(cfg.sigma), 5)
-        assert device_authenticate(sample, record, AlwaysPass()).age_over == 18
+        counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
+        record = device_enroll(identity, counting, default_cfg, rng_seed=3)
+        key, secret = recover_secrets(identity, record)
+        assert counting.calls == 1
+        (request,) = counting.requests
+        # The request object is all that reaches the ASP: subject, evidence, nonce.
+        assert [f.name for f in fields(request)] == ["subject_id", "evidence", "request_nonce"]
+        assert isinstance(request.evidence, AlwaysApproveEvidence)
+        sent = request.subject_id + request.request_nonce
+        assert key.key not in sent
+        assert secret.secret not in sent
+        assert identity.values.tobytes() not in sent
 
 
 class TestDeviceAuthenticate:
@@ -334,14 +324,11 @@ class TestRelyingParty:
         decision = rp_check_access(cred, issuer_keys.public, NOW + 10, 21)
         assert decision.reason is RejectReason.THRESHOLD_NOT_MET
 
-    def test_credential_disjoint_from_secrets(self, enrollments, default_cfg):
+    def test_credential_disjoint_from_secrets(self, enrollment, default_cfg):
         from bbcreds.credential import encode_agecred
 
-        for variant, enrollment in enrollments.items():
-            sample = sample_genuine(
-                enrollment["identity"], NoiseModel(default_cfg.sigma), 34
-            )
-            cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
-            blob = encode_agecred(cred)
-            assert enrollment["key"].key not in blob, variant
-            assert enrollment["secret"].secret not in blob, variant
+        sample = sample_genuine(enrollment["identity"], NoiseModel(default_cfg.sigma), 34)
+        cred = device_authenticate(sample, enrollment["record"], AlwaysPass())
+        blob = encode_agecred(cred)
+        assert enrollment["key"].key not in blob
+        assert enrollment["secret"].secret not in blob

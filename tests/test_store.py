@@ -10,7 +10,6 @@ from bbcreds.binding import (
     BoundCredential,
     KeyDigest,
     Sketch,
-    SketchVariant,
     decode_bound,
     decode_sketch,
     encode_bound,
@@ -18,7 +17,7 @@ from bbcreds.binding import (
 )
 from bbcreds.credential import decode_agecred, encode_agecred, generate_issuer_keys, issue_agecred
 from bbcreds.ecc import BchCodec, CodeParams, codec_for
-from bbcreds.fextract import HelperData, decode_helper, encode_helper
+from bbcreds.fextract import HELPER_VERSION, HelperData, decode_helper, encode_helper
 from bbcreds.quantize import BitString, QuantizerConfig
 from bbcreds.store import (
     DeviceRecord,
@@ -29,14 +28,14 @@ from bbcreds.store import (
     encode_record,
 )
 
+from conftest import with_encrypted_sketch
+
 
 def _random_record(rng=None) -> DeviceRecord:
     rng = rng or os.urandom
     n = 511
     offset_bits = bytearray(rng(64))
     offset_bits[-1] &= 0xFE  # zero padding bit
-    variant = SketchVariant.XOR if rng(1)[0] % 2 == 0 else SketchVariant.ENCRYPTED
-    payload = rng(32) if variant is SketchVariant.XOR else rng(60)
     # 65535 is the largest dim the helper header's 2-byte field holds.
     dim = (511, 512, 65535)[rng(1)[0] % 3]
     return DeviceRecord(
@@ -46,7 +45,7 @@ def _random_record(rng=None) -> DeviceRecord:
             code=CodeParams(511, 30),
             quant=QuantizerConfig.default(dim, n),
         ),
-        sketch=Sketch(variant, payload),
+        sketch=Sketch(rng(32)),
         digest=KeyDigest(rng(32)),
         bound=BoundCredential(nonce=rng(12), ciphertext=rng(130)),
     )
@@ -243,6 +242,33 @@ class TestStrictness:
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
         assert "unsupported bound credential version 2" in str(err.value)
 
+    def test_component_error_names_its_value_offset(self, enrollment):
+        # A component that fails to decode is reported at the first byte of
+        # its entry's value, not at the end of the record.
+        data = encode_record(enrollment["record"])
+        helper_at = len(MAGIC) + 1 + 5  # format version, helper TLV head
+        assert data[helper_at] == HELPER_VERSION
+        with pytest.raises(FormatError) as err:
+            decode_record(data[:helper_at] + b"\x07" + data[helper_at + 1 :])
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert err.value.position == 10
+        assert "unsupported helper version 7" in str(err.value)
+
+        sketch_at = helper_at + len(encode_helper(enrollment["record"].helper)) + 5
+        assert data[sketch_at - 5] == 0x02  # the sketch's tag
+        with pytest.raises(FormatError) as err:
+            decode_record(data[:sketch_at] + b"\x09" + data[sketch_at + 1 :])
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert err.value.position == sketch_at
+        assert "unknown sketch variant 9" in str(err.value)
+
+    def test_encrypted_sketch_record_fails_closed(self, enrollment):
+        data = with_encrypted_sketch(encode_record(enrollment["record"]))
+        with pytest.raises(FormatError) as err:
+            decode_record(data)
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert "unknown sketch variant 2" in str(err.value)
+
     def test_empty_body_reports_missing_tags(self):
         with pytest.raises(FormatError) as err:
             decode_record(MAGIC + bytes([0x01]))
@@ -250,11 +276,10 @@ class TestStrictness:
 
 
 class TestNoSecretsAtRest:
-    def test_record_never_contains_key_or_secret(self, enrollments):
-        for variant, enrollment in enrollments.items():
-            data = encode_record(enrollment["record"])
-            assert enrollment["key"].key not in data, variant
-            assert enrollment["secret"].secret not in data, variant
+    def test_record_never_contains_key_or_secret(self, enrollment):
+        data = encode_record(enrollment["record"])
+        assert enrollment["key"].key not in data
+        assert enrollment["secret"].secret not in data
 
 
 def _parser_corpus():
