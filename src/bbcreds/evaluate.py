@@ -82,10 +82,12 @@ _Z95 = 1.959963984540054
 _EVAL_CLOCK = 1_750_000_000
 
 # Trials per chunk and decode_batch call, which pays a fixed numpy cost per
-# call. estimate_far(cfg, 1000, s) took a median 23.6 / 22.0 / 22.8 / 22.3
-# ms of CPU at 256 / 512 / 768 / 1024 rows per chunk (512 beat 256 in 74 of
-# 80 interleaved calls) and peaked at 1.84 / 3.67 / 5.50 / 7.15 MiB traced,
-# on a 2-core machine: past 512 the time stays and the memory grows.
+# call. With the two-thread impostor fill, estimate_far(cfg, 1000, s) took a
+# median 19.1 / 16.9 / 17.3 / 16.2 ms of wall time (22.9 / 20.7 / 21.4 / 20.4
+# ms of CPU) at 256 / 512 / 768 / 1024 rows per chunk (512 beat 256 in 59 of
+# 60 interleaved calls) and peaked at 1.84 / 3.67 / 5.50 / 7.16 MiB traced,
+# on a 2-core machine: past 512 the time falls by at most 4% and the memory
+# doubles.
 _BATCH_CHUNK = 512
 
 CSV_HEADER = "sigma,trials,frr,frr_lo,frr_hi,far,far_lo,far_hi,seed"

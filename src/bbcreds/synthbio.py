@@ -18,7 +18,10 @@ of block i // 16, and block b is the first 16 * dim values, row-major, of
 the stream labelled ``f"bbcreds/synthbio/impostor/v3/{b}"``. A window
 draws each block it touches and discards the rows before its first, so it
 equals the same rows of any longer window. The block size
-(``_IMPOSTOR_BLOCK``) is part of the stream's format. An identity is its
+(``_IMPOSTOR_BLOCK``) is part of the stream's format. A window of two or
+more blocks is filled on two threads, each writing its own blocks' rows
+of one matrix, so its rows are the same bytes as a serial fill; no thread
+outlives the call, and a one-block window starts none. An identity is its
 reference ``Embedding`` and nothing else; ``sample_genuine`` takes that
 mean.
 """
@@ -26,6 +29,7 @@ mean.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,21 +150,57 @@ def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_D
     """Rows ``first`` .. ``first + count - 1`` of impostor stream ``rng_seed``
     as one (count, dim) array of fresh normalized Gaussian vectors. Each
     block of the stream the window touches gets one generator; the rows are
-    normalized and checked together."""
+    normalized and checked together.
+
+    numpy releases the interpreter lock while it fills a block, so a window
+    of two or more blocks is filled on two threads: the first half of its
+    blocks on the caller's thread, the rest on one helper that writes only
+    its own rows. The rows are the same bytes as a serial fill. The helper
+    is joined before the call returns or raises, and a one-block window
+    starts none."""
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
     if first < 0 or count < 0:
         raise ValueError(f"impostor rows need first >= 0 and count >= 0, got {first}, {count}")
     values = np.empty((count, dim))
+    blocks = []
     row, stop = first, first + count
     while row < stop:
         block, skip = divmod(row, _IMPOSTOR_BLOCK)
         end = min(row - skip + _IMPOSTOR_BLOCK, stop)
-        generator = _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}")
-        if skip:  # the block's rows before ``first``
-            generator.standard_normal(skip * dim)
-        generator.standard_normal(out=values[row - first:end - first])
+        blocks.append((block, skip, values[row - first:end - first]))
         row = end
+    # The caller keeps the first block, the only one that can skip rows.
+    split = (len(blocks) + 1) // 2
+    if split == len(blocks):
+        _fill_blocks(rng_seed, blocks)
+    else:
+        errors: list[Exception] = []
+
+        def fill_rest() -> None:
+            try:
+                _fill_blocks(rng_seed, blocks[split:])
+            except Exception as error:  # re-raised on the caller's thread
+                errors.append(error)
+
+        helper = threading.Thread(target=fill_rest)
+        helper.start()
+        try:
+            _fill_blocks(rng_seed, blocks[:split])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
     values /= np.sqrt(np.vecdot(values, values))[:, None]
     check_unit_rows(values)
     return values
+
+
+def _fill_blocks(rng_seed: int, blocks: list[tuple[int, int, np.ndarray]]) -> None:
+    """Fill each (block, skip, rows) view with the block's normals after its
+    first ``skip`` rows."""
+    for block, skip, rows in blocks:
+        generator = _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}")
+        if skip:  # the block's rows before the window's first
+            generator.standard_normal(skip * rows.shape[1])
+        generator.standard_normal(out=rows)

@@ -194,10 +194,10 @@ class TestUnbindStages:
 @settings(max_examples=200)
 @given(a=st.binary(min_size=32, max_size=32), b=st.binary(min_size=32, max_size=32))
 def test_xor_involution(a, b):
-    sk = Sketch(b)
-    recovered = bytes(x ^ y for x, y in zip(a, b))
-    assert bytes(x ^ y for x, y in zip(recovered, b)) == a
-    assert len(sk.payload) == 32
+    # The pad a XOR b opens under key a to the secret b.
+    key = StableKey(a)
+    pad = Sketch(bytes(x ^ y for x, y in zip(a, b)))
+    assert recover_secret(key, pad, hash_key(key)).secret == b
 
 
 class TestCanonicalEncodings:

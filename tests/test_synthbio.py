@@ -1,10 +1,13 @@
 import hashlib
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.random.bit_generator import ISeedSequence
 
+from bbcreds import synthbio
 from bbcreds.kdf import expand_seed
 from bbcreds.quantize import QuantizerConfig, quantize
 from bbcreds.synthbio import (
@@ -234,6 +237,113 @@ def test_identity_and_genuine_follow_kdf_stream():
         block = _reference_normals(seed, "bbcreds/synthbio/impostor/v3/1", 16 * 64).reshape(16, 64)
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         np.testing.assert_allclose(sample_impostors(seed, 16, 16, 64), block, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 38])
+def test_impostor_windows_follow_kdf_stream(blocks):
+    # Windows that the two-thread fill splits: each row is the oracle's
+    # row of its block, whichever thread filled it.
+    for seed in (0, 2**64 - 1):
+        for first in (0, 5, 16):
+            count = 16 * blocks - first % 16 - 1
+            b0, b1 = first // 16, (first + count - 1) // 16
+            assert b1 - b0 + 1 == blocks
+            stream = np.concatenate([
+                _reference_normals(seed, f"bbcreds/synthbio/impostor/v3/{b}", 16 * 64)
+                for b in range(b0, b1 + 1)
+            ]).reshape(-1, 64)
+            rows = stream[first - 16 * b0:first - 16 * b0 + count]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            np.testing.assert_allclose(
+                sample_impostors(seed, first, count, 64), rows, rtol=0, atol=1e-15
+            )
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_failed_block_raises_and_leaves_no_thread(monkeypatch, failing):
+    # Rows 5 .. 63 span blocks 0 to 3: the caller fills blocks 0 and 1, the
+    # helper thread blocks 2 and 3. A failure in either half reaches the
+    # caller, and the helper is gone when the call returns.
+    generator = synthbio._generator
+    threads = {}
+
+    def failing_generator(seed, label):
+        block = int(label.rsplit("/", 1)[1])
+        threads[block] = threading.current_thread()
+        if block == failing:
+            raise _BlockFailed(block)
+        return generator(seed, label)
+
+    monkeypatch.setattr(synthbio, "_generator", failing_generator)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailed) as failure:
+        sample_impostors(1, 5, 59, 64)
+    assert failure.value.args == (failing,)
+    assert threading.active_count() == before
+    assert (threads[failing] is threading.current_thread()) == (failing < 2)
+
+
+def test_one_block_windows_start_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for first, count in ((0, 1), (5, 11), (16, 16), (250, 6)):
+        sample_impostors(7, first, count, 64)
+    sample_impostor(7, 64)
+    assert started == []
+    sample_impostors(7, 15, 2, 64)  # rows 15 and 16 lie in two blocks
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def _serial_rows(seed, first, count, dim):
+    """Rows of an impostor window, read one block at a time: every call is
+    a one-block window, which starts no thread."""
+    parts, row, stop = [], first, first + count
+    while row < stop:
+        end = min(row - row % 16 + 16, stop)
+        parts.append(sample_impostors(seed, row, end - row, dim))
+        row = end
+    return np.concatenate(parts)
+
+
+def test_concurrent_callers_get_their_serial_rows():
+    # Four callers, each with its own helper thread, on distinct streams,
+    # with the interpreter switching threads as often as it can.
+    windows = [(seed, 8 + 512 * seed) for seed in range(4)]
+    expected = [_serial_rows(seed, first, 512, 512) for seed, first in windows]
+    results = [[] for _ in windows]
+
+    def call(index):
+        seed, first = windows[index]
+        for _ in range(6):
+            results[index].append(sample_impostors(seed, first, 512, 512))
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(windows))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    for rows, reference in zip(results, expected):
+        assert len(rows) == 6
+        for window in rows:
+            assert np.array_equal(window, reference)
 
 
 def test_unseeded_draws_follow_the_kdf_rule(monkeypatch):
