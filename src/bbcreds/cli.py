@@ -29,10 +29,9 @@ from pathlib import Path
 from .binding import AuthFailure
 from .credential import MAX_AGE_OVER, IssuerKeyPair, generate_issuer_keys
 from .evaluate import sweep
-from .fextract import HELPER_VERSION, ExtractFailure
+from .fextract import CODE, HELPER_VERSION, ExtractFailure
 from .kdf import SEED_MASK
 from .parties import (
-    DEFAULT_CODE,
     LATEST_CLOCK,
     AgePolicy,
     AlwaysFail,
@@ -47,7 +46,7 @@ from .parties import (
     rp_check_access,
 )
 from .store import FormatError, decode_record, encode_record
-from .synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
+from .synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine, sample_impostor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,19 +64,13 @@ class CliError(Exception):
 # Each config key: the argparse dest of the flag that overrides it (None if
 # no flag does), the settings class and field it sets, and its parser.
 _SETTINGS = {
-    "dim": (None, ProtocolConfig, "dim", int),
     "sigma_default": ("sigma", ProtocolConfig, "sigma", float),
     "age_threshold": ("threshold", AgePolicy, "threshold", int),
     "validity_seconds": (None, AgePolicy, "validity_seconds", int),
 }
-# code_n and code_t set ProtocolConfig.code, a missing one keeping its
-# default; code_k may be left out, and when given must be the k they fix.
-_CODE_KEYS = ("code_n", "code_k", "code_t")
-_CONFIG_KEYS = {*_SETTINGS, *_CODE_KEYS}
-# Every subcommand refuses a key unknown to all of them, as they share one
-# file, but resolves only the keys it reads (its parser's config_keys).
+# enroll and auth refuse a key unknown to both, as they share one file, but
+# each resolves only the keys it reads (its parser's config_keys).
 _AUTH_KEYS = ("sigma_default",)
-_EVAL_KEYS = ("dim", *_CODE_KEYS)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -93,7 +86,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in entries:
             raise CliError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -107,12 +100,6 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy
     entries = {key: value for key, value in entries.items() if key in args.config_keys}
     fields: dict[type, dict[str, object]] = {ProtocolConfig: {}, AgePolicy: {}}
     try:
-        code = {key.removeprefix("code_"): int(entries[key])
-                for key in _CODE_KEYS if key in entries}
-        k = code.pop("k", None)
-        fields[ProtocolConfig]["code"] = params = replace(DEFAULT_CODE, **code)
-        if k is not None:
-            params.check_k(k)
         for key, (flag, owner, name, parse) in _SETTINGS.items():
             value = vars(args).get(flag)
             if value is None:
@@ -211,7 +198,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     cfg = replace(cfg, liveness=_liveness(args))
     keys = _load_issuer_keys(args.keys)
     asp = InProcessAsp(keys, policy, now=_clock(args))
-    identity = new_identity(args.identity_seed, cfg.dim)
+    identity = new_identity(args.identity_seed)
     record = device_enroll(identity, asp, cfg, args.seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
@@ -220,7 +207,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         raise CliError(f"cannot write record: {exc}") from exc
     print(
         f"enrolled: record={args.out} bytes={len(data)} "
-        f"code=({cfg.code.n},{cfg.code.k},{cfg.code.t})"
+        f"code=({CODE.n},{CODE.k},{CODE.t})"
     )
     return EXIT_OK
 
@@ -244,12 +231,11 @@ def cmd_auth(args: argparse.Namespace) -> int:
     record = _read_record_file(args.record)
     issuer_public = _load_issuer_public(args.keys)
     seed = _run_seed(args)
-    dim = record.helper.quant.dim
 
     if args.impostor:
-        sample = sample_impostor(seed, dim)
+        sample = sample_impostor(seed)
     else:
-        sample = sample_genuine(new_identity(args.identity_seed, dim), NoiseModel(cfg.sigma), seed)
+        sample = sample_genuine(new_identity(args.identity_seed), NoiseModel(cfg.sigma), seed)
 
     cred = device_authenticate(sample, record, _liveness(args))
     print(
@@ -266,7 +252,6 @@ def cmd_auth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg, _ = _resolve_config(args)
     try:
         sigmas = [NoiseModel(float(part)).sigma for part in args.sigmas.split(",") if part.strip()]
     except ValueError as exc:
@@ -279,7 +264,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = _run_seed(args)
     try:
         with open(args.out, "w") as sink:
-            sweep(cfg, sigmas, args.trials, seed, sink)
+            sweep(ProtocolConfig(), sigmas, args.trials, seed, sink)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OSError as exc:
@@ -290,11 +275,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     record = _read_record_file(args.record)
-    helper = record.helper
     print(f"record: {args.record}")
     print(f"helper_version={HELPER_VERSION}")
-    print(f"code: n={helper.code.n} k={helper.code.k} t={helper.code.t}")
-    print(f"dim={helper.quant.dim}")
+    print(f"code: n={CODE.n} k={CODE.k} t={CODE.t}")
+    print(f"dim={DEFAULT_DIM}")
     print(f"digest={record.digest.digest.hex()}")
     print(f"ciphertext_bytes={len(record.bound.ciphertext)}")
     return EXIT_OK
@@ -342,9 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(enroll, secrets=True)
     _add_clock(enroll)
     enroll.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence, and "
-                             "code_k may be left out, as code_n and code_t determine it")
-    enroll.set_defaults(handler=cmd_enroll, config_keys=_CONFIG_KEYS)
+                        help="key=value config file; flags take precedence")
+    enroll.set_defaults(handler=cmd_enroll, config_keys=_SETTINGS)
 
     auth = sub.add_parser("auth", help="authenticate against a record and query the RP")
     auth.add_argument("--record", required=True, help="device record path")
@@ -361,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_clock(auth)
     auth.add_argument("--config", default=None,
                       help=f"key=value config file; auth reads only {', '.join(_AUTH_KEYS)} "
-                           "(--sigma takes precedence), as the record holds dim and code")
+                           "(--sigma takes precedence)")
     auth.set_defaults(handler=cmd_auth, config_keys=_AUTH_KEYS)
 
     evaluate = sub.add_parser("eval", help="run the FRR/FAR sweep and write CSV")
@@ -370,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--trials", type=int, default=1000, help="trials per rate")
     evaluate.add_argument("--out", required=True, help="output CSV path")
     _add_seed(evaluate)
-    evaluate.add_argument("--config", default=None,
-                          help=f"key=value config file; eval reads only {', '.join(_EVAL_KEYS)} "
-                               "(--sigmas sets the noise levels)")
-    evaluate.set_defaults(handler=cmd_eval, config_keys=_EVAL_KEYS)
+    evaluate.set_defaults(handler=cmd_eval)
 
     inspect = sub.add_parser("inspect", help="print record metadata without decrypting")
     inspect.add_argument("--record", required=True, help="device record path")

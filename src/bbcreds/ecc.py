@@ -131,17 +131,6 @@ class CodeParams:
             raise ValueError(f"t={t} needs 2t < n={n}")
         object.__setattr__(self, "k", _bch_k(n, t))
 
-    def check_k(self, k: int) -> None:
-        """Raise ValueError unless ``k``, as a helper header or a config
-        file states it, is this code's k; one outside (0, n] is named so."""
-        if not 0 < k <= self.n:
-            raise ValueError(f"require 0 < k <= n, got k={k}, n={self.n}")
-        if k != self.k:
-            raise ValueError(
-                f"BCH length {self.n} with t={self.t} has k={self.k}, not k={k}; "
-                f"pick (n, k, t) from the standard tables"
-            )
-
 
 def _clmul(a: int, b: int) -> int:
     """Carry-less (GF(2)[x]) multiplication of integer-coded polynomials."""
@@ -175,10 +164,8 @@ def _cyclotomic_cosets(n: int, t: int) -> list[list[int]]:
     return cosets
 
 
-@lru_cache(maxsize=None)
 def _bch_k(n: int, t: int) -> int:
-    """k of the length-n BCH code with designed distance 2t + 1; cached, as
-    every parsed record asks (only about 1020 supported (n, t) pairs exist)."""
+    """k of the length-n BCH code with designed distance 2t + 1."""
     return n - sum(map(len, _cyclotomic_cosets(n, t)))
 
 

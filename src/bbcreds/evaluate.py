@@ -56,6 +56,7 @@ from .parties import (
 )
 from .store import DeviceRecord
 from .synthbio import (
+    DEFAULT_DIM,
     Embedding,
     NoiseModel,
     new_identity,
@@ -200,7 +201,7 @@ def _enroll(
 
 def _far_record(cfg: ProtocolConfig, seed: int) -> DeviceRecord:
     """The one record every impostor of the FAR report at ``seed`` tries."""
-    return _enroll(new_identity(seed, cfg.dim), _eval_keys(seed), cfg, seed)
+    return _enroll(new_identity(seed, DEFAULT_DIM), _eval_keys(seed), cfg, seed)
 
 
 def _genuine_trial(
@@ -208,7 +209,7 @@ def _genuine_trial(
 ) -> tuple[Embedding, DeviceRecord]:
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
-    identity = new_identity(base, cfg.dim)
+    identity = new_identity(base, DEFAULT_DIM)
     record = _enroll(identity, keys, cfg, base)
     sample = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
@@ -232,7 +233,7 @@ def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
 def far_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
     """Impostor trial ``index`` of ``estimate_far(cfg, trials, seed)``: its row
     of the report's impostor stream against the report's record, enrolled anew."""
-    sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1, cfg.dim)[0])
+    sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1, DEFAULT_DIM)[0])
     return _outcome(sample, _far_record(cfg, seed), cfg)
 
 
@@ -277,7 +278,7 @@ def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     stream = _impostor_stream(seed)
     counts = _tally(
         lambda indices: (
-            sample_impostors(stream, indices.start, len(indices), cfg.dim),
+            sample_impostors(stream, indices.start, len(indices), DEFAULT_DIM),
             [record] * len(indices),
         ),
         trials,

@@ -31,15 +31,12 @@ from .credential import (
     issue_agecred,
     verify_agecred,
 )
-from .ecc import CodeParams
 from .fextract import fe_generate, fe_reproduce
 from .kdf import expand_seed, subseed
-from .quantize import QuantizerConfig
 from .store import DeviceRecord
 from .synthbio import DEFAULT_DIM, Embedding, NoiseModel, sample_genuine
 
 __all__ = [
-    "DEFAULT_CODE",
     "SIGMA_DEFAULT",
     "ProtocolConfig",
     "AlwaysPass",
@@ -62,11 +59,9 @@ __all__ = [
     "rp_check_access",
 ]
 
-# Production operating point. The code is the largest-t length-511 BCH code
-# that still carries 256 key bits; sigma is calibrated with the evaluation
-# sweep as the largest grid value whose FRR Wilson-95 upper bound stays
-# under 1% (see the calibration entry in CHANGES.md).
-DEFAULT_CODE = CodeParams(n=511, t=30)
+# Calibrated with the evaluation sweep as the largest grid value whose FRR
+# Wilson-95 upper bound stays under 1% (see the calibration entry in
+# CHANGES.md). The code is fextract.CODE.
 SIGMA_DEFAULT = 0.003
 
 
@@ -224,16 +219,16 @@ class InProcessAsp:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Device-side parameters for enrollment and authentication."""
+    """Device-side settings for enrollment and authentication: the capture
+    noise level and the liveness policy. The embedding dimension and the
+    code are not settings: every record is ``fextract.CODE`` over
+    ``DEFAULT_DIM``-d embeddings."""
 
-    dim: int = DEFAULT_DIM
-    code: CodeParams = DEFAULT_CODE
     sigma: float = SIGMA_DEFAULT
     liveness: LivenessPolicy = field(default_factory=AlwaysPass)
 
     def __post_init__(self) -> None:
         NoiseModel(self.sigma)  # the one bound on sigma
-        QuantizerConfig(self.dim, self.code.n)  # the one bound on dim
 
 
 def device_enroll(
@@ -249,13 +244,13 @@ def device_enroll(
     dropped on exit. A seed makes every draw a function of its 64 bits, for
     reproducible experiments; None draws them all from the OS's entropy.
     """
-    if identity.dim != cfg.dim:
-        raise ValueError(f"identity has dim {identity.dim}, config has dim {cfg.dim}")
+    if identity.dim != DEFAULT_DIM:
+        raise ValueError(f"identity has dim {identity.dim}, not {DEFAULT_DIM}")
     capture = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )
     _require_liveness(cfg.liveness)
-    key, helper = fe_generate(capture, cfg.code, subseed(rng_seed, "bbcreds/device/fe/v1"))
+    key, helper = fe_generate(capture, subseed(rng_seed, "bbcreds/device/fe/v1"))
 
     request = IssuanceRequest(
         subject_id=expand_seed(rng_seed, "bbcreds/device/subject/v1", 16),

@@ -87,15 +87,15 @@ class QuantizerConfig:
         return cls(dim, code_length)
 
 
-def quantize(e: Embedding, cfg: QuantizerConfig) -> BitString:
+def quantize(e: Embedding, quantizer: QuantizerConfig) -> BitString:
     """Binarize an embedding: bit i is 1 iff coordinate i is >= 0."""
-    return BitString(quantize_rows(e.values[None], cfg).tobytes(), cfg.code_length)
+    return BitString(quantize_rows(e.values[None], quantizer).tobytes(), quantizer.code_length)
 
 
-def quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+def quantize_rows(values: np.ndarray, quantizer: QuantizerConfig) -> np.ndarray:
     """``quantize`` of each row of a (rows, dim) array, packed: row i holds
     the ``BitString`` bytes of row i's bits. The values are not checked
     for unit norm."""
-    if values.ndim != 2 or values.shape[1] != cfg.dim:
-        raise ValueError(f"quantizer takes (rows, {cfg.dim}) values, got shape {values.shape}")
-    return np.packbits(values[:, : cfg.code_length] >= 0.0, axis=1)
+    if values.ndim != 2 or values.shape[1] != quantizer.dim:
+        raise ValueError(f"quantizer takes (rows, {quantizer.dim}) values, got {values.shape}")
+    return np.packbits(values[:, : quantizer.code_length] >= 0.0, axis=1)

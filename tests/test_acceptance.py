@@ -31,7 +31,7 @@ from bbcreds.binding import (
 from bbcreds.credential import decode_agecred, encode_agecred, issue_agecred
 from bbcreds.ecc import codec_for
 from bbcreds.evaluate import estimate_far, estimate_frr
-from bbcreds.fextract import StableKey, fe_generate
+from bbcreds.fextract import CODE, StableKey, fe_generate
 from bbcreds.parties import (
     SIGMA_DEFAULT,
     AgePolicy,
@@ -43,7 +43,7 @@ from bbcreds.parties import (
 )
 from bbcreds.quantize import BitString
 from bbcreds.store import FormatError, decode_record, encode_record
-from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine
+from bbcreds.synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine
 
 from conftest import NOW, SMALL_CODE
 
@@ -57,12 +57,12 @@ def _passed(criterion: int, label: str) -> None:
 
 def test_criterion_01_key_size_contract():
     # 256-bit keys from the 512-dimension pipeline, always.
-    assert CFG.dim == 512 and CFG.code.k >= 256
+    assert DEFAULT_DIM == 512 and CODE.k >= 256
     for seed in range(25):
         embedding = new_identity(seed, 512)
-        key, helper = fe_generate(embedding, CFG.code, seed)
+        key, helper = fe_generate(embedding, seed)
         assert len(key.key) == 32
-        assert helper.quant.dim == 512
+        assert helper.offset.n == CODE.n
     with pytest.raises(ValueError):
         StableKey(bytes(33))
     with pytest.raises(ValueError):
@@ -284,11 +284,11 @@ def test_known_defect_helper_data_links_enrollments(issuer_keys):
     cfg = ProtocolConfig(sigma=0.003)
 
     def offset(person, enroll_seed):
-        record = device_enroll(new_identity(person, cfg.dim), asp, cfg, enroll_seed)
+        record = device_enroll(new_identity(person, DEFAULT_DIM), asp, cfg, enroll_seed)
         return np.frombuffer(record.helper.offset.data, np.uint8)
 
     same = [offset(p, 2 * p) ^ offset(p, 2 * p + 1) for p in range(20)]
     different = [offset(p, 2 * p + 100) ^ offset(p + 20, 2 * p + 101) for p in range(20)]
-    ok, _ = codec_for(cfg.code).decode_batch(np.stack(same + different))
+    ok, _ = codec_for(CODE).decode_batch(np.stack(same + different))
     assert ok[:20].all()
     assert not ok[20:].any()

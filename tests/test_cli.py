@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bbcreds import binding
 from bbcreds.binding import encode_bound
 from bbcreds.cli import (
     EXIT_AUTH_FAILED,
@@ -18,13 +19,13 @@ from bbcreds.cli import (
     EXIT_USAGE,
     main,
 )
-from bbcreds.ecc import CodeParams, codec_for
-from bbcreds.fextract import _random_message
+from bbcreds.ecc import codec_for
+from bbcreds.fextract import CODE, _random_message
 from bbcreds.kdf import subseed
 from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
-from conftest import NOW, recover_secrets, with_encrypted_sketch
+from conftest import NOW, recover_secrets, with_encrypted_sketch, with_large_code
 
 ADULT_DOB = "1990-01-01"
 CHILD_DOB = "2015-06-15"
@@ -127,19 +128,18 @@ class TestEnroll:
         argv = ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
                 "--dob", ADULT_DOB, "--clock", str(NOW)]
 
-        def salt_from(seed, path):
-            k = decode_record(path.read_bytes()).helper.code.k
-            return _random_message(subseed(seed, "bbcreds/device/fe/v1"), k)[0]
+        def salt_from(seed):
+            return _random_message(subseed(seed, "bbcreds/device/fe/v1"))[0]
 
         seeded, unseeded = tmp_path / "seeded.bbc", tmp_path / "unseeded.bbc"
         assert main(argv + ["--out", str(seeded), "--seed", RUN_SEED]) == EXIT_OK
-        assert salt_from(int(RUN_SEED), seeded) == decode_record(seeded.read_bytes()).helper.salt
+        assert salt_from(int(RUN_SEED)) == decode_record(seeded.read_bytes()).helper.salt
         capsys.readouterr()
         assert main(argv + ["--out", str(unseeded)]) == EXIT_OK
         out, err = capsys.readouterr()
         assert "seed=" not in out and err == ""
         salt = decode_record(unseeded.read_bytes()).helper.salt
-        assert all(salt_from(int(number), unseeded) != salt for number in re.findall(r"\d+", out))
+        assert all(salt_from(int(number)) != salt for number in re.findall(r"\d+", out))
 
     def test_happy_path_writes_record(self, tmp_path, keys_prefix, capsys):
         path = tmp_path / "r.bbc"
@@ -159,11 +159,9 @@ class TestEnroll:
         assert "enrolled" in capsys.readouterr().out
 
     def test_large_code_builds_no_decoder(self, tmp_path, keys_prefix):
-        """Enrollment only encodes, so ``enroll`` with code (1023, 1, 511),
-        whose decoder tables take 114 MiB, allocates under 8 MiB at peak."""
-        config = tmp_path / "big.conf"
-        config.write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=511\n")
-        path = tmp_path / "big.bbc"
+        """Enrollment only encodes, so ``enroll`` builds none of the code's
+        decoder tables, which take 2.75 MiB, and allocates under 1 MiB at peak."""
+        path = tmp_path / "r.bbc"
         argv = [
             "enroll",
             "--keys", keys_prefix,
@@ -172,7 +170,6 @@ class TestEnroll:
             "--out", str(path),
             "--seed", RUN_SEED,
             "--clock", str(NOW),
-            "--config", str(config),
         ]
         codec_for.cache_clear()
         tracemalloc.start()
@@ -182,33 +179,9 @@ class TestEnroll:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert decode_record(path.read_bytes()).helper.code == CodeParams(1023, 511)
-        assert peak < 8 << 20
-
-    def test_code_k_may_be_left_out(self, tmp_path, keys_prefix, capsys):
-        """code_n and code_t determine k, so a config may leave code_k out,
-        and the record equals the one written with code_k=1 stated."""
-        records = {}
-        for name, k_line in (("derived", ""), ("stated", "code_k=1\n")):
-            config = tmp_path / f"{name}.conf"
-            config.write_text(f"dim=1024\ncode_n=1023\n{k_line}code_t=511\n")
-            path = tmp_path / f"{name}.bbc"
-            argv = [
-                "enroll",
-                "--keys", keys_prefix,
-                "--identity-seed", IDENTITY_SEED,
-                "--dob", ADULT_DOB,
-                "--out", str(path),
-                "--seed", RUN_SEED,
-                "--clock", str(NOW),
-                "--config", str(config),
-            ]
-            assert main(argv) == EXIT_OK
-            records[name] = path.read_bytes()
-        assert records["derived"] == records["stated"]
-        capsys.readouterr()
-        assert main(["inspect", "--record", str(tmp_path / "derived.bbc")]) == EXIT_OK
-        assert "code: n=1023 k=1 t=511" in capsys.readouterr().out.splitlines()
+        decoder_tables = {"_syndrome_table", "_root_table", "_root_ints"}
+        assert not decoder_tables & vars(codec_for(CODE)).keys()
+        assert peak < 1 << 20
 
     def test_underage_denied(self, tmp_path, keys_prefix, capsys):
         code = main(
@@ -367,6 +340,40 @@ class TestEnroll:
         assert "unrecognized arguments: --variant xor" in capsys.readouterr().err
         assert not (tmp_path / "x.bbc").exists()
 
+    def test_code_and_dim_settings_are_gone(self, tmp_path, keys_prefix, record_path, capsys):
+        # Every record is BCH(511, 259, 30) over 512-d embeddings: no config
+        # key names the code or the dim, eval takes no config file, and a
+        # record of another code, as earlier versions could write, is refused.
+        argv = {
+            "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                       "--dob", ADULT_DOB, "--out", str(tmp_path / "x.bbc"), "--clock", str(NOW)],
+            "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
+                     "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
+        }
+        config = tmp_path / "code.conf"
+        for key in ("dim", "code_n", "code_k", "code_t"):
+            config.write_text(f"{key}=512\n")
+            for command in argv.values():
+                capsys.readouterr()
+                assert main(command + ["--seed", RUN_SEED, "--config", str(config)]) == EXIT_USAGE
+                line = f"error: {config}:1: unknown config key {key!r}\n"
+                assert capsys.readouterr() == ("", line)
+        assert not (tmp_path / "x.bbc").exists()
+        eval_argv = ["eval", "--sigmas", "0.003", "--trials", "20", "--seed", RUN_SEED,
+                     "--out", str(tmp_path / "x.csv")]
+        assert main(eval_argv + ["--config", str(config)]) == EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+        old = tmp_path / "bch1023.bbc"
+        old.write_bytes(with_large_code(Path(record_path).read_bytes()))
+        codec_for.cache_clear()
+        assert main(argv["auth"] + ["--seed", RUN_SEED, "--record", str(old)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad record: InvariantViolation at byte 10")
+        assert codec_for.cache_info().currsize == 0
+
 
 class TestAuth:
     def _auth(self, record_path, keys_prefix, *extra):
@@ -469,6 +476,13 @@ class TestAuth:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bad record: InvariantViolation")
+
+    def test_short_issuer_public_key_is_usage_error(self, tmp_path, record_path,
+                                                    keys_prefix, capsys):
+        (tmp_path / "short.pub").write_text(bytes(31).hex() + "\n")
+        capsys.readouterr()
+        assert self._auth(record_path, str(tmp_path / "short")) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: issuer public key must be 32 bytes, got 31\n")
 
     def test_corrupt_record_reports_reason(self, tmp_path, record_path, keys_prefix, capsys):
         stub = tmp_path / "cut.bbc"
@@ -664,7 +678,7 @@ class TestConfigFile:
 
     # enroll refuses each of these values (test_bad_settings_are_usage_errors),
     # so a subcommand that read the key would exit 2.
-    @pytest.mark.parametrize("entry", ["code_n=100", "dim=4"])
+    @pytest.mark.parametrize("entry", ["age_threshold=0", "validity_seconds=0"])
     def test_auth_skips_keys_it_does_not_read(self, tmp_path, record_path, keys_prefix,
                                               capsys, entry):
         config = tmp_path / "shared.conf"
@@ -682,21 +696,6 @@ class TestConfigFile:
         plain = capsys.readouterr()
         assert main(argv + ["--config", str(config)]) == EXIT_OK
         assert capsys.readouterr() == plain
-
-    @pytest.mark.parametrize(
-        "entry", ["age_threshold=0", "sigma_default=2", "validity_seconds=0"]
-    )
-    def test_eval_skips_keys_it_does_not_read(self, tmp_path, capsys, entry):
-        config = tmp_path / "shared.conf"
-        config.write_text(entry + "\n")
-        out = tmp_path / "rates.csv"
-        argv = ["eval", "--sigmas", "0.003", "--trials", "20", "--seed", "42", "--out", str(out)]
-        capsys.readouterr()
-        assert main(argv) == EXIT_OK
-        plain = capsys.readouterr(), out.read_bytes()
-        out.unlink()
-        assert main(argv + ["--config", str(config)]) == EXIT_OK
-        assert (capsys.readouterr(), out.read_bytes()) == plain
 
 
 @pytest.mark.parametrize(
@@ -725,9 +724,8 @@ class TestConfigFile:
         # setting has been checked. Enroll prints no seed, so its unseeded
         # run is enroll-clock-negative.
         ("auth", [UNSEEDED, "--clock", "-5"]),
-        # The helper header stores dim in 2 bytes.
         ("enroll", ["--config", "dim70000.conf"]),
-        # enroll reads every key of a config file, also those auth or eval skip.
+        # enroll reads every key of a config file, also those auth skips.
         ("enroll", ["--config", "n100.conf"]),
         ("enroll", ["--config", "threshold0.conf"]),
         ("enroll", ["--config", "sigma2.conf"]),
@@ -749,12 +747,14 @@ class TestConfigFile:
 )
 def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsys,
                                        command, extra):
+    # The dim and code keys are gone (test_code_and_dim_settings_are_gone), so a
+    # file naming any of them is refused whatever its values.
     (tmp_path / "dim4.conf").write_text("dim=4\n")
     (tmp_path / "dim70000.conf").write_text("dim=70000\n")
-    # Length 1023 with t=1 has k=1013, so (1023, 1, 1) is no BCH code.
     (tmp_path / "bch1023.conf").write_text("dim=1024\ncode_n=1023\ncode_k=1\ncode_t=1\n")
+    (tmp_path / "n100.conf").write_text("code_n=100\n")
     (tmp_path / "validity.conf").write_text("validity_seconds=99999999999999999999\n")
-    for name, entry in [("n100", "code_n=100"), ("threshold0", "age_threshold=0"),
+    for name, entry in [("threshold0", "age_threshold=0"),
                         ("sigma2", "sigma_default=2"), ("validity0", "validity_seconds=0")]:
         (tmp_path / f"{name}.conf").write_text(entry + "\n")
     seeded = UNSEEDED not in extra
@@ -789,6 +789,29 @@ def test_bad_settings_are_usage_errors(tmp_path, keys_prefix, record_path, capsy
     assert not (tmp_path / "bad.bbc").exists()
 
 
+@pytest.mark.parametrize("command", ["auth", "eval"])
+def test_unseeded_run_prints_the_seed_that_repeats_it(tmp_path, keys_prefix, record_path,
+                                                      capsys, command):
+    # Without --seed, auth and eval draw a seed and print it on a line of its
+    # own; rerun with that seed, each prints the rest again, and eval writes
+    # the same CSV.
+    csv = tmp_path / "rates.csv"
+    argv = {
+        "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
+                 "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
+        "eval": ["eval", "--sigmas", "0.003", "--trials", "20", "--out", str(csv)],
+    }[command]
+    capsys.readouterr()
+    code = main(argv)
+    first, *rest = capsys.readouterr().out.splitlines()
+    seed = re.fullmatch(r"seed=(\d+)", first).group(1)
+    assert not any(line.startswith("seed=") for line in rest)
+    written = csv.read_bytes() if command == "eval" else None
+    assert main(argv + ["--seed", seed]) == code
+    assert capsys.readouterr().out.splitlines() == rest
+    assert (csv.read_bytes() if command == "eval" else None) == written
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
@@ -805,6 +828,15 @@ def _write_flipped_digest(record_path, out):
     out.write_bytes(encode_record(replace(record, digest=replace(record.digest, digest=digest))))
 
 
+def _write_credential_version_2(keys_prefix, out):
+    encode = binding.encode_agecred
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(binding, "encode_agecred", lambda cred: b"\x02" + encode(cred)[1:])
+        assert main(["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                     "--dob", ADULT_DOB, "--out", str(out), "--seed", RUN_SEED,
+                     "--clock", str(NOW)]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "command, extra, code, line",
     [
@@ -817,9 +849,13 @@ def _write_flipped_digest(record_path, out):
         # The last --record wins: the enrolled record with one digest byte flipped.
         ("auth", ["--record", "flipped.bbc"], EXIT_AUTH_FAILED,
          "authentication failed: HashMismatch"),
+        # A record enrolled like the fixture's, but whose bound credential has
+        # version byte 2: it decrypts under its own secret and fails to decode.
+        ("auth", ["--record", "version2.bbc"], EXIT_AUTH_FAILED,
+         "authentication failed: MalformedCredential"),
     ],
     ids=["enroll-liveness", "enroll-underage", "auth-liveness", "auth-impostor",
-         "auth-digest-flipped"],
+         "auth-digest-flipped", "auth-credential-version"],
 )
 def test_refusal_exit_code_and_line(tmp_path, keys_prefix, record_path, capsys,
                                     command, extra, code, line):
@@ -836,6 +872,7 @@ def test_refusal_exit_code_and_line(tmp_path, keys_prefix, record_path, capsys,
         ]
     else:
         _write_flipped_digest(record_path, tmp_path / "flipped.bbc")
+        _write_credential_version_2(keys_prefix, tmp_path / "version2.bbc")
         extra = [str(tmp_path / a) if a.endswith(".bbc") else a for a in extra]
         argv = [
             "auth",
@@ -851,17 +888,16 @@ def test_refusal_exit_code_and_line(tmp_path, keys_prefix, record_path, capsys,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+@pytest.mark.parametrize("command", ["enroll", "auth"])
 def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, capsys, command):
     config = tmp_path / "utf16.conf"
-    config.write_bytes(b"\xff\xfe" + "dim=512\n".encode("utf-16-le"))
+    config.write_bytes(b"\xff\xfe" + "sigma_default=0.003\n".encode("utf-16-le"))
     out_path = tmp_path / "out.file"
     argv = {
         "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
                    "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
         "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
                  "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
-        "eval": ["eval", "--sigmas", "0.003", "--trials", "100", "--out", str(out_path)],
     }[command]
     capsys.readouterr()
     assert main(argv + ["--seed", RUN_SEED, "--config", str(config)]) == EXIT_USAGE
@@ -871,23 +907,25 @@ def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, caps
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+@pytest.mark.parametrize("command", ["enroll", "auth"])
 def test_unknown_and_repeated_keys_refused_by_every_subcommand(tmp_path, keys_prefix,
                                                                 record_path, capsys, command):
     # Each subcommand reads its own keys from a file shared by all of them,
-    # so each refuses a key none of them knows and a key stated twice.
+    # so each refuses a key none of them knows, a key stated twice and a
+    # line that is no key=value entry.
     out_path = tmp_path / "out.file"
     argv = {
         "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
                    "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
         "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
                  "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
-        "eval": ["eval", "--sigmas", "0.003", "--trials", "20", "--out", str(out_path)],
     }[command]
     config = tmp_path / "shared.conf"
     for text, line in [
-        ("dim=512\nnope=1\n", f"error: {config}:2: unknown config key 'nope'\n"),
-        ("code_n=100\ncode_n=511\n", f"error: {config}:2: duplicate config key 'code_n'\n"),
+        ("sigma_default=0.003\nnope=1\n", f"error: {config}:2: unknown config key 'nope'\n"),
+        ("age_threshold=18\nage_threshold=21\n",
+         f"error: {config}:2: duplicate config key 'age_threshold'\n"),
+        ("sigma_default=0.003\nnope\n", f"error: {config}:2: expected key=value\n"),
     ]:
         config.write_text(text)
         capsys.readouterr()
@@ -898,7 +936,7 @@ def test_unknown_and_repeated_keys_refused_by_every_subcommand(tmp_path, keys_pr
 
 def test_duplicate_config_key_rejected(tmp_path, keys_prefix, capsys):
     config = tmp_path / "dup.conf"
-    config.write_text("# two dims\ndim=512\ndim=600\n")
+    config.write_text("# two thresholds\nage_threshold=18\nage_threshold=21\n")
     out_path = tmp_path / "dup.bbc"
     capsys.readouterr()
     code = main(
@@ -914,5 +952,5 @@ def test_duplicate_config_key_rejected(tmp_path, keys_prefix, capsys):
         ]
     )
     assert code == EXIT_USAGE
-    assert capsys.readouterr() == ("", f"error: {config}:3: duplicate config key 'dim'\n")
+    assert capsys.readouterr() == ("", f"error: {config}:3: duplicate config key 'age_threshold'\n")
     assert not out_path.exists()

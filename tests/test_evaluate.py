@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from bbcreds import evaluate, synthbio
+from bbcreds import binding, evaluate, synthbio
 from bbcreds.binding import AuthFailure
 from bbcreds.evaluate import (
     CSV_HEADER,
@@ -19,7 +19,7 @@ from bbcreds.evaluate import (
 )
 from bbcreds.fextract import ExtractFailure
 from bbcreds.parties import AlwaysFail, LivenessFailed, ProtocolConfig, device_authenticate
-from bbcreds.synthbio import new_identity, sample_impostor, sample_impostors
+from bbcreds.synthbio import DEFAULT_DIM, new_identity, sample_impostor, sample_impostors
 
 SEED = 0xE7A1
 ZERO_COUNTS = dict.fromkeys(OUTCOMES, 0)
@@ -288,7 +288,7 @@ def test_liveness_policy_gates_authentication_only(cfg, enrollment):
 def test_far_trial_composable(cfg):
     outcome = far_trial(cfg, SEED, 0)
     assert outcome in OUTCOMES and outcome != "Success"
-    sample = sample_impostor(evaluate._impostor_stream(SEED), cfg.dim)
+    sample = sample_impostor(evaluate._impostor_stream(SEED), DEFAULT_DIM)
     with pytest.raises(ExtractFailure) as refusal:
         device_authenticate(sample, evaluate._far_record(cfg, SEED), cfg.liveness)
     assert refusal.value.stage == outcome == "Extract"
@@ -350,29 +350,47 @@ def _flip_last(data: bytes) -> bytes:
     return data[:-1] + bytes([data[-1] ^ 1])
 
 
+def _tamper_record(change):
+    """A patch that makes evaluate's enrollment return its record changed by ``change``."""
+    def patch(monkeypatch):
+        enroll = evaluate.device_enroll
+        monkeypatch.setattr(evaluate, "device_enroll", lambda *a, **kw: change(enroll(*a, **kw)))
+    return patch
+
+
+def _bind_credential_version_2(monkeypatch):
+    """A patch that binds each credential with version byte 2: it decrypts
+    under the record's own secret, and its decode fails."""
+    encode = binding.encode_agecred
+    monkeypatch.setattr(binding, "encode_agecred", lambda cred: b"\x02" + encode(cred)[1:])
+
+
 @pytest.mark.parametrize(
     "tamper, expected",
     [
-        (lambda r: replace(r, bound=replace(r.bound, ciphertext=_flip_last(r.bound.ciphertext))),
+        (_tamper_record(lambda r: replace(
+            r, bound=replace(r.bound, ciphertext=_flip_last(r.bound.ciphertext)))),
          "DecryptFailed"),
         # A tampered pad opens to a wrong secret, which the credential's AEAD refuses.
-        (lambda r: replace(r, sketch=replace(r.sketch, payload=_flip_last(r.sketch.payload))),
+        (_tamper_record(lambda r: replace(
+            r, sketch=replace(r.sketch, payload=_flip_last(r.sketch.payload)))),
          "DecryptFailed"),
-        (lambda r: replace(r, digest=replace(r.digest, digest=_flip_last(r.digest.digest))),
+        (_tamper_record(lambda r: replace(
+            r, digest=replace(r.digest, digest=_flip_last(r.digest.digest)))),
          "HashMismatch"),
+        (_bind_credential_version_2, "MalformedCredential"),
     ],
-    ids=["ciphertext", "sketch", "digest"],
+    ids=["ciphertext", "sketch", "digest", "credential-version"],
 )
 def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, asp, tamper, expected):
-    enroll = evaluate.device_enroll
-    monkeypatch.setattr(evaluate, "device_enroll", lambda *a, **kw: tamper(enroll(*a, **kw)))
+    tamper(monkeypatch)
     tampered = replace(cfg, sigma=0.0)
     report = estimate_frr(tampered, 100, SEED)
     assert tuple(report.stage_counts) == OUTCOMES
     assert report.stage_counts[expected] == report.trials == 100
     assert report.frr == 1.0
     # The device refuses one such record under the name the report tallied.
-    identity = new_identity(SEED, cfg.dim)
+    identity = new_identity(SEED, DEFAULT_DIM)
     record = evaluate.device_enroll(identity, asp, tampered, SEED)
     with pytest.raises(AuthFailure) as refusal:
         device_authenticate(identity, record, tampered.liveness)

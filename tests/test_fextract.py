@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bbcreds.ecc import CodeParams
 from bbcreds.fextract import (
+    CODE,
     ExtractFailure,
     HelperData,
     StableKey,
@@ -22,14 +22,13 @@ from bbcreds.synthbio import (
     sample_impostors,
 )
 
-CODE = CodeParams(511, 30)
 QCFG = QuantizerConfig.default(512, 511)
 
 
 @pytest.fixture(scope="module")
 def enrolled():
     e = new_identity(1001, 512)
-    key, helper = fe_generate(e, CODE, rng_seed=555)
+    key, helper = fe_generate(e, rng_seed=555)
     return e, key, helper
 
 
@@ -43,7 +42,7 @@ def test_key_is_always_256_bits(enrolled):
     _, key, _ = enrolled
     assert len(key.key) == 32
     for seed in range(10):
-        k, _ = fe_generate(new_identity(seed, 512), CODE, seed)
+        k, _ = fe_generate(new_identity(seed, 512), seed)
         assert len(k.key) == 32
 
 
@@ -59,7 +58,7 @@ def test_reproduce_deterministic(enrolled):
 
 def test_generate_deterministic(enrolled):
     e, key, helper = enrolled
-    key2, helper2 = fe_generate(e, CODE, rng_seed=555)
+    key2, helper2 = fe_generate(e, rng_seed=555)
     assert key2 == key and helper2 == helper
 
 
@@ -80,7 +79,7 @@ def test_distinct_seeds_distinct_outputs(enrolled):
     keys = set()
     offsets = set()
     for seed in range(100):
-        key, helper = fe_generate(e, CODE, seed)
+        key, helper = fe_generate(e, seed)
         keys.add(key.key)
         offsets.add(helper.offset.data)
     assert len(keys) == 100
@@ -109,7 +108,7 @@ def batch():
     for sigma in (0.003, 0.005):
         for person, identity in identities.items():
             capture = sample_genuine(identity, NoiseModel(sigma), 1000)
-            helper = fe_generate(capture, CODE, rng_seed=person)[1]
+            helper = fe_generate(capture, rng_seed=person)[1]
             for seed in range(30):
                 rows.append(sample_genuine(identity, NoiseModel(sigma), seed).values)
                 helpers.append(helper)
@@ -133,18 +132,20 @@ def test_batch_equals_one_by_one(batch):
     assert impostor == [None] * 40
 
 
+def test_batch_of_no_rows_is_empty(batch):
+    samples, _ = batch
+    assert fe_reproduce_batch(samples[:0], []) == []
+
+
 def test_batch_rejects_bad_input(batch):
     samples, helpers = batch
     nan, scaled = samples.copy(), samples.copy()
     nan[3, 7] = np.nan
     scaled[3] *= 2
-    other_code = fe_generate(new_identity(7, 512), CodeParams(511, 29), 1)[1]
     for bad_samples, bad_helpers in [
         (nan, helpers),
         (scaled, helpers),
         (samples[:, :511], helpers),
-        (samples, helpers[:-1] + [other_code]),
-        (samples, [helpers[0]] * (len(helpers) - 1) + [other_code]),
         (samples[:-1], helpers),
     ]:
         with pytest.raises(ValueError):
@@ -154,7 +155,7 @@ def test_batch_rejects_bad_input(batch):
 def test_key_never_windows_into_helper():
     for seed in range(1000):
         e = new_identity(seed, 512)
-        key, helper = fe_generate(e, CODE, seed)
+        key, helper = fe_generate(e, seed)
         assert key.key not in encode_helper(helper)
 
 
@@ -180,7 +181,7 @@ def test_dimension_mismatch_rejected(enrolled):
     _, _, helper = enrolled
     small = new_identity(5, 16)
     with pytest.raises(ValueError):
-        fe_generate(small, CODE, 1)
+        fe_generate(small, 1)
     with pytest.raises(ValueError):
         fe_reproduce(small, helper)
 
@@ -190,22 +191,11 @@ def test_helper_invariants():
         HelperData(
             salt=bytes(16),
             offset=BitString.from_int(0, 255),
-            code=CODE,
-            quant=QCFG,
         )
     with pytest.raises(ValueError):
         HelperData(
             salt=bytes(15),
             offset=BitString.from_int(0, 511),
-            code=CODE,
-            quant=QCFG,
-        )
-    with pytest.raises(ValueError, match="quantizer emits 255 bits"):
-        HelperData(
-            salt=bytes(16),
-            offset=BitString.from_int(0, 511),
-            code=CODE,
-            quant=QuantizerConfig.default(512, 255),
         )
 
 

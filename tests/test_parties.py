@@ -1,3 +1,4 @@
+import struct
 import sys
 import threading
 from dataclasses import fields, replace
@@ -8,7 +9,7 @@ import pytest
 from bbcreds import parties
 from bbcreds.binding import AuthFailure
 from bbcreds.credential import RejectReason
-from bbcreds.fextract import ExtractFailure
+from bbcreds.fextract import CODE, ExtractFailure, encode_helper
 from bbcreds.parties import (
     AgePolicy,
     AlwaysApproveEvidence,
@@ -20,14 +21,14 @@ from bbcreds.parties import (
     IssuanceDenied,
     IssuanceRequest,
     LivenessFailed,
+    ProtocolConfig,
     age_in_years,
     device_authenticate,
     device_enroll,
     rp_check_access,
 )
-from bbcreds.quantize import QuantizerConfig
 from bbcreds.store import encode_record
-from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
+from bbcreds.synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine, sample_impostor
 
 from conftest import NOW, recover_secrets
 
@@ -113,6 +114,12 @@ class TestIssuance:
         cred = asp.handle(self._request(AlwaysApproveEvidence(), nonce=b"\x03" * 16))
         assert cred.issued_at == now
 
+    @pytest.mark.parametrize("field", ["subject_id", "request_nonce"])
+    def test_request_ids_must_be_16_bytes(self, field):
+        ids = {"subject_id": bytes(16), "request_nonce": bytes(16), field: bytes(15)}
+        with pytest.raises(ValueError, match=f"^{field} must be 16 bytes$"):
+            IssuanceRequest(evidence=AlwaysApproveEvidence(), **ids)
+
     def test_nonce_replay_denied(self, asp):
         first = asp.handle(self._request(AlwaysApproveEvidence()))
         assert first.subject_id == b"\x02" * 16
@@ -183,15 +190,22 @@ class TestDeviceEnroll:
         assert names == ["helper", "sketch", "digest", "bound"]
 
     def test_config_has_no_sketch_choice(self, default_cfg):
-        # Every record's sketch is the XOR pad, so the config names none.
-        assert [f.name for f in fields(default_cfg)] == ["dim", "code", "sigma", "liveness"]
+        # Every record's sketch is the XOR pad and its code CODE over 512-d
+        # embeddings, so the config names none of them.
+        assert [f.name for f in fields(default_cfg)] == ["sigma", "liveness"]
 
-    def test_record_quantizer_follows_config(self, enrollment, default_cfg):
-        quant = enrollment["record"].helper.quant
-        assert quant == QuantizerConfig(default_cfg.dim, default_cfg.code.n)
+    @pytest.mark.parametrize("setting", [{"dim": 512}, {"code": CODE}], ids=["dim", "code"])
+    def test_code_and_dim_are_not_settings(self, setting):
+        with pytest.raises(TypeError):
+            ProtocolConfig(**setting)
+
+    def test_record_states_the_operating_point(self, enrollment):
+        # Helper version and salt, then (n, k, t, dim).
+        header = encode_helper(enrollment["record"].helper)[17:25]
+        assert header == struct.pack(">4H", 511, 259, 30, 512)
 
     def test_enrollment_deterministic(self, issuer_keys, default_cfg):
-        identity = new_identity(8, default_cfg.dim)
+        identity = new_identity(8, DEFAULT_DIM)
         records = [
             device_enroll(
                 identity,
@@ -207,7 +221,7 @@ class TestDeviceEnroll:
         # Without a seed the salt, message, secret and nonces come from the
         # OS: two enrollments of one identity through one ASP share none of
         # them, and each record still works.
-        identity = new_identity(14, default_cfg.dim)
+        identity = new_identity(14, DEFAULT_DIM)
         asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
         first, second = (device_enroll(identity, asp, default_cfg, None) for _ in range(2))
         assert first.helper.salt != second.helper.salt
@@ -218,21 +232,21 @@ class TestDeviceEnroll:
             assert device_authenticate(sample, record, AlwaysPass()).age_over == 18
             with pytest.raises(ExtractFailure):
                 device_authenticate(
-                    sample_impostor(42 + i, default_cfg.dim), record, AlwaysPass()
+                    sample_impostor(42 + i, DEFAULT_DIM), record, AlwaysPass()
                 )
 
     def test_liveness_failure_precedes_asp_contact(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         cfg = replace(default_cfg, liveness=AlwaysFail())
         with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
-            device_enroll(new_identity(9, cfg.dim), counting, cfg, rng_seed=1)
+            device_enroll(new_identity(9, DEFAULT_DIM), counting, cfg, rng_seed=1)
         assert counting.calls == 0
 
     def test_identity_dim_must_match_config(self, issuer_keys, default_cfg, monkeypatch):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         captures = []
         monkeypatch.setattr(parties, "sample_genuine", lambda *a: captures.append(a))
-        with pytest.raises(ValueError, match=f"dim 600, config has dim {default_cfg.dim}$"):
+        with pytest.raises(ValueError, match=f"dim 600, not {DEFAULT_DIM}$"):
             device_enroll(new_identity(1, 600), counting, default_cfg, rng_seed=2)
         assert captures == [] and counting.calls == 0
 
@@ -240,7 +254,7 @@ class TestDeviceEnroll:
         asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
         with pytest.raises(IssuanceDenied) as err:
             device_enroll(
-                new_identity(10, default_cfg.dim),
+                new_identity(10, DEFAULT_DIM),
                 asp,
                 default_cfg,
                 rng_seed=2,
@@ -249,7 +263,7 @@ class TestDeviceEnroll:
         assert err.value.reason is DenyReason.UNDER_AGE
 
     def test_only_request_fields_cross_the_boundary(self, issuer_keys, default_cfg):
-        identity = new_identity(11, default_cfg.dim)
+        identity = new_identity(11, DEFAULT_DIM)
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         record = device_enroll(identity, counting, default_cfg, rng_seed=3)
         key, secret = recover_secrets(identity, record)
@@ -276,7 +290,7 @@ class TestDeviceAuthenticate:
         for seed in range(200):
             with pytest.raises((ExtractFailure, AuthFailure)):
                 device_authenticate(
-                    sample_impostor(900000 + seed, default_cfg.dim),
+                    sample_impostor(900000 + seed, DEFAULT_DIM),
                     enrollment["record"],
                     AlwaysPass(),
                 )
@@ -290,7 +304,7 @@ class TestDeviceAuthenticate:
 
     def test_no_asp_contact_after_issuance(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-        identity = new_identity(13, default_cfg.dim)
+        identity = new_identity(13, DEFAULT_DIM)
         record = device_enroll(identity, counting, default_cfg, rng_seed=5)
         assert counting.calls == 1
         for seed in range(5):

@@ -16,9 +16,9 @@ from bbcreds.binding import (
     encode_sketch,
 )
 from bbcreds.credential import decode_agecred, encode_agecred, generate_issuer_keys, issue_agecred
-from bbcreds.ecc import BchCodec, CodeParams, codec_for
+from bbcreds.ecc import BchCodec, codec_for
 from bbcreds.fextract import HELPER_VERSION, HelperData, decode_helper, encode_helper
-from bbcreds.quantize import BitString, QuantizerConfig
+from bbcreds.quantize import BitString
 from bbcreds.store import (
     DeviceRecord,
     FormatError,
@@ -28,7 +28,7 @@ from bbcreds.store import (
     encode_record,
 )
 
-from conftest import with_encrypted_sketch
+from conftest import with_encrypted_sketch, with_large_code
 
 
 def _random_record(rng=None) -> DeviceRecord:
@@ -36,15 +36,8 @@ def _random_record(rng=None) -> DeviceRecord:
     n = 511
     offset_bits = bytearray(rng(64))
     offset_bits[-1] &= 0xFE  # zero padding bit
-    # 65535 is the largest dim the helper header's 2-byte field holds.
-    dim = (511, 512, 65535)[rng(1)[0] % 3]
     return DeviceRecord(
-        helper=HelperData(
-            salt=rng(16),
-            offset=BitString(bytes(offset_bits), n),
-            code=CodeParams(511, 30),
-            quant=QuantizerConfig.default(dim, n),
-        ),
+        helper=HelperData(salt=rng(16), offset=BitString(bytes(offset_bits), n)),
         sketch=Sketch(rng(32)),
         digest=KeyDigest(rng(32)),
         bound=BoundCredential(nonce=rng(12), ciphertext=rng(130)),
@@ -208,29 +201,28 @@ class TestStrictness:
         assert f"k={k}" in str(err.value)
 
     def test_parsing_builds_no_codec(self):
-        # A helper may name any valid code. Validating (1023, 1, 511) must not
-        # build its codec, whose decoder tables take 114 MiB (tracemalloc).
-        record = _random_record()
-        helper = HelperData(
-            salt=record.helper.salt,
-            offset=BitString.from_int(0, 1023),
-            code=CodeParams(1023, 511),
-            quant=QuantizerConfig.default(1024, 1023),
-        )
-        data = encode_record(DeviceRecord(helper, record.sketch, record.digest, record.bound))
+        # Earlier versions could write the code (1023, 1, 511), whose key
+        # comes from a 1-bit message and whose decoder tables take 114 MiB
+        # (tracemalloc). Its record is refused at the helper's first byte,
+        # before any codec is built.
+        data = with_large_code(encode_record(_random_record()))
         codec_for.cache_clear()
-        assert decode_record(data).helper == helper
+        with pytest.raises(FormatError) as err:
+            decode_record(data)
+        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
+        assert err.value.position == 10
+        assert "n=1023 k=1 t=511 dim=1024" in str(err.value)
         assert codec_for.cache_info().currsize == 0
 
     def test_dim_below_sampler_minimum_rejected(self):
-        # No sampler draws 7-d captures, so no type holds such a record.
+        # Every record is over 512-d embeddings.
         data = encode_record(_random_record())
         pos = len(MAGIC) + 1 + 5 + 1 + 16 + 6  # TLV head, helper version, salt, n, k, t
         data = data[:pos] + (7).to_bytes(2, "big") + data[pos + 2 :]
         with pytest.raises(FormatError) as err:
             decode_record(data)
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
-        assert "dim must be >= 8" in str(err.value)
+        assert "dim=7" in str(err.value)
 
     def test_unsupported_bound_version_rejected(self, enrollment):
         record = enrollment["record"]
