@@ -261,9 +261,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.trials <= 0:
         # sweep checks this too, but the CSV is opened before sweep runs.
         raise CliError("trials must be positive")
-    seed = _run_seed(args)
     try:
         with open(args.out, "w") as sink:
+            seed = _run_seed(args)  # printed only once the CSV is open
             sweep(ProtocolConfig(), sigmas, args.trials, seed, sink)
     except ValueError as exc:
         raise CliError(str(exc)) from exc

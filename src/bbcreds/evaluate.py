@@ -56,7 +56,6 @@ from .parties import (
 )
 from .store import DeviceRecord
 from .synthbio import (
-    DEFAULT_DIM,
     Embedding,
     NoiseModel,
     new_identity,
@@ -155,8 +154,8 @@ def _tally(
     liveness: LivenessPolicy,
 ) -> dict[str, int]:
     """``_outcome`` counts of trials 0 .. trials-1. ``draw(indices)`` returns
-    those trials' samples as the rows of one (len(indices), dim) matrix and
-    the record each one authenticates against.
+    those trials' samples as the rows of one (len(indices), DEFAULT_DIM)
+    matrix and the record each one authenticates against.
 
     The liveness policy is a constant, so it is checked once: when it
     fails, every trial counts as ``"Liveness"`` and nothing is drawn.
@@ -201,7 +200,7 @@ def _enroll(
 
 def _far_record(cfg: ProtocolConfig, seed: int) -> DeviceRecord:
     """The one record every impostor of the FAR report at ``seed`` tries."""
-    return _enroll(new_identity(seed, DEFAULT_DIM), _eval_keys(seed), cfg, seed)
+    return _enroll(new_identity(seed), _eval_keys(seed), cfg, seed)
 
 
 def _genuine_trial(
@@ -209,7 +208,7 @@ def _genuine_trial(
 ) -> tuple[Embedding, DeviceRecord]:
     """Genuine trial ``index``: its enrolled record and fresh capture."""
     base = subseed(seed, f"bbcreds/eval/genuine/{index}/v1")
-    identity = new_identity(base, DEFAULT_DIM)
+    identity = new_identity(base)
     record = _enroll(identity, keys, cfg, base)
     sample = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(base, "bbcreds/eval/auth/v1")
@@ -233,7 +232,7 @@ def frr_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
 def far_trial(cfg: ProtocolConfig, seed: int, index: int) -> str:
     """Impostor trial ``index`` of ``estimate_far(cfg, trials, seed)``: its row
     of the report's impostor stream against the report's record, enrolled anew."""
-    sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1, DEFAULT_DIM)[0])
+    sample = Embedding(sample_impostors(_impostor_stream(seed), index, 1)[0])
     return _outcome(sample, _far_record(cfg, seed), cfg)
 
 
@@ -278,7 +277,7 @@ def estimate_far(cfg: ProtocolConfig, trials: int, seed: int) -> EvalReport:
     stream = _impostor_stream(seed)
     counts = _tally(
         lambda indices: (
-            sample_impostors(stream, indices.start, len(indices), DEFAULT_DIM),
+            sample_impostors(stream, indices.start, len(indices)),
             [record] * len(indices),
         ),
         trials,

@@ -54,7 +54,7 @@ HELPER_VERSION = 1
 # The largest-t length-511 BCH code that still carries 256 key bits, read
 # from the first 511 coordinates of a DEFAULT_DIM embedding.
 CODE = CodeParams(n=511, t=30)
-_QUANT = QuantizerConfig.default(DEFAULT_DIM, CODE.n)
+_QUANT = QuantizerConfig.default(CODE.n)
 
 _KDF_LABEL = "bbcreds/fe/v1"
 _GEN_LABEL = "bbcreds/fe/gen/v1"
@@ -144,8 +144,8 @@ def fe_reproduce_batch(
         raise ValueError(f"{len(samples)} samples but {len(helpers)} helpers")
     if not helpers:
         return []
-    words = quantize_rows(samples, _QUANT)  # checks the shape first
-    check_unit_rows(samples)
+    check_unit_rows(samples)  # refuses a wrong shape before anything is decoded
+    words = quantize_rows(samples, _QUANT)
     offsets = np.frombuffer(b"".join(h.offset.data for h in helpers), dtype=np.uint8)
     ok, messages = codec_for(CODE).decode_batch(words ^ offsets.reshape(words.shape))
     keys: list[StableKey | None] = [None] * len(helpers)

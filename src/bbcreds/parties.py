@@ -34,7 +34,7 @@ from .credential import (
 from .fextract import fe_generate, fe_reproduce
 from .kdf import expand_seed, subseed
 from .store import DeviceRecord
-from .synthbio import DEFAULT_DIM, Embedding, NoiseModel, sample_genuine
+from .synthbio import Embedding, NoiseModel, sample_genuine
 
 __all__ = [
     "SIGMA_DEFAULT",
@@ -244,8 +244,6 @@ def device_enroll(
     dropped on exit. A seed makes every draw a function of its 64 bits, for
     reproducible experiments; None draws them all from the OS's entropy.
     """
-    if identity.dim != DEFAULT_DIM:
-        raise ValueError(f"identity has dim {identity.dim}, not {DEFAULT_DIM}")
     capture = sample_genuine(
         identity, NoiseModel(cfg.sigma), subseed(rng_seed, "bbcreds/device/capture/v1")
     )

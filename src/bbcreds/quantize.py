@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synthbio import MIN_DIM, Embedding
+from .synthbio import DEFAULT_DIM, Embedding
 
 __all__ = ["BitString", "QuantizerConfig", "quantize", "quantize_rows"]
 
@@ -63,28 +63,17 @@ class BitString:
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Quantize the first ``code_length`` coordinates of a ``dim``-d embedding.
+    """Quantize the first ``code_length`` coordinates of an embedding."""
 
-    ``dim`` is bounded by what a device record can use and hold: no sampler
-    draws below ``MIN_DIM``, and the helper header stores it in 2 bytes.
-    """
-
-    dim: int
     code_length: int
 
     def __post_init__(self) -> None:
-        if self.dim < MIN_DIM:
-            raise ValueError(f"dim must be >= {MIN_DIM}, got {self.dim}")
-        if self.dim > 0xFFFF:
-            raise ValueError(f"dim must be <= 65535, got {self.dim}")
-        if self.code_length <= 0 or self.code_length > self.dim:
-            raise ValueError(
-                f"code_length must be in [1, dim]; got {self.code_length} for dim {self.dim}"
-            )
+        if not 1 <= self.code_length <= DEFAULT_DIM:
+            raise ValueError(f"code_length must be in [1, {DEFAULT_DIM}], got {self.code_length}")
 
     @classmethod
-    def default(cls, dim: int, code_length: int) -> "QuantizerConfig":
-        return cls(dim, code_length)
+    def default(cls, code_length: int) -> "QuantizerConfig":
+        return cls(code_length)
 
 
 def quantize(e: Embedding, quantizer: QuantizerConfig) -> BitString:
@@ -93,9 +82,7 @@ def quantize(e: Embedding, quantizer: QuantizerConfig) -> BitString:
 
 
 def quantize_rows(values: np.ndarray, quantizer: QuantizerConfig) -> np.ndarray:
-    """``quantize`` of each row of a (rows, dim) array, packed: row i holds
-    the ``BitString`` bytes of row i's bits. The values are not checked
-    for unit norm."""
-    if values.ndim != 2 or values.shape[1] != quantizer.dim:
-        raise ValueError(f"quantizer takes (rows, {quantizer.dim}) values, got {values.shape}")
+    """``quantize`` of each row of a (rows, DEFAULT_DIM) array, packed: row i
+    holds the ``BitString`` bytes of row i's bits. The values are not
+    checked here; ``check_unit_rows`` checks them."""
     return np.packbits(values[:, : quantizer.code_length] >= 0.0, axis=1)

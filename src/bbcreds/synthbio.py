@@ -13,8 +13,8 @@ would only add cost. The labels keep the roles apart: one seed used as
 identity (``bbcreds/synthbio/identity/v2``), genuine noise
 (``bbcreds/synthbio/genuine/v2``) and impostor stream (v3) gives three
 independent vectors. An identity, or the noise of a capture, is the first
-``dim`` normals of its stream. Row i of impostor stream s is row i mod 16
-of block i // 16, and block b is the first 16 * dim values, row-major, of
+512 normals of its stream. Row i of impostor stream s is row i mod 16
+of block i // 16, and block b is the first 16 × 512 values, row-major, of
 the stream labelled ``f"bbcreds/synthbio/impostor/v3/{b}"``. A window
 draws each block it touches and discards the rows before its first, so it
 equals the same rows of any longer window. The block size
@@ -23,7 +23,8 @@ more blocks is filled on two threads, each writing its own blocks' rows
 of one matrix, so its rows are the same bytes as a serial fill; no thread
 outlives the call, and a one-block window starts none. An identity is its
 reference ``Embedding`` and nothing else; ``sample_genuine`` takes that
-mean.
+mean. Every embedding has ``DEFAULT_DIM`` = 512 coordinates; ``Embedding``
+and ``check_unit_rows`` refuse any other shape.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .kdf import expand_seed
 
 __all__ = [
     "DEFAULT_DIM",
-    "MIN_DIM",
     "Embedding",
     "NoiseModel",
     "new_identity",
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 512
-MIN_DIM = 8
 
 _IDENTITY_LABEL = "bbcreds/synthbio/identity/v2"
 _GENUINE_LABEL = "bbcreds/synthbio/genuine/v2"
@@ -75,8 +74,11 @@ def _generator(seed: int | None, label: str) -> np.random.Generator:
 
 
 def check_unit_rows(values: np.ndarray) -> None:
-    """Raise ValueError unless every row of a 2-d float array is finite and
-    unit norm. ``Embedding`` checks its vector as one row."""
+    """Raise ValueError unless ``values`` is a (rows, DEFAULT_DIM) float array
+    whose rows are finite and unit norm. ``Embedding`` checks its vector as
+    one row."""
+    if values.shape[1:] != (DEFAULT_DIM,):  # also refuses 1-d and 3-d arrays
+        raise ValueError(f"an embedding has {DEFAULT_DIM} values, got shape {values.shape[1:]}")
     for square in np.vecdot(values, values).tolist():
         norm = math.sqrt(square)
         # A NaN or infinite value makes its row's norm fail this test too.
@@ -88,20 +90,14 @@ def check_unit_rows(values: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Unit-norm real vector standing in for a biometric template."""
+    """Unit-norm 512-d real vector standing in for a biometric template."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("embedding must be a non-empty 1-d vector")
         check_unit_rows(v[None])
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class NoiseModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        # At sigma = 1 the noise is sqrt(dim) times the unit signal, so a
+        # At sigma = 1 the noise is sqrt(512) times the unit signal, so a
         # capture carries no identity; larger values only risk overflow.
         if not 0 <= self.sigma <= 1:
             raise ValueError(f"sigma must be in [0, 1], got {self.sigma}")
@@ -122,11 +118,9 @@ def _normalized(v: np.ndarray) -> Embedding:
     return Embedding(v / np.sqrt(v.dot(v)))
 
 
-def new_identity(seed: int, dim: int = DEFAULT_DIM) -> Embedding:
+def new_identity(seed: int) -> Embedding:
     """A reproducible identity: its unit-norm Gaussian reference embedding."""
-    if dim < MIN_DIM:
-        raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    return _normalized(_generator(seed, _IDENTITY_LABEL).standard_normal(dim))
+    return _normalized(_generator(seed, _IDENTITY_LABEL).standard_normal(DEFAULT_DIM))
 
 
 def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> Embedding:
@@ -137,20 +131,20 @@ def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> 
     """
     if noise.sigma == 0.0:
         return Embedding(mean.values.copy())
-    g = _generator(rng_seed, _GENUINE_LABEL).standard_normal(mean.dim)
+    g = _generator(rng_seed, _GENUINE_LABEL).standard_normal(DEFAULT_DIM)
     return _normalized(mean.values + noise.sigma * g)
 
 
-def sample_impostor(rng_seed: int, dim: int = DEFAULT_DIM) -> Embedding:
+def sample_impostor(rng_seed: int) -> Embedding:
     """An identity-independent capture: row 0 of impostor stream ``rng_seed``."""
-    return Embedding(sample_impostors(rng_seed, 0, 1, dim)[0])
+    return Embedding(sample_impostors(rng_seed, 0, 1)[0])
 
 
-def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_DIM) -> np.ndarray:
+def sample_impostors(rng_seed: int, first: int, count: int) -> np.ndarray:
     """Rows ``first`` .. ``first + count - 1`` of impostor stream ``rng_seed``
-    as one (count, dim) array of fresh normalized Gaussian vectors. Each
-    block of the stream the window touches gets one generator; the rows are
-    normalized and checked together.
+    as one (count, DEFAULT_DIM) array of fresh normalized Gaussian vectors.
+    Each block of the stream the window touches gets one generator; the rows
+    are normalized and checked together.
 
     numpy releases the interpreter lock while it fills a block, so a window
     of two or more blocks is filled on two threads: the first half of its
@@ -158,11 +152,9 @@ def sample_impostors(rng_seed: int, first: int, count: int, dim: int = DEFAULT_D
     its own rows. The rows are the same bytes as a serial fill. The helper
     is joined before the call returns or raises, and a one-block window
     starts none."""
-    if dim < MIN_DIM:
-        raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
     if first < 0 or count < 0:
         raise ValueError(f"impostor rows need first >= 0 and count >= 0, got {first}, {count}")
-    values = np.empty((count, dim))
+    values = np.empty((count, DEFAULT_DIM))
     blocks = []
     row, stop = first, first + count
     while row < stop:
@@ -202,5 +194,5 @@ def _fill_blocks(rng_seed: int, blocks: list[tuple[int, int, np.ndarray]]) -> No
     for block, skip, rows in blocks:
         generator = _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}")
         if skip:  # the block's rows before the window's first
-            generator.standard_normal(skip * rows.shape[1])
+            generator.standard_normal(skip * DEFAULT_DIM)
         generator.standard_normal(out=rows)

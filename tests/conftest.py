@@ -7,12 +7,26 @@ from bbcreds.credential import generate_issuer_keys
 from bbcreds.ecc import CodeParams
 from bbcreds.fextract import fe_reproduce
 from bbcreds.parties import AgePolicy, InProcessAsp, ProtocolConfig, device_enroll
-from bbcreds.synthbio import DEFAULT_DIM, new_identity
+from bbcreds.synthbio import new_identity
 
 # Fixed clock for everything time-dependent: 2025-06-15T15:20:00Z.
 NOW = 1_750_000_800
 
 SMALL_CODE = CodeParams(n=15, t=2)
+
+# Helper headers (n, k, t, dim) other than the one operating point
+# (511, 259, 30, 512); ``decode_helper`` refuses each one.
+UNSUPPORTED_HEADERS = [
+    (511, 259, 29, 512),
+    (511, 259, 300, 512),
+    (511, 0, 30, 512),
+    (511, 258, 30, 512),
+    (511, 300, 30, 512),
+    (511, 512, 30, 512),
+    (511, 259, 30, 7),
+    (1023, 1, 511, 1024),
+]
+UNSUPPORTED_HEADER_IDS = ["29", "300", "k0", "k258", "k300", "k512", "dim7", "bch1023"]
 
 
 @pytest.fixture(scope="session")
@@ -65,19 +79,24 @@ def with_encrypted_sketch(data):
     return _rewrite_entry(data, 0x02, lambda _: value)
 
 
-def with_large_code(data):
-    """Record bytes ``data`` with the helper entry rewritten as earlier
-    versions wrote it for the code (1023, 1, 511) over 1024-d embeddings:
-    version and salt kept, then that header and a 128-byte offset. Its key
-    came from a 1-bit message."""
-    header = struct.pack(">4H", 1023, 1, 511, 1024)
-    return _rewrite_entry(data, 0x01, lambda value: value[:17] + header + bytes(128))
+def with_helper_header(data, n, k, t, dim):
+    """Record bytes ``data`` with the helper entry's (n, k, t, dim) header
+    replaced, version and salt kept. An n of 511 keeps the offset; any other
+    n gets a zero offset of n bits, as earlier versions wrote the code
+    (1023, 1, 511) over 1024-d embeddings, whose key came from a 1-bit
+    message."""
+
+    def rewrite(value):
+        offset = value[25:] if n == 511 else bytes((n + 7) // 8)
+        return value[:17] + struct.pack(">4H", n, k, t, dim) + offset
+
+    return _rewrite_entry(data, 0x01, rewrite)
 
 
 @pytest.fixture(scope="session")
 def enrollment(issuer_keys, default_cfg):
     """One shared enrollment, with its key and secret recovered for audits."""
-    identity = new_identity(424242, DEFAULT_DIM)
+    identity = new_identity(424242)
     record = device_enroll(
         identity,
         InProcessAsp(issuer_keys, AgePolicy(threshold=18), now=NOW),

@@ -59,7 +59,7 @@ def test_criterion_01_key_size_contract():
     # 256-bit keys from the 512-dimension pipeline, always.
     assert DEFAULT_DIM == 512 and CODE.k >= 256
     for seed in range(25):
-        embedding = new_identity(seed, 512)
+        embedding = new_identity(seed)
         key, helper = fe_generate(embedding, seed)
         assert len(key.key) == 32
         assert helper.offset.n == CODE.n
@@ -284,7 +284,7 @@ def test_known_defect_helper_data_links_enrollments(issuer_keys):
     cfg = ProtocolConfig(sigma=0.003)
 
     def offset(person, enroll_seed):
-        record = device_enroll(new_identity(person, DEFAULT_DIM), asp, cfg, enroll_seed)
+        record = device_enroll(new_identity(person), asp, cfg, enroll_seed)
         return np.frombuffer(record.helper.offset.data, np.uint8)
 
     same = [offset(p, 2 * p) ^ offset(p, 2 * p + 1) for p in range(20)]

@@ -25,7 +25,14 @@ from bbcreds.kdf import subseed
 from bbcreds.store import decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
-from conftest import NOW, recover_secrets, with_encrypted_sketch, with_large_code
+from conftest import (
+    NOW,
+    UNSUPPORTED_HEADER_IDS,
+    UNSUPPORTED_HEADERS,
+    recover_secrets,
+    with_encrypted_sketch,
+    with_helper_header,
+)
 
 ADULT_DOB = "1990-01-01"
 CHILD_DOB = "2015-06-15"
@@ -312,7 +319,7 @@ class TestEnroll:
         # Recover the key and secret from the record the CLI wrote.
         record_bytes = path.read_bytes()
         key, secret = recover_secrets(
-            new_identity(int(IDENTITY_SEED), 512), decode_record(record_bytes)
+            new_identity(int(IDENTITY_SEED)), decode_record(record_bytes)
         )
         assert key.key not in record_bytes
         assert secret.secret not in record_bytes
@@ -342,8 +349,9 @@ class TestEnroll:
 
     def test_code_and_dim_settings_are_gone(self, tmp_path, keys_prefix, record_path, capsys):
         # Every record is BCH(511, 259, 30) over 512-d embeddings: no config
-        # key names the code or the dim, eval takes no config file, and a
-        # record of another code, as earlier versions could write, is refused.
+        # key names the code or the dim, and eval takes no config file. A
+        # record of another code is refused by
+        # TestAuth::test_unsupported_code_in_record_is_usage_error.
         argv = {
             "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
                        "--dob", ADULT_DOB, "--out", str(tmp_path / "x.bbc"), "--clock", str(NOW)],
@@ -364,15 +372,6 @@ class TestEnroll:
         assert main(eval_argv + ["--config", str(config)]) == EXIT_USAGE
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
-
-        old = tmp_path / "bch1023.bbc"
-        old.write_bytes(with_large_code(Path(record_path).read_bytes()))
-        codec_for.cache_clear()
-        assert main(argv["auth"] + ["--seed", RUN_SEED, "--record", str(old)]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: bad record: InvariantViolation at byte 10")
-        assert codec_for.cache_info().currsize == 0
 
 
 class TestAuth:
@@ -439,30 +438,36 @@ class TestAuth:
     def test_liveness_failure(self, record_path, keys_prefix):
         assert self._auth(record_path, keys_prefix, "--liveness", "fail") == EXIT_LIVENESS
 
-    @pytest.mark.parametrize("t", [29, 300])
+    @pytest.mark.parametrize("header", UNSUPPORTED_HEADERS, ids=UNSUPPORTED_HEADER_IDS)
     def test_unsupported_code_in_record_is_usage_error(self, tmp_path, record_path,
-                                                       keys_prefix, capsys, t):
-        data = Path(record_path).read_bytes()
-        pos = 4 + 1 + 5 + 1 + 16 + 4  # magic, version, TLV head, helper version, salt, n, k
+                                                       keys_prefix, capsys, header):
+        # Every record is BCH(511, 259, 30) over 512-d embeddings; a record
+        # stating another header, as earlier versions could write, is refused
+        # before any codec is built, on the genuine and the impostor path.
         patched = tmp_path / "patched.bbc"
-        patched.write_bytes(data[:pos] + t.to_bytes(2, "big") + data[pos + 2 :])
-        capsys.readouterr()
-        assert self._auth(str(patched), keys_prefix) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: bad record: InvariantViolation")
+        patched.write_bytes(with_helper_header(Path(record_path).read_bytes(), *header))
+        for extra in ([], ["--impostor"]):
+            codec_for.cache_clear()
+            capsys.readouterr()
+            assert self._auth(str(patched), keys_prefix, *extra) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: bad record: InvariantViolation at byte 10")
+            assert codec_for.cache_info().currsize == 0
 
     @pytest.mark.parametrize("impostor", [False, True])
     def test_record_below_sampler_dim_is_usage_error(self, tmp_path, record_path,
                                                      keys_prefix, capsys, impostor):
-        data = Path(record_path).read_bytes()
-        pos = 4 + 1 + 5 + 1 + 16 + 6  # magic, version, TLV head, helper version, salt, n, k, t
         patched = tmp_path / "dim7.bbc"
-        patched.write_bytes(data[:pos] + (7).to_bytes(2, "big") + data[pos + 2 :])
+        patched.write_bytes(with_helper_header(Path(record_path).read_bytes(), 511, 259, 30, 7))
+        codec_for.cache_clear()
         capsys.readouterr()
         extra = ["--impostor"] if impostor else []
         assert self._auth(str(patched), keys_prefix, *extra) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: bad record: InvariantViolation")
+        assert err.startswith("error: bad record: InvariantViolation at byte 10")
+        assert codec_for.cache_info().currsize == 0
 
     def test_unsupported_bound_version_is_usage_error(self, tmp_path, record_path,
                                                       keys_prefix, capsys):
@@ -886,6 +891,33 @@ def test_refusal_exit_code_and_line(tmp_path, keys_prefix, record_path, capsys,
     assert main(argv + extra) == code
     assert capsys.readouterr() == ("", line + "\n")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["auth", "--record", "{tmp}/missing.bbc", "--keys", "{keys}"],
+         "error: cannot read record: "),
+        (["inspect", "--record", "{tmp}/missing.bbc"], "error: cannot read record: "),
+        (["auth", "--record", "{record}", "--keys", "{tmp}/nonhex"],
+         "error: cannot load issuer public key "),
+        (["asp-keygen", "--out", "{tmp}/missing/issuer"], "error: cannot write key files: "),
+        # Unseeded, eval draws and prints its seed only once the CSV is open.
+        (["eval", "--sigmas", "0.003", "--trials", "10", "--out", "{tmp}/missing/x.csv"],
+         "error: cannot write CSV: "),
+    ],
+    ids=["auth-missing-record", "inspect-missing-record", "auth-non-hex-public-key",
+         "keygen-missing-directory", "eval-unseeded-missing-directory"],
+)
+def test_unusable_path_is_usage_error(tmp_path, keys_prefix, record_path, capsys, argv, line):
+    (tmp_path / "nonhex.pub").write_text("not hex\n")
+    argv = [a.format(tmp=tmp_path, keys=keys_prefix, record=record_path) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(line)
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "missing.bbc").exists()
 
 
 @pytest.mark.parametrize("command", ["enroll", "auth"])

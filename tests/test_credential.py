@@ -202,6 +202,14 @@ class TestKeyPairs:
         with pytest.raises(TypeError):
             IssuerKeyPair(public=keys.public, private=keys.private, issuer_id=keys.issuer_id)
 
+    @pytest.mark.parametrize("short", ["public", "private"])
+    def test_31_byte_key_rejected(self, short):
+        keys = generate_issuer_keys(seed=5)
+        pair = {"public": keys.public, "private": keys.private}
+        pair[short] = pair[short][:31]
+        with pytest.raises(ValueError, match="^Ed25519 keys are 32 bytes each$"):
+            IssuerKeyPair(**pair)
+
     def test_mismatched_pair_rejected(self):
         a = generate_issuer_keys(seed=1)
         b = generate_issuer_keys(seed=2)
@@ -221,6 +229,13 @@ class TestCredInvariants:
             AgeCred(bytes(16), bytes(16), 18, NOW, NOW + 1, bytes(63))
         with pytest.raises(ValueError):
             AgeCred(bytes(16), bytes(16), 256, NOW, NOW + 1, bytes(64))
+
+    @pytest.mark.parametrize("issued_at", [-1, 1 << 64], ids=["negative", "2-64"])
+    def test_issued_at_outside_u64_rejected(self, issued_at):
+        # issue_agecred refuses these when it packs the prefix, before any
+        # AgeCred exists, so the constructor's own check is tested here.
+        with pytest.raises(ValueError, match="^issued_at must be an unsigned 64-bit value$"):
+            AgeCred(bytes(16), bytes(16), 18, issued_at, issued_at + 1, bytes(64))
 
     def test_disjoint_from_random_key_material(self, cred):
         # No credential field may carry biometric-derived bytes; the

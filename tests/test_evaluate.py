@@ -19,7 +19,7 @@ from bbcreds.evaluate import (
 )
 from bbcreds.fextract import ExtractFailure
 from bbcreds.parties import AlwaysFail, LivenessFailed, ProtocolConfig, device_authenticate
-from bbcreds.synthbio import DEFAULT_DIM, new_identity, sample_impostor, sample_impostors
+from bbcreds.synthbio import new_identity, sample_impostor, sample_impostors
 
 SEED = 0xE7A1
 ZERO_COUNTS = dict.fromkeys(OUTCOMES, 0)
@@ -157,13 +157,13 @@ class TestTrialIndependence:
     def test_adjacent_seeds_share_no_trial(self, cfg, monkeypatch):
         enrolled, impostors = [], []
 
-        def recording_identity(seed, dim):
+        def recording_identity(seed):
             enrolled.append(seed)
-            return new_identity(seed, dim)
+            return new_identity(seed)
 
-        def recording_impostors(stream, first, count, dim):
+        def recording_impostors(stream, first, count):
             impostors.extend((stream, i) for i in range(first, first + count))
-            return sample_impostors(stream, first, count, dim)
+            return sample_impostors(stream, first, count)
 
         trials = [pair for i in range(5) for pair in ((SEED, i + 1), (SEED + 1, i))]
         monkeypatch.setattr(evaluate, "sample_impostors", recording_impostors)
@@ -288,7 +288,7 @@ def test_liveness_policy_gates_authentication_only(cfg, enrollment):
 def test_far_trial_composable(cfg):
     outcome = far_trial(cfg, SEED, 0)
     assert outcome in OUTCOMES and outcome != "Success"
-    sample = sample_impostor(evaluate._impostor_stream(SEED), DEFAULT_DIM)
+    sample = sample_impostor(evaluate._impostor_stream(SEED))
     with pytest.raises(ExtractFailure) as refusal:
         device_authenticate(sample, evaluate._far_record(cfg, SEED), cfg.liveness)
     assert refusal.value.stage == outcome == "Extract"
@@ -390,7 +390,7 @@ def test_tampered_records_tallied_by_rejecting_stage(cfg, monkeypatch, asp, tamp
     assert report.stage_counts[expected] == report.trials == 100
     assert report.frr == 1.0
     # The device refuses one such record under the name the report tallied.
-    identity = new_identity(SEED, DEFAULT_DIM)
+    identity = new_identity(SEED)
     record = evaluate.device_enroll(identity, asp, tampered, SEED)
     with pytest.raises(AuthFailure) as refusal:
         device_authenticate(identity, record, tampered.liveness)

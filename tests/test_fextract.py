@@ -22,12 +22,12 @@ from bbcreds.synthbio import (
     sample_impostors,
 )
 
-QCFG = QuantizerConfig.default(512, 511)
+QCFG = QuantizerConfig.default(511)
 
 
 @pytest.fixture(scope="module")
 def enrolled():
-    e = new_identity(1001, 512)
+    e = new_identity(1001)
     key, helper = fe_generate(e, rng_seed=555)
     return e, key, helper
 
@@ -42,7 +42,7 @@ def test_key_is_always_256_bits(enrolled):
     _, key, _ = enrolled
     assert len(key.key) == 32
     for seed in range(10):
-        k, _ = fe_generate(new_identity(seed, 512), seed)
+        k, _ = fe_generate(new_identity(seed), seed)
         assert len(k.key) == 32
 
 
@@ -91,7 +91,7 @@ def test_impostors_rejected_or_wrong_key(enrolled):
     bad = 0
     for seed in range(10000):
         try:
-            if fe_reproduce(sample_impostor(seed + 1, 512), helper) == key:
+            if fe_reproduce(sample_impostor(seed + 1), helper) == key:
                 bad += 1
         except ExtractFailure:
             pass
@@ -103,7 +103,7 @@ def batch():
     """A sample matrix and its helpers: genuine captures of two identities
     at sigma 0.003 and 0.005, each against an enrollment from a capture at
     the same sigma, then impostors against two of those enrollments."""
-    identities = {person: new_identity(person, 512) for person in (2001, 2002)}
+    identities = {person: new_identity(person) for person in (2001, 2002)}
     rows, helpers = [], []
     for sigma in (0.003, 0.005):
         for person, identity in identities.items():
@@ -113,7 +113,7 @@ def batch():
                 rows.append(sample_genuine(identity, NoiseModel(sigma), seed).values)
                 helpers.append(helper)
     for i, helper in enumerate((helpers[0], helpers[-1])):
-        rows += list(sample_impostors(100 + i, 0, 20, 512))
+        rows += list(sample_impostors(100 + i, 0, 20))
         helpers += [helper] * 20
     return np.array(rows), helpers
 
@@ -154,7 +154,7 @@ def test_batch_rejects_bad_input(batch):
 
 def test_key_never_windows_into_helper():
     for seed in range(1000):
-        e = new_identity(seed, 512)
+        e = new_identity(seed)
         key, helper = fe_generate(e, seed)
         assert key.key not in encode_helper(helper)
 
@@ -175,15 +175,6 @@ def test_helper_decoding_is_strict(enrolled):
         decode_helper(data + b"\x00")
     with pytest.raises(ValueError):
         decode_helper(bytes([99]) + data[1:])  # unknown version
-
-
-def test_dimension_mismatch_rejected(enrolled):
-    _, _, helper = enrolled
-    small = new_identity(5, 16)
-    with pytest.raises(ValueError):
-        fe_generate(small, 1)
-    with pytest.raises(ValueError):
-        fe_reproduce(small, helper)
 
 
 def test_helper_invariants():

@@ -28,7 +28,7 @@ from bbcreds.parties import (
     rp_check_access,
 )
 from bbcreds.store import encode_record
-from bbcreds.synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine, sample_impostor
+from bbcreds.synthbio import NoiseModel, new_identity, sample_genuine, sample_impostor
 
 from conftest import NOW, recover_secrets
 
@@ -205,7 +205,7 @@ class TestDeviceEnroll:
         assert header == struct.pack(">4H", 511, 259, 30, 512)
 
     def test_enrollment_deterministic(self, issuer_keys, default_cfg):
-        identity = new_identity(8, DEFAULT_DIM)
+        identity = new_identity(8)
         records = [
             device_enroll(
                 identity,
@@ -221,7 +221,7 @@ class TestDeviceEnroll:
         # Without a seed the salt, message, secret and nonces come from the
         # OS: two enrollments of one identity through one ASP share none of
         # them, and each record still works.
-        identity = new_identity(14, DEFAULT_DIM)
+        identity = new_identity(14)
         asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
         first, second = (device_enroll(identity, asp, default_cfg, None) for _ in range(2))
         assert first.helper.salt != second.helper.salt
@@ -232,29 +232,21 @@ class TestDeviceEnroll:
             assert device_authenticate(sample, record, AlwaysPass()).age_over == 18
             with pytest.raises(ExtractFailure):
                 device_authenticate(
-                    sample_impostor(42 + i, DEFAULT_DIM), record, AlwaysPass()
+                    sample_impostor(42 + i), record, AlwaysPass()
                 )
 
     def test_liveness_failure_precedes_asp_contact(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         cfg = replace(default_cfg, liveness=AlwaysFail())
         with pytest.raises(LivenessFailed, match="^policy AlwaysFail$"):
-            device_enroll(new_identity(9, DEFAULT_DIM), counting, cfg, rng_seed=1)
+            device_enroll(new_identity(9), counting, cfg, rng_seed=1)
         assert counting.calls == 0
-
-    def test_identity_dim_must_match_config(self, issuer_keys, default_cfg, monkeypatch):
-        counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-        captures = []
-        monkeypatch.setattr(parties, "sample_genuine", lambda *a: captures.append(a))
-        with pytest.raises(ValueError, match=f"dim 600, not {DEFAULT_DIM}$"):
-            device_enroll(new_identity(1, 600), counting, default_cfg, rng_seed=2)
-        assert captures == [] and counting.calls == 0
 
     def test_underage_evidence_raises(self, issuer_keys, default_cfg):
         asp = InProcessAsp(issuer_keys, AgePolicy(18), now=NOW)
         with pytest.raises(IssuanceDenied) as err:
             device_enroll(
-                new_identity(10, DEFAULT_DIM),
+                new_identity(10),
                 asp,
                 default_cfg,
                 rng_seed=2,
@@ -263,7 +255,7 @@ class TestDeviceEnroll:
         assert err.value.reason is DenyReason.UNDER_AGE
 
     def test_only_request_fields_cross_the_boundary(self, issuer_keys, default_cfg):
-        identity = new_identity(11, DEFAULT_DIM)
+        identity = new_identity(11)
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
         record = device_enroll(identity, counting, default_cfg, rng_seed=3)
         key, secret = recover_secrets(identity, record)
@@ -290,7 +282,7 @@ class TestDeviceAuthenticate:
         for seed in range(200):
             with pytest.raises((ExtractFailure, AuthFailure)):
                 device_authenticate(
-                    sample_impostor(900000 + seed, DEFAULT_DIM),
+                    sample_impostor(900000 + seed),
                     enrollment["record"],
                     AlwaysPass(),
                 )
@@ -304,7 +296,7 @@ class TestDeviceAuthenticate:
 
     def test_no_asp_contact_after_issuance(self, issuer_keys, default_cfg):
         counting = CountingAsp(InProcessAsp(issuer_keys, AgePolicy(18), now=NOW))
-        identity = new_identity(13, DEFAULT_DIM)
+        identity = new_identity(13)
         record = device_enroll(identity, counting, default_cfg, rng_seed=5)
         assert counting.calls == 1
         for seed in range(5):

@@ -31,6 +31,19 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString(b"\x00\x00", 4)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BitString(b"", 0), "^bit length must be positive, got 0$"),
+            (lambda: BitString.from_int(256, 8), "^value does not fit in 8 bits$"),
+            (lambda: BitString.from_int(-1, 8), "^value does not fit in 8 bits$"),
+        ],
+        ids=["empty", "too-large", "negative"],
+    )
+    def test_out_of_range_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_xor_requires_equal_length(self):
         with pytest.raises(ValueError):
             BitString.from_int(0, 8) ^ BitString.from_int(0, 9)
@@ -39,61 +52,48 @@ class TestBitString:
 class TestQuantizerConfig:
     def test_default_is_prefix(self):
         # quantize reads exactly the first code_length coordinates, in order.
-        values = np.array([2.0, -1.0, 3.0, -1.0, 5.0, 5.0, -5.0, 5.0])
-        cfg = QuantizerConfig.default(8, 3)
+        values = np.random.default_rng(4).standard_normal(512)
+        values[:3] = [2.0, -1.0, 3.0]
+        cfg = QuantizerConfig.default(3)
         assert quantize(_embedding(values), cfg).as_int() == 0b101
         values[3:] = -values[3:]
         assert quantize(_embedding(values), cfg).as_int() == 0b101
 
     def test_code_length_beyond_dim_rejected(self):
-        for code_length in (9, 0):
-            with pytest.raises(ValueError):
-                QuantizerConfig.default(8, code_length)
-
-    def test_dim_bounds(self):
-        # No sampler draws below 8 coordinates, and the helper header stores
-        # dim in 2 bytes.
-        for dim in (8, 65535):
-            assert QuantizerConfig(dim, 8).dim == dim
-        with pytest.raises(ValueError, match="dim must be >= 8, got 7"):
-            QuantizerConfig(7, 7)
-        with pytest.raises(ValueError, match="dim must be <= 65535, got 65536"):
-            QuantizerConfig(65536, 8)
+        assert QuantizerConfig.default(512).code_length == 512
+        for code_length in (513, 0):
+            with pytest.raises(ValueError, match=f"in \\[1, 512\\], got {code_length}$"):
+                QuantizerConfig.default(code_length)
 
 
 class TestQuantize:
     def test_all_positive_gives_all_ones(self):
-        cfg = QuantizerConfig.default(16, 16)
-        e = _embedding(np.ones(16))
-        assert quantize(e, cfg) == BitString.from_int(0xFFFF, 16)
+        cfg = QuantizerConfig.default(511)
+        e = _embedding(np.ones(512))
+        assert quantize(e, cfg) == BitString.from_int((1 << 511) - 1, 511)
 
     def test_negation_complements(self):
-        cfg = QuantizerConfig.default(64, 64)
+        cfg = QuantizerConfig.default(512)
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(64)
+        v = rng.standard_normal(512)
         q_pos = quantize(_embedding(v), cfg)
         q_neg = quantize(_embedding(-v), cfg)
-        assert (q_pos ^ q_neg).as_int() == (1 << 64) - 1
+        assert (q_pos ^ q_neg).as_int() == (1 << 512) - 1
 
     def test_scale_invariance(self):
         # Positive scaling happens before the type-level normalization and
         # must never move a coordinate across the threshold.
-        cfg = QuantizerConfig.default(128, 100)
+        cfg = QuantizerConfig.default(400)
         rng = np.random.default_rng(1)
         for c in (1e-6, 0.5, 3.0, 1e6):
-            v = rng.standard_normal(128)
+            v = rng.standard_normal(512)
             assert quantize(_embedding(v), cfg) == quantize(_embedding(c * v), cfg)
 
     def test_zero_noise_matches_mean(self):
-        cfg = QuantizerConfig.default(512, 511)
-        p = new_identity(21, 512)
+        cfg = QuantizerConfig.default(511)
+        p = new_identity(21)
         s = sample_genuine(p, NoiseModel(0.0), 5)
         assert quantize(s, cfg) == quantize(p, cfg)
-
-    def test_dimension_mismatch_rejected(self):
-        cfg = QuantizerConfig.default(16, 16)
-        with pytest.raises(ValueError):
-            quantize(_embedding(np.ones(32)), cfg)
 
 
 class TestHamming:

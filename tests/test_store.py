@@ -28,7 +28,12 @@ from bbcreds.store import (
     encode_record,
 )
 
-from conftest import with_encrypted_sketch, with_large_code
+from conftest import (
+    UNSUPPORTED_HEADER_IDS,
+    UNSUPPORTED_HEADERS,
+    with_encrypted_sketch,
+    with_helper_header,
+)
 
 
 def _random_record(rng=None) -> DeviceRecord:
@@ -173,56 +178,26 @@ class TestStrictness:
             decode_record(bytes(out))
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
 
-    @pytest.mark.parametrize("t", [29, 300])
-    def test_unsupported_code_rejected(self, enrollment, t):
-        # t=29 keeps k=259, which that code does not have; t=300 has 2t >= n.
-        data = encode_record(enrollment["record"])
-        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 4  # TLV head, helper version, salt, n, k
-        assert int.from_bytes(data[pos : pos + 2], "big") == 30
-        patched = data[:pos] + t.to_bytes(2, "big") + data[pos + 2 :]
-        with pytest.raises(FormatError) as err:
-            decode_record(patched)
-        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
-
-    @pytest.mark.parametrize("k", [0, 258, 300, 512])
-    def test_wrong_k_rejected_before_tables(self, enrollment, monkeypatch, k):
-        # The header stores k, which (n, t) = (511, 30) fixes at 259.
+    @pytest.mark.parametrize("header", UNSUPPORTED_HEADERS, ids=UNSUPPORTED_HEADER_IDS)
+    def test_unsupported_code_rejected(self, monkeypatch, header):
+        # Every record is BCH(511, 259, 30) over 512-d embeddings, and the
+        # helper header states (n, k, t, dim) as constants. Any other header
+        # is refused at the helper's first byte, before a codec is built:
+        # t=29 (k=259 is not that code's), t=300 (2t >= n), another k, dim 7,
+        # and the (1023, 1, 511) code that earlier versions could write,
+        # whose decoder tables take 114 MiB (tracemalloc).
         def build_generator(*args):
             raise AssertionError("generator built for a rejected helper header")
 
+        data = with_helper_header(encode_record(_random_record()), *header)
         monkeypatch.setattr(BchCodec, "_build_generator", build_generator)
-        data = encode_record(enrollment["record"])
-        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 2  # TLV head, helper version, salt, n
-        assert int.from_bytes(data[pos : pos + 2], "big") == 259
-        patched = data[:pos] + k.to_bytes(2, "big") + data[pos + 2 :]
-        with pytest.raises(FormatError) as err:
-            decode_record(patched)
-        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
-        assert f"k={k}" in str(err.value)
-
-    def test_parsing_builds_no_codec(self):
-        # Earlier versions could write the code (1023, 1, 511), whose key
-        # comes from a 1-bit message and whose decoder tables take 114 MiB
-        # (tracemalloc). Its record is refused at the helper's first byte,
-        # before any codec is built.
-        data = with_large_code(encode_record(_random_record()))
         codec_for.cache_clear()
         with pytest.raises(FormatError) as err:
             decode_record(data)
         assert err.value.reason is FormatReason.INVARIANT_VIOLATION
         assert err.value.position == 10
-        assert "n=1023 k=1 t=511 dim=1024" in str(err.value)
+        assert "n={} k={} t={} dim={}".format(*header) in str(err.value)
         assert codec_for.cache_info().currsize == 0
-
-    def test_dim_below_sampler_minimum_rejected(self):
-        # Every record is over 512-d embeddings.
-        data = encode_record(_random_record())
-        pos = len(MAGIC) + 1 + 5 + 1 + 16 + 6  # TLV head, helper version, salt, n, k, t
-        data = data[:pos] + (7).to_bytes(2, "big") + data[pos + 2 :]
-        with pytest.raises(FormatError) as err:
-            decode_record(data)
-        assert err.value.reason is FormatReason.INVARIANT_VIOLATION
-        assert "dim=7" in str(err.value)
 
     def test_unsupported_bound_version_rejected(self, enrollment):
         record = enrollment["record"]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import sys
@@ -8,8 +9,10 @@ import pytest
 from numpy.random.bit_generator import ISeedSequence
 
 from bbcreds import synthbio
+from bbcreds.ecc import BchCodec
+from bbcreds.fextract import HelperData, fe_reproduce_batch
 from bbcreds.kdf import expand_seed
-from bbcreds.quantize import QuantizerConfig, quantize
+from bbcreds.quantize import BitString, QuantizerConfig, quantize
 from bbcreds.synthbio import (
     Embedding,
     NoiseModel,
@@ -19,50 +22,42 @@ from bbcreds.synthbio import (
     sample_impostors,
 )
 
-QCFG = QuantizerConfig.default(512, 511)
+QCFG = QuantizerConfig.default(511)
 
 
 def test_new_identity_deterministic():
-    a = new_identity(1, 512)
-    b = new_identity(1, 512)
+    a = new_identity(1)
+    b = new_identity(1)
     assert np.array_equal(a.values, b.values)
 
 
 def test_distinct_seeds_give_distinct_identities():
-    a = new_identity(1, 512)
-    b = new_identity(2, 512)
+    a = new_identity(1)
+    b = new_identity(2)
     assert np.any(a.values != b.values)
 
 
 def test_identity_mean_is_unit_norm():
-    p = new_identity(7, 512)
+    p = new_identity(7)
     assert abs(np.linalg.norm(p.values) - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("dim", [0, 1, 7])
-def test_dim_too_small_rejected(dim):
-    with pytest.raises(ValueError):
-        new_identity(1, dim)
-    with pytest.raises(ValueError):
-        sample_impostor(1, dim)
-
-
 def test_zero_noise_returns_mean_exactly():
-    p = new_identity(3, 512)
+    p = new_identity(3)
     for seed in (0, 1, 99):
         s = sample_genuine(p, NoiseModel(0.0), seed)
         assert np.array_equal(s.values, p.values)
 
 
 def test_zero_noise_quantizes_like_mean():
-    p = new_identity(5, 512)
+    p = new_identity(5)
     q_mean = quantize(p, QCFG)
     for seed in range(20):
         assert quantize(sample_genuine(p, NoiseModel(0.0), seed), QCFG) == q_mean
 
 
 def test_sample_genuine_deterministic():
-    p = new_identity(9, 512)
+    p = new_identity(9)
     noise = NoiseModel(0.02)
     a = sample_genuine(p, noise, 1234)
     b = sample_genuine(p, noise, 1234)
@@ -72,14 +67,14 @@ def test_sample_genuine_deterministic():
 
 
 def test_sample_genuine_unit_norm():
-    p = new_identity(11, 512)
+    p = new_identity(11)
     s = sample_genuine(p, NoiseModel(0.1), 4)
     assert abs(np.linalg.norm(s.values) - 1.0) <= 1e-6
 
 
 def test_mean_bit_noise_monotone_in_sigma():
     # Monte-Carlo oracle: noisier captures flip more quantized bits.
-    p = new_identity(11, 512)
+    p = new_identity(11)
     reference = quantize(p, QCFG)
     means = []
     for sigma in (0.01, 0.02, 0.05):
@@ -97,12 +92,12 @@ def test_impostor_distance_concentrates_at_half():
     # Against a fixed identity, impostor bits are fair coins: distance is
     # Binomial(511, 1/2). Check the 1000-trial mean at 99% confidence and
     # the looser single-draw band on every trial.
-    p = new_identity(3, 512)
+    p = new_identity(3)
     reference = quantize(p, QCFG)
     n = QCFG.code_length
     dists = np.array(
         [
-            (quantize(sample_impostor(seed, 512), QCFG) ^ reference).as_int().bit_count()
+            (quantize(sample_impostor(seed), QCFG) ^ reference).as_int().bit_count()
             for seed in range(1000)
         ]
     )
@@ -117,8 +112,7 @@ def test_role_streams_independent_for_one_seed():
     # One seed used as identity, genuine-noise and impostor seed must give
     # three unrelated vectors. Enrolling at the basis vector e0 leaves the
     # noise direction g[1:] readable from coordinates 1.. of the capture.
-    dim = 512
-    e0 = np.zeros(dim)
+    e0 = np.zeros(512)
     e0[0] = 1.0
     at_e0 = Embedding(e0)
 
@@ -126,8 +120,8 @@ def test_role_streams_independent_for_one_seed():
         return v / np.linalg.norm(v)
 
     for seed in range(100):
-        identity = unit(new_identity(seed, dim).values[1:])
-        impostor = unit(sample_impostor(seed, dim).values[1:])
+        identity = unit(new_identity(seed).values[1:])
+        impostor = unit(sample_impostor(seed).values[1:])
         noise = unit(sample_genuine(at_e0, NoiseModel(0.003), seed).values[1:])
         # Independent Gaussian directions in 511 dimensions have |cos| of
         # about 0.044; 0.5 is over 11 standard deviations away.
@@ -136,8 +130,8 @@ def test_role_streams_independent_for_one_seed():
 
 
 def test_impostor_deterministic_and_normalized():
-    a = sample_impostor(42, 512)
-    b = sample_impostor(42, 512)
+    a = sample_impostor(42)
+    b = sample_impostor(42)
     assert np.array_equal(a.values, b.values)
     assert abs(np.linalg.norm(a.values) - 1.0) <= 1e-6
 
@@ -149,33 +143,30 @@ def test_impostor_windows_agree(count):
     # evaluate._BATCH_CHUNK, the row count of one report chunk.
     seed = 2**64 - 1 - 7919
     for first in (0, 5, 15, 16, 250):
-        rows = sample_impostors(seed, first, count, 64)
-        assert rows.shape == (count, 64)
-        assert np.array_equal(rows, sample_impostors(seed, 0, first + count, 64)[first:])
-    first_row = sample_impostors(seed, 0, count, 64)[0]
-    assert np.array_equal(sample_impostor(seed, 64).values, first_row)
+        rows = sample_impostors(seed, first, count)
+        assert rows.shape == (count, 512)
+        assert np.array_equal(rows, sample_impostors(seed, 0, first + count)[first:])
+    first_row = sample_impostors(seed, 0, count)[0]
+    assert np.array_equal(sample_impostor(seed).values, first_row)
 
 
 def test_impostor_window_bounds():
-    assert sample_impostors(1, 0, 0, 64).shape == (0, 64)
-    assert sample_impostors(1, 17, 0, 64).shape == (0, 64)
+    assert sample_impostors(1, 0, 0).shape == (0, 512)
+    assert sample_impostors(1, 17, 0).shape == (0, 512)
     for first, count in ((-1, 1), (0, -1), (-16, 16)):
         with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
-            sample_impostors(1, first, count, 64)
-    with pytest.raises(ValueError):
-        sample_impostors(1, 0, 1, 7)
+            sample_impostors(1, first, count)
 
 
 def test_impostor_values_are_standard_normal():
     # Stream v3 seeds each block's PCG64 with raw SHAKE-256 words, bypassing
     # numpy's SeedSequence mixing, so check the values it then draws:
-    # sqrt(dim) times a row of a normalized Gaussian vector is close to
+    # sqrt(512) times a row of a normalized Gaussian vector is close to
     # N(0, 1). 200 rows of one stream span 13 blocks.
     from scipy import stats
 
-    dim = 512
-    rows = sample_impostors(0, 0, 200, dim)
-    values = (np.sqrt(dim) * rows).ravel()
+    rows = sample_impostors(0, 0, 200)
+    values = (np.sqrt(512) * rows).ravel()
     assert stats.kstest(values, "norm").pvalue > 1e-4
     # 102400 fair signs have a standard deviation of 160 around half.
     assert abs(int((values > 0).sum()) - values.size // 2) < 5 * 160
@@ -184,7 +175,7 @@ def test_impostor_values_are_standard_normal():
     assert np.all(np.abs(np.vecdot(rows[:-1], rows[1:])) < 0.3)
     firsts = rows[::16]
     assert np.all(np.abs(np.vecdot(firsts[:-1], firsts[1:])) < 0.3)
-    seeds = np.array([sample_impostor(seed, dim).values for seed in range(200)])
+    seeds = np.array([sample_impostor(seed).values for seed in range(200)])
     assert np.all(np.abs(np.vecdot(seeds[:-1], seeds[1:])) < 0.3)
 
 
@@ -196,12 +187,45 @@ def test_negative_sigma_rejected():
 
 
 def test_embedding_invariants():
-    with pytest.raises(ValueError):
-        Embedding(np.ones(8))  # not unit norm
-    with pytest.raises(ValueError):
-        Embedding(np.array([np.nan] + [0.0] * 7))
-    v = np.ones(16) / 4.0
-    assert Embedding(v).dim == 16
+    # Every case has 512 coordinates, so no shape refusal stands in for it.
+    with pytest.raises(ValueError, match=r"^embedding must be unit norm \(got 22\.62741700\)$"):
+        Embedding(np.ones(512))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^embedding values must be finite$"):
+            Embedding(np.array([bad] + [0.0] * 511))
+    v = np.ones(512) / np.sqrt(512)
+    assert np.array_equal(Embedding(v).values, v)
+
+
+def test_dim_knob_is_gone(monkeypatch):
+    # Every embedding has 512 coordinates: no sampler takes a dimension, no
+    # config states one, and no value of another shape becomes an Embedding
+    # or reaches the decoder.
+    for call in (
+        lambda: new_identity(1, 512),
+        lambda: sample_impostor(1, 512),
+        lambda: sample_impostors(1, 0, 1, 512),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert {name for name in vars(synthbio) if name.endswith("DIM")} == {"DEFAULT_DIM"}
+    assert not hasattr(Embedding, "dim")
+    assert tuple(f.name for f in dataclasses.fields(QuantizerConfig)) == ("code_length",)
+    for code_length in (0, 513):
+        with pytest.raises(ValueError, match=r"^code_length must be in \[1, 512\]"):
+            QuantizerConfig(code_length)
+    for shape in ((511,), (513,), (0,), (2, 512)):
+        with pytest.raises(ValueError) as err:
+            Embedding(np.ones(shape) / np.sqrt(shape[-1] or 1))
+        assert str(err.value) == f"an embedding has 512 values, got shape {shape}"
+
+    def decode_batch(*args):
+        raise AssertionError("a (rows, 600) matrix reached the decoder")
+
+    monkeypatch.setattr(BchCodec, "decode_batch", decode_batch)
+    helper = HelperData(bytes(16), BitString(bytes(64), 511))
+    with pytest.raises(ValueError, match=r"^an embedding has 512 values, got shape \(600,\)$"):
+        fe_reproduce_batch(np.ones((2, 600)) / np.sqrt(600), [helper, helper])
 
 
 class _ExpandedSeed(ISeedSequence):
@@ -228,15 +252,16 @@ def test_identity_and_genuine_follow_kdf_stream():
     for seed in (0, 3, 2**64 - 1):
         mean = _reference_normals(seed, "bbcreds/synthbio/identity/v2", 512)
         mean /= np.linalg.norm(mean)
-        profile = new_identity(seed, 512)
+        profile = new_identity(seed)
         assert np.array_equal(profile.values, mean)
         capture = mean + 0.003 * _reference_normals(seed, "bbcreds/synthbio/genuine/v2", 512)
         capture /= np.linalg.norm(capture)
         assert np.array_equal(sample_genuine(profile, NoiseModel(0.003), seed).values, capture)
         # Impostor block 1 of stream v3 keys its generator by the same rule.
-        block = _reference_normals(seed, "bbcreds/synthbio/impostor/v3/1", 16 * 64).reshape(16, 64)
+        block = _reference_normals(seed, "bbcreds/synthbio/impostor/v3/1", 16 * 512)
+        block = block.reshape(16, 512)
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        np.testing.assert_allclose(sample_impostors(seed, 16, 16, 64), block, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sample_impostors(seed, 16, 16), block, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("blocks", [2, 3, 38])
@@ -249,13 +274,13 @@ def test_impostor_windows_follow_kdf_stream(blocks):
             b0, b1 = first // 16, (first + count - 1) // 16
             assert b1 - b0 + 1 == blocks
             stream = np.concatenate([
-                _reference_normals(seed, f"bbcreds/synthbio/impostor/v3/{b}", 16 * 64)
+                _reference_normals(seed, f"bbcreds/synthbio/impostor/v3/{b}", 16 * 512)
                 for b in range(b0, b1 + 1)
-            ]).reshape(-1, 64)
+            ]).reshape(-1, 512)
             rows = stream[first - 16 * b0:first - 16 * b0 + count]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             np.testing.assert_allclose(
-                sample_impostors(seed, first, count, 64), rows, rtol=0, atol=1e-15
+                sample_impostors(seed, first, count), rows, rtol=0, atol=1e-15
             )
 
 
@@ -281,7 +306,7 @@ def test_failed_block_raises_and_leaves_no_thread(monkeypatch, failing):
     monkeypatch.setattr(synthbio, "_generator", failing_generator)
     before = threading.active_count()
     with pytest.raises(_BlockFailed) as failure:
-        sample_impostors(1, 5, 59, 64)
+        sample_impostors(1, 5, 59)
     assert failure.value.args == (failing,)
     assert threading.active_count() == before
     assert (threads[failing] is threading.current_thread()) == (failing < 2)
@@ -297,20 +322,20 @@ def test_one_block_windows_start_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     for first, count in ((0, 1), (5, 11), (16, 16), (250, 6)):
-        sample_impostors(7, first, count, 64)
-    sample_impostor(7, 64)
+        sample_impostors(7, first, count)
+    sample_impostor(7)
     assert started == []
-    sample_impostors(7, 15, 2, 64)  # rows 15 and 16 lie in two blocks
+    sample_impostors(7, 15, 2)  # rows 15 and 16 lie in two blocks
     assert len(started) == 1 and not started[0].is_alive()
 
 
-def _serial_rows(seed, first, count, dim):
+def _serial_rows(seed, first, count):
     """Rows of an impostor window, read one block at a time: every call is
     a one-block window, which starts no thread."""
     parts, row, stop = [], first, first + count
     while row < stop:
         end = min(row - row % 16 + 16, stop)
-        parts.append(sample_impostors(seed, row, end - row, dim))
+        parts.append(sample_impostors(seed, row, end - row))
         row = end
     return np.concatenate(parts)
 
@@ -319,13 +344,13 @@ def test_concurrent_callers_get_their_serial_rows():
     # Four callers, each with its own helper thread, on distinct streams,
     # with the interpreter switching threads as often as it can.
     windows = [(seed, 8 + 512 * seed) for seed in range(4)]
-    expected = [_serial_rows(seed, first, 512, 512) for seed, first in windows]
+    expected = [_serial_rows(seed, first, 512) for seed, first in windows]
     results = [[] for _ in windows]
 
     def call(index):
         seed, first = windows[index]
         for _ in range(6):
-            results[index].append(sample_impostors(seed, first, 512, 512))
+            results[index].append(sample_impostors(seed, first, 512))
 
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -349,7 +374,7 @@ def test_concurrent_callers_get_their_serial_rows():
 def test_unseeded_draws_follow_the_kdf_rule(monkeypatch):
     # A seed of None reaches os.urandom only through kdf.expand_seed, so
     # with the OS bytes fixed two unseeded captures are the same capture.
-    mean = new_identity(5, 512)
+    mean = new_identity(5)
     monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
     first = sample_genuine(mean, NoiseModel(0.003), None).values
     assert np.array_equal(sample_genuine(mean, NoiseModel(0.003), None).values, first)
@@ -364,11 +389,10 @@ def test_identity_and_genuine_values_are_standard_normal():
     # the basis vector e0 carries its noise direction in coordinates 1..
     from scipy import stats
 
-    dim = 512
-    e0 = np.zeros(dim)
+    e0 = np.zeros(512)
     e0[0] = 1.0
     at_e0 = Embedding(e0)
-    identities = np.array([new_identity(seed, dim).values for seed in range(200)])
+    identities = np.array([new_identity(seed).values for seed in range(200)])
     noise = np.array(
         [sample_genuine(at_e0, NoiseModel(0.003), seed).values[1:] for seed in range(200)]
     )
@@ -383,7 +407,7 @@ def test_identity_and_genuine_values_are_standard_normal():
 
 
 def test_impostor_rows_pinned():
-    rows = sample_impostors(0, 0, 300, 512)
+    rows = sample_impostors(0, 0, 300)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "edd4d121531fc6949dfc2126e88173c03a9cbdef03ffa9b329224af0d67406be"
     )
