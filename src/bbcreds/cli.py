@@ -265,8 +265,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.out, "w") as sink:
             seed = _run_seed(args)  # printed only once the CSV is open
             sweep(ProtocolConfig(), sigmas, args.trials, seed, sink)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     except OSError as exc:
         raise CliError(f"cannot write CSV: {exc}") from exc
     print(f"wrote {args.out} rows={len(sigmas)} seed={seed}")

@@ -16,12 +16,12 @@ independent vectors. An identity, or the noise of a capture, is the first
 512 normals of its stream. Row i of impostor stream s is row i mod 16
 of block i // 16, and block b is the first 16 × 512 values, row-major, of
 the stream labelled ``f"bbcreds/synthbio/impostor/v3/{b}"``. A window
-draws each block it touches and discards the rows before its first, so it
-equals the same rows of any longer window. The block size
-(``_IMPOSTOR_BLOCK``) is part of the stream's format. A window of two or
-more blocks is filled on two threads, each writing its own blocks' rows
-of one matrix, so its rows are the same bytes as a serial fill; no thread
-outlives the call, and a one-block window starts none. An identity is its
+draws every block it touches whole and slices out its rows, so it equals
+the same rows of any longer window. The block size (``_IMPOSTOR_BLOCK``)
+is part of the stream's format. A window of two or more blocks is drawn
+on two threads, each filling its own blocks of one array, so its rows are
+the same bytes as a serial fill; no thread outlives the call, and a
+one-block window starts none. An identity is its
 reference ``Embedding`` and nothing else; ``sample_genuine`` takes that
 mean. Every embedding has ``DEFAULT_DIM`` = 512 coordinates; ``Embedding``
 and ``check_unit_rows`` refuse any other shape.
@@ -137,62 +137,57 @@ def sample_genuine(mean: Embedding, noise: NoiseModel, rng_seed: int | None) -> 
 
 def sample_impostor(rng_seed: int) -> Embedding:
     """An identity-independent capture: row 0 of impostor stream ``rng_seed``."""
-    return Embedding(sample_impostors(rng_seed, 0, 1)[0])
+    # A copy, so the capture does not keep its whole 16-row block alive.
+    return Embedding(sample_impostors(rng_seed, 0, 1)[0].copy())
 
 
 def sample_impostors(rng_seed: int, first: int, count: int) -> np.ndarray:
     """Rows ``first`` .. ``first + count - 1`` of impostor stream ``rng_seed``
-    as one (count, DEFAULT_DIM) array of fresh normalized Gaussian vectors.
-    Each block of the stream the window touches gets one generator; the rows
-    are normalized and checked together.
+    as one (count, DEFAULT_DIM) array of fresh normalized Gaussian vectors,
+    which may be a view into the blocks drawn for it. Every block the window
+    touches is drawn whole by its own generator, and an empty window draws
+    none. The rows are normalized here and checked where they are read:
+    ``Embedding`` checks one, ``fe_reproduce_batch`` a matrix.
 
     numpy releases the interpreter lock while it fills a block, so a window
-    of two or more blocks is filled on two threads: the first half of its
+    of two or more blocks is drawn on two threads: the first half of its
     blocks on the caller's thread, the rest on one helper that writes only
-    its own rows. The rows are the same bytes as a serial fill. The helper
-    is joined before the call returns or raises, and a one-block window
-    starts none."""
+    its own blocks. The rows are the same bytes as a serial fill. The
+    helper is joined before the call returns or raises, and a one-block
+    window starts none."""
     if first < 0 or count < 0:
         raise ValueError(f"impostor rows need first >= 0 and count >= 0, got {first}, {count}")
-    values = np.empty((count, DEFAULT_DIM))
-    blocks = []
-    row, stop = first, first + count
-    while row < stop:
-        block, skip = divmod(row, _IMPOSTOR_BLOCK)
-        end = min(row - skip + _IMPOSTOR_BLOCK, stop)
-        blocks.append((block, skip, values[row - first:end - first]))
-        row = end
-    # The caller keeps the first block, the only one that can skip rows.
+    start = first // _IMPOSTOR_BLOCK
+    stop = (first + count - 1) // _IMPOSTOR_BLOCK + 1 if count else start
+    blocks = range(start, stop)
+    drawn = np.empty((len(blocks), _IMPOSTOR_BLOCK, DEFAULT_DIM))
     split = (len(blocks) + 1) // 2
     if split == len(blocks):
-        _fill_blocks(rng_seed, blocks)
+        _fill_blocks(rng_seed, blocks, drawn)
     else:
         errors: list[Exception] = []
 
         def fill_rest() -> None:
             try:
-                _fill_blocks(rng_seed, blocks[split:])
+                _fill_blocks(rng_seed, blocks[split:], drawn[split:])
             except Exception as error:  # re-raised on the caller's thread
                 errors.append(error)
 
         helper = threading.Thread(target=fill_rest)
         helper.start()
         try:
-            _fill_blocks(rng_seed, blocks[:split])
+            _fill_blocks(rng_seed, blocks[:split], drawn[:split])
         finally:
             helper.join()
         if errors:
             raise errors[0]
+    skip = first % _IMPOSTOR_BLOCK
+    values = drawn.reshape(-1, DEFAULT_DIM)[skip:skip + count]
     values /= np.sqrt(np.vecdot(values, values))[:, None]
-    check_unit_rows(values)
     return values
 
 
-def _fill_blocks(rng_seed: int, blocks: list[tuple[int, int, np.ndarray]]) -> None:
-    """Fill each (block, skip, rows) view with the block's normals after its
-    first ``skip`` rows."""
-    for block, skip, rows in blocks:
-        generator = _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}")
-        if skip:  # the block's rows before the window's first
-            generator.standard_normal(skip * DEFAULT_DIM)
-        generator.standard_normal(out=rows)
+def _fill_blocks(rng_seed: int, blocks: range, out: np.ndarray) -> None:
+    """Fill ``out[j]`` with the normals of block ``blocks[j]``."""
+    for block, rows in zip(blocks, out):
+        _generator(rng_seed, f"{_IMPOSTOR_LABEL}/{block}").standard_normal(out=rows)

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from bbcreds import binding, evaluate, synthbio
+from bbcreds import binding, evaluate, fextract, synthbio
 from bbcreds.binding import AuthFailure
+from bbcreds.ecc import BchCodec
 from bbcreds.evaluate import (
     CSV_HEADER,
     OUTCOMES,
@@ -19,7 +20,7 @@ from bbcreds.evaluate import (
 )
 from bbcreds.fextract import ExtractFailure
 from bbcreds.parties import AlwaysFail, LivenessFailed, ProtocolConfig, device_authenticate
-from bbcreds.synthbio import new_identity, sample_impostor, sample_impostors
+from bbcreds.synthbio import Embedding, new_identity, sample_impostor, sample_impostors
 
 SEED = 0xE7A1
 ZERO_COUNTS = dict.fromkeys(OUTCOMES, 0)
@@ -344,6 +345,42 @@ def test_far_report_seeds_one_generator_per_block(cfg, monkeypatch):
     estimate_far(cfg, 1000, SEED)
     impostor = [label for label in labels if label.startswith("bbcreds/synthbio/impostor/")]
     assert len(impostor) == len(set(impostor)) == 63
+
+
+def test_far_rows_are_checked_once_before_decoding(cfg, monkeypatch):
+    # sample_impostors normalizes its rows and leaves the check to the
+    # reader: a report's chunk is checked once, by fe_reproduce_batch, before
+    # decode_batch sees it. One-row checks are Embeddings, such as the
+    # report's enrolled identity and far_trial's sample.
+    events = []
+    check, decode = synthbio.check_unit_rows, BchCodec.decode_batch
+
+    def recording_check(values):
+        events.append(("check", len(values)))
+        check(values)
+
+    def recording_decode(codec, words):
+        events.append(("decode", len(words)))
+        return decode(codec, words)
+
+    monkeypatch.setattr(synthbio, "check_unit_rows", recording_check)
+    monkeypatch.setattr(fextract, "check_unit_rows", recording_check)
+    monkeypatch.setattr(BchCodec, "decode_batch", recording_decode)
+    estimate_far(cfg, 1000, SEED)
+    assert [event for event in events if event != ("check", 1)] == [
+        ("check", 512), ("decode", 512), ("check", 488), ("decode", 488)
+    ]
+    samples = []
+    authenticate = evaluate.device_authenticate
+
+    def recording_authenticate(sample, record, liveness):
+        samples.append(sample)
+        return authenticate(sample, record, liveness)
+
+    monkeypatch.setattr(evaluate, "device_authenticate", recording_authenticate)
+    assert far_trial(cfg, SEED, 3) == "Extract"
+    assert isinstance(samples[0], Embedding)
+    assert isinstance(sample_impostor(SEED), Embedding)
 
 
 def _flip_last(data: bytes) -> bytes:

@@ -3,6 +3,7 @@ import hashlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ def test_impostor_deterministic_and_normalized():
     b = sample_impostor(42)
     assert np.array_equal(a.values, b.values)
     assert abs(np.linalg.norm(a.values) - 1.0) <= 1e-6
+
+
+def test_impostor_capture_keeps_only_its_row():
+    # A one-row window is a view of its whole 16-row block (64 KiB); the
+    # capture keeps its 4 KiB row.
+    tracemalloc.start()
+    try:
+        captures = [sample_impostor(seed) for seed in range(64)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(captures) == 64 and held < 64 * 2 * 4096
 
 
 @pytest.mark.parametrize("count", [1, 2, 15, 16, 17, 255, 256, 257])
@@ -282,6 +295,24 @@ def test_impostor_windows_follow_kdf_stream(blocks):
             np.testing.assert_allclose(
                 sample_impostors(seed, first, count), rows, rtol=0, atol=1e-15
             )
+
+
+@pytest.mark.parametrize(
+    "first, count, blocks",
+    [(5, 59, [0, 1, 2, 3]), (17, 0, []), (0, 0, [])],
+    ids=["rows-5-to-63", "empty-at-17", "empty-at-0"],
+)
+def test_windows_seed_each_block_they_touch_once(monkeypatch, first, count, blocks):
+    labels = []
+    expand = synthbio.expand_seed
+
+    def counting_expand(seed, label, nbytes):
+        labels.append(label)
+        return expand(seed, label, nbytes)
+
+    monkeypatch.setattr(synthbio, "expand_seed", counting_expand)
+    assert sample_impostors(1, first, count).shape == (count, 512)
+    assert sorted(labels) == [f"bbcreds/synthbio/impostor/v3/{b}" for b in blocks]
 
 
 class _BlockFailed(Exception):
