@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import hmac
-import struct
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
@@ -47,10 +46,6 @@ __all__ = [
     "bind_enroll",
     "recover_secret",
     "unbind_auth",
-    "encode_sketch",
-    "decode_sketch",
-    "encode_bound",
-    "decode_bound",
 ]
 
 SECRET_BYTES = 32
@@ -200,44 +195,3 @@ def unbind_auth(
         return decode_agecred(plaintext)
     except ValueError:
         raise AuthFailure(FailureReason.MALFORMED_CREDENTIAL) from None
-
-
-# Canonical byte encodings, consumed by the device-record store.
-
-# The sketch header, variant(1) | length(4 BE), is two format constants:
-# variant 1, the 32-byte XOR pad. The decoder refuses any other variant.
-_SKETCH_HEAD = struct.Struct(">BI")
-_SKETCH_VARIANT = 1
-_BOUND_HEAD = struct.Struct(">B12sI")  # BOUND_VERSION(1) | nonce(12) | length(4 BE)
-
-
-def encode_sketch(sketch: Sketch) -> bytes:
-    return _SKETCH_HEAD.pack(_SKETCH_VARIANT, SECRET_BYTES) + sketch.payload
-
-
-def decode_sketch(data: bytes) -> Sketch:
-    if len(data) < _SKETCH_HEAD.size:
-        raise ValueError(f"sketch truncated at {len(data)} bytes")
-    variant, length = _SKETCH_HEAD.unpack_from(data)
-    if variant != _SKETCH_VARIANT:
-        raise ValueError(f"unknown sketch variant {variant}")
-    payload = data[_SKETCH_HEAD.size :]
-    if len(payload) != length:
-        raise ValueError(f"sketch payload is {len(payload)} bytes, header says {length}")
-    return Sketch(payload)
-
-
-def encode_bound(bound: BoundCredential) -> bytes:
-    return _BOUND_HEAD.pack(BOUND_VERSION, bound.nonce, len(bound.ciphertext)) + bound.ciphertext
-
-
-def decode_bound(data: bytes) -> BoundCredential:
-    if len(data) < _BOUND_HEAD.size:
-        raise ValueError(f"bound credential truncated at {len(data)} bytes")
-    version, nonce, length = _BOUND_HEAD.unpack_from(data)
-    if version != BOUND_VERSION:
-        raise ValueError(f"unsupported bound credential version {version}")
-    ciphertext = data[_BOUND_HEAD.size :]
-    if len(ciphertext) != length:
-        raise ValueError(f"ciphertext is {len(ciphertext)} bytes, header says {length}")
-    return BoundCredential(nonce=nonce, ciphertext=ciphertext)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from datetime import date
@@ -45,7 +44,7 @@ from .parties import (
     device_enroll,
     rp_check_access,
 )
-from .store import FormatError, decode_record, encode_record
+from .store import RECORD_BYTES, FormatError, decode_record, encode_record
 from .synthbio import DEFAULT_DIM, NoiseModel, new_identity, sample_genuine, sample_impostor
 
 EXIT_OK = 0
@@ -135,19 +134,23 @@ def _liveness(args: argparse.Namespace):
     return AlwaysFail() if args.liveness == "fail" else AlwaysPass()
 
 
-def _write_owner_only(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` under mode 0o600, whatever its old mode.
-
-    ``mkstemp`` creates the temporary file owner-only next to the target,
-    and one rename puts it in place, so a failed write leaves the target
-    as it was and removes the temporary file."""
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _write_files(files: list[tuple[Path, bytes, int]]) -> None:
+    """Replace each (path, data, mode) file, created under mode less the umask.
+    All are written to temporary files before any is renamed into place, so
+    a failed write leaves every target as it was, and no temporary file."""
+    temps: list[Path] = []
     try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-        os.replace(temp, path)
+        for path, data, mode in files:
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+            out = open(temp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
+            temps.append(temp)
+            with out:
+                out.write(data)
+        for temp, (path, _, _) in zip(temps, files):
+            os.replace(temp, path)
     except OSError:
-        os.unlink(temp)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
         raise
 
 
@@ -184,8 +187,8 @@ def cmd_asp_keygen(args: argparse.Namespace) -> int:
             raise CliError(f"refusing to overwrite {', '.join(existing)} (use --force)")
     keys = generate_issuer_keys(args.seed)
     try:
-        pub_path.write_text(keys.public.hex() + "\n")
-        _write_owner_only(key_path, (keys.private.hex() + "\n").encode())
+        _write_files([(pub_path, f"{keys.public.hex()}\n".encode(), 0o666),
+                      (key_path, f"{keys.private.hex()}\n".encode(), 0o600)])
     except OSError as exc:
         raise CliError(f"cannot write key files: {exc}") from exc
     print(f"public={keys.public.hex()}")
@@ -202,7 +205,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     record = device_enroll(identity, asp, cfg, args.seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
-        _write_owner_only(Path(args.out), data)
+        _write_files([(Path(args.out), data, 0o600)])
     except OSError as exc:
         raise CliError(f"cannot write record: {exc}") from exc
     print(
@@ -214,7 +217,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def _read_record_file(path: str):
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as file:
+            data = file.read(RECORD_BYTES + 1)  # a byte more shows a file too long
     except OSError as exc:
         raise CliError(f"cannot read record: {exc}") from exc
     try:

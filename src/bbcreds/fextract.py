@@ -37,6 +37,7 @@ __all__ = [
     "KEY_BYTES",
     "SALT_BYTES",
     "HELPER_VERSION",
+    "HELPER_BYTES",
     "StableKey",
     "HelperData",
     "ExtractFailure",
@@ -161,6 +162,7 @@ def fe_reproduce_batch(
 # before a codec is built.
 _HEADER = struct.Struct(">B16sHHHH")
 _OPERATING_POINT = (CODE.n, CODE.k, CODE.t, DEFAULT_DIM)
+HELPER_BYTES = _HEADER.size + (CODE.n + 7) // 8
 
 
 def encode_helper(helper: HelperData) -> bytes:

@@ -1,34 +1,35 @@
 """Bit-exact persistence of the device record.
 
 The record is exactly the four artifacts that survive enrollment: helper
-data, sketch, key digest, and the encrypted credential. The file format
-is a strict TLV container -- magic, format version, then one tag per
-component in ascending order -- and parsing fails closed: unknown tags,
-duplicates, truncation, or any component invariant violation abort with
-a positioned FormatError rather than yielding a partial record; a
-component's violation is placed at the first byte of its entry's value.
+data, sketch, key digest and the encrypted credential, in one layout of
+``RECORD_BYTES`` bytes (``_FIELDS``): magic, format version, then one entry
+per artifact in tag order, each a tag byte, its value's length and the
+value. Every byte outside six values (the helper's salt and offset, the
+pad, digest, nonce and ciphertext) is a format constant.
+
+Parsing fails closed. A constant byte that differs is refused at that
+byte: BadMagic in the magic, BadVersion in the format version, otherwise
+an InvariantViolation naming the field and the value read. A short record
+is Truncated at its length, a long one an InvariantViolation at byte
+``RECORD_BYTES``, and a helper value that ``decode_helper`` refuses an
+InvariantViolation at its first byte.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .binding import (
-    BoundCredential,
-    KeyDigest,
-    Sketch,
-    decode_bound,
-    decode_sketch,
-    encode_bound,
-    encode_sketch,
-)
-from .fextract import HelperData, decode_helper, encode_helper
+from .binding import BOUND_VERSION, DIGEST_BYTES, NONCE_BYTES, SECRET_BYTES, TAG_BYTES
+from .binding import BoundCredential, KeyDigest, Sketch
+from .credential import ENCODED_LEN
+from .fextract import HELPER_BYTES, HelperData, decode_helper, encode_helper
 
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "RECORD_BYTES",
     "DeviceRecord",
     "FormatReason",
     "FormatError",
@@ -39,29 +40,45 @@ __all__ = [
 MAGIC = b"BBC1"
 FORMAT_VERSION = 0x01
 
-_TAG_HELPER = 0x01
-_TAG_SKETCH = 0x02
-_TAG_DIGEST = 0x03
-_TAG_BOUND = 0x04
-# Each tag's component decoder, in tag order, which is DeviceRecord's field order.
-_DECODERS = {
-    _TAG_HELPER: decode_helper,
-    _TAG_SKETCH: decode_sketch,
-    _TAG_DIGEST: KeyDigest,
-    _TAG_BOUND: decode_bound,
-}
-_REQUIRED_TAGS = tuple(_DECODERS)
+_CIPHERTEXT_BYTES = ENCODED_LEN + TAG_BYTES
 
-_TLV_HEAD = struct.Struct(">BI")
+
+def _entry(tag: int, name: str, *fields: tuple[str, bytes | int]) -> tuple:
+    """An entry's tag and length fields, then its value's fields."""
+    length = sum(len(bytes(f)) for _, f in fields)
+    return ((f"{name} tag", bytes([tag])), (f"{name} length", length.to_bytes(4, "big")), *fields)
+
+
+# The record, field by field: a constant field is its bytes, a value field its
+# size, so ``bytes(field)`` is a field's bytes in a record whose values are zero.
+_FIELDS = (
+    ("magic", MAGIC),
+    ("format version", bytes([FORMAT_VERSION])),
+    *_entry(0x01, "helper", ("helper", HELPER_BYTES)),
+    *_entry(0x02, "sketch", ("sketch variant", b"\x01"),
+            ("pad length", SECRET_BYTES.to_bytes(4, "big")), ("pad", SECRET_BYTES)),
+    *_entry(0x03, "digest", ("digest", DIGEST_BYTES)),
+    *_entry(0x04, "bound", ("bound version", bytes([BOUND_VERSION])), ("nonce", NONCE_BYTES),
+            ("ciphertext length", _CIPHERTEXT_BYTES.to_bytes(4, "big")),
+            ("ciphertext", _CIPHERTEXT_BYTES)),
+)
+_OFFSETS = tuple(accumulate((len(bytes(f)) for _, f in _FIELDS), initial=0))
+_TEMPLATE = b"".join(bytes(f) for _, f in _FIELDS)  # the record with every value zero
+RECORD_BYTES = len(_TEMPLATE)
+_CONSTANTS = [(name, at, f) for (name, f), at in zip(_FIELDS, _OFFSETS) if isinstance(f, bytes)]
+_HELPER, _PAD, _DIGEST, _NONCE, _CIPHERTEXT = (
+    slice(at, at + f) for (_, f), at in zip(_FIELDS, _OFFSETS) if isinstance(f, int)
+)
 
 
 class FormatReason(enum.Enum):
     BAD_MAGIC = "BadMagic"
     BAD_VERSION = "BadVersion"
-    DUPLICATE_TAG = "DuplicateTag"
-    UNKNOWN_TAG = "UnknownTag"
     TRUNCATED = "Truncated"
     INVARIANT_VIOLATION = "InvariantViolation"
+
+
+_FIELD_REASONS = {"magic": FormatReason.BAD_MAGIC, "format version": FormatReason.BAD_VERSION}
 
 
 class FormatError(Exception):
@@ -82,66 +99,35 @@ class DeviceRecord:
 
 
 def encode_record(record: DeviceRecord) -> bytes:
-    out = bytearray(MAGIC)
-    out.append(FORMAT_VERSION)
-    for tag, value in (
-        (_TAG_HELPER, encode_helper(record.helper)),
-        (_TAG_SKETCH, encode_sketch(record.sketch)),
-        (_TAG_DIGEST, record.digest.digest),
-        (_TAG_BOUND, encode_bound(record.bound)),
-    ):
-        out += _TLV_HEAD.pack(tag, len(value))
-        out += value
+    out = bytearray(_TEMPLATE)
+    out[_HELPER] = encode_helper(record.helper)
+    out[_PAD] = record.sketch.payload
+    out[_DIGEST] = record.digest.digest
+    out[_NONCE] = record.bound.nonce
+    out[_CIPHERTEXT] = record.bound.ciphertext
     return bytes(out)
 
 
+def _shown(name: str, raw: bytes) -> str:
+    return repr(raw) if name == "magic" else str(int.from_bytes(raw, "big"))
+
+
 def decode_record(data: bytes) -> DeviceRecord:
-    if len(data) < len(MAGIC):
-        raise FormatError(FormatReason.TRUNCATED, len(data), "magic incomplete")
-    if data[: len(MAGIC)] != MAGIC:
-        raise FormatError(FormatReason.BAD_MAGIC, 0, f"expected {MAGIC!r}")
-    if len(data) < len(MAGIC) + 1:
-        raise FormatError(FormatReason.TRUNCATED, len(data), "version byte missing")
-    if data[len(MAGIC)] != FORMAT_VERSION:
-        raise FormatError(
-            FormatReason.BAD_VERSION, len(MAGIC), f"unsupported version {data[len(MAGIC)]}"
-        )
-
-    values: dict[int, tuple[int, bytes]] = {}  # tag -> (value offset, value)
-    pos = len(MAGIC) + 1
-    last_tag = 0
-    while pos < len(data):
-        if len(data) - pos < _TLV_HEAD.size:
-            raise FormatError(FormatReason.TRUNCATED, pos, "entry header incomplete")
-        tag, length = _TLV_HEAD.unpack_from(data, pos)
-        if tag in values:
-            raise FormatError(FormatReason.DUPLICATE_TAG, pos, f"tag 0x{tag:02x} repeated")
-        if tag not in _REQUIRED_TAGS:
-            raise FormatError(FormatReason.UNKNOWN_TAG, pos, f"tag 0x{tag:02x}")
-        if tag <= last_tag:
-            raise FormatError(
-                FormatReason.INVARIANT_VIOLATION, pos, f"tag 0x{tag:02x} out of order"
-            )
-        pos += _TLV_HEAD.size
-        if len(data) - pos < length:
-            raise FormatError(FormatReason.TRUNCATED, pos, "entry value incomplete")
-        values[tag] = (pos, data[pos : pos + length])
-        pos += length
-        last_tag = tag
-
-    missing = [t for t in _REQUIRED_TAGS if t not in values]
-    if missing:
-        raise FormatError(
-            FormatReason.INVARIANT_VIOLATION,
-            pos,
-            f"missing tag(s) {', '.join(f'0x{t:02x}' for t in missing)}",
-        )
-
-    components = []
-    for tag in _REQUIRED_TAGS:
-        offset, value = values[tag]
-        try:
-            components.append(_DECODERS[tag](value))
-        except ValueError as exc:
-            raise FormatError(FormatReason.INVARIANT_VIOLATION, offset, str(exc)) from exc
-    return DeviceRecord(*components)
+    for name, at, expected in _CONSTANTS:
+        read = data[at : at + len(expected)]
+        if read != expected[: len(read)]:  # a record that ends early is refused below
+            first = next(i for i, pair in enumerate(zip(read, expected)) if pair[0] != pair[1])
+            reason = _FIELD_REASONS.get(name, FormatReason.INVARIANT_VIOLATION)
+            detail = f"{name} is {_shown(name, read)}, expected {_shown(name, expected)}"
+            raise FormatError(reason, at + first, detail)
+    if len(data) != RECORD_BYTES:
+        detail = f"record is {len(data)} bytes, not {RECORD_BYTES}"
+        if len(data) < RECORD_BYTES:
+            raise FormatError(FormatReason.TRUNCATED, len(data), detail)
+        raise FormatError(FormatReason.INVARIANT_VIOLATION, RECORD_BYTES, detail)
+    try:
+        helper = decode_helper(data[_HELPER])
+    except ValueError as exc:
+        raise FormatError(FormatReason.INVARIANT_VIOLATION, _HELPER.start, str(exc)) from exc
+    bound = BoundCredential(data[_NONCE], data[_CIPHERTEXT])
+    return DeviceRecord(helper, Sketch(data[_PAD]), KeyDigest(data[_DIGEST]), bound)

@@ -28,6 +28,10 @@ UNSUPPORTED_HEADERS = [
 ]
 UNSUPPORTED_HEADER_IDS = ["29", "300", "k0", "k258", "k300", "k512", "dim7", "bch1023"]
 
+# The record offset of the bound credential's version byte: the bound
+# entry's tag is at byte 178, then its 4-byte length.
+BOUND_VERSION_AT = 183
+
 
 @pytest.fixture(scope="session")
 def issuer_keys():

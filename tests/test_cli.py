@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import re
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from bbcreds import binding, evaluate
-from bbcreds.binding import encode_bound
 from bbcreds.cli import (
     EXIT_AUTH_FAILED,
     EXIT_ISSUANCE_DENIED,
@@ -23,10 +23,11 @@ from bbcreds.ecc import codec_for
 from bbcreds.evaluate import CSV_HEADER
 from bbcreds.fextract import CODE, _random_message
 from bbcreds.kdf import subseed
-from bbcreds.store import decode_record, encode_record
+from bbcreds.store import RECORD_BYTES, decode_record, encode_record
 from bbcreds.synthbio import new_identity
 
 from conftest import (
+    BOUND_VERSION_AT,
     NOW,
     UNSUPPORTED_HEADER_IDS,
     UNSUPPORTED_HEADERS,
@@ -125,6 +126,30 @@ class TestKeygen:
         key.chmod(0o644)
         assert main(["asp-keygen", "--out", prefix, "--seed", "2", "--force"]) == EXIT_OK
         assert _mode(key) == 0o600
+
+    def test_failed_key_write_keeps_the_old_pair(self, tmp_path, monkeypatch, capsys):
+        """A --force run whose private-key write fails for want of space
+        leaves both old files, so the .pub never names another key than
+        the .key holds, and leaves no temporary file."""
+        prefix = str(tmp_path / "k")
+        assert main(["asp-keygen", "--out", prefix, "--seed", "1"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = os.open
+
+        def full_disk(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if ".k.key." in os.fspath(path):  # the key's file, written after the .pub
+                os.close(fd)
+                fd = real_open("/dev/full", os.O_WRONLY)
+            return fd
+
+        monkeypatch.setattr(os, "open", full_disk)
+        capsys.readouterr()
+        assert main(["asp-keygen", "--out", prefix, "--seed", "2", "--force"]) == EXIT_USAGE
+        no_space = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert capsys.readouterr() == ("", f"error: cannot write key files: {no_space}\n")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestEnroll:
@@ -453,7 +478,9 @@ class TestAuth:
             assert self._auth(str(patched), keys_prefix, *extra) == EXIT_USAGE
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.startswith("error: bad record: InvariantViolation at byte 10")
+            # another n changes the helper's length, whose last byte is byte 9
+            at = 10 if header[0] == CODE.n else 9
+            assert err.startswith(f"error: bad record: InvariantViolation at byte {at}")
             assert codec_for.cache_info().currsize == 0
 
     @pytest.mark.parametrize("impostor", [False, True])
@@ -473,8 +500,7 @@ class TestAuth:
     def test_unsupported_bound_version_is_usage_error(self, tmp_path, record_path,
                                                       keys_prefix, capsys):
         data = Path(record_path).read_bytes()
-        record = decode_record(data)
-        pos = len(data) - len(encode_bound(record.bound))  # the bound credential's version
+        pos = BOUND_VERSION_AT
         patched = tmp_path / "bound2.bbc"
         patched.write_bytes(data[:pos] + b"\x02" + data[pos + 1 :])
         capsys.readouterr()
@@ -581,6 +607,44 @@ class TestEval:
 
 
 class TestInspect:
+    def test_oversized_file_is_read_to_one_byte_past_a_record(self, tmp_path, record_path,
+                                                              keys_prefix, monkeypatch, capsys):
+        big = tmp_path / "big.bbc"
+        big.write_bytes(Path(record_path).read_bytes() + bytes(1 << 20))
+        reads = []
+        real_open = Path.open
+
+        class Counted:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def read(self, size=-1):
+                data = self.file.read(size)
+                reads.append(len(data))
+                return data
+
+        def counted_open(path, *args, **kwargs):
+            file = real_open(path, *args, **kwargs)
+            return Counted(file) if path == big else file
+
+        monkeypatch.setattr(Path, "open", counted_open)
+        capsys.readouterr()
+        for argv in (["inspect", "--record", str(big)],
+                     ["auth", "--record", str(big), "--keys", keys_prefix, "--seed", "1",
+                      "--identity-seed", IDENTITY_SEED, "--clock", str(NOW)]):
+            reads.clear()
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: bad record: InvariantViolation at byte {RECORD_BYTES}: ")
+            assert sum(reads) == RECORD_BYTES + 1
+
     def test_shows_metadata_without_plaintext(self, record_path, capsys):
         assert main(["inspect", "--record", record_path]) == EXIT_OK
         out = capsys.readouterr().out
@@ -593,7 +657,8 @@ class TestInspect:
     def test_encrypted_sketch_record_is_bad_record(self, tmp_path, record_path,
                                                    keys_prefix, capsys):
         # A record whose sketch is variant 2, the AEAD-wrapped secret that
-        # earlier versions could write, is refused by every reader.
+        # earlier versions could write, is refused by every reader at the
+        # sketch entry's length.
         old = tmp_path / "encrypted.bbc"
         old.write_bytes(with_encrypted_sketch(Path(record_path).read_bytes()))
         capsys.readouterr()
@@ -603,8 +668,8 @@ class TestInspect:
             assert main(argv) == EXIT_USAGE
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.startswith("error: bad record: InvariantViolation")
-            assert "unknown sketch variant 2" in err
+            assert err.startswith("error: bad record: InvariantViolation at byte 103: "
+                                  "sketch length is 65, expected 37")
 
     def test_truncated_record_fails(self, tmp_path, record_path, capsys):
         stub = tmp_path / "cut.bbc"
