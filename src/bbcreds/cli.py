@@ -71,11 +71,29 @@ _SETTINGS = {
 # each resolves only the keys it reads (its parser's config_keys).
 _AUTH_KEYS = ("sigma_default",)
 
+_KEY_SUFFIX = {"public": ".pub", "private": ".key"}  # the issuer's two key files
+_KEY_FILE_BYTES = 1 << 10  # the most read of a key file (64 hex digits and a newline)
+_CONFIG_FILE_BYTES = 1 << 16  # the most read of a config file
+
+
+def _read_head(path: str, limit: int) -> bytes:
+    """At most ``limit`` + 1 bytes of a file, so a longer one reads a byte too long."""
+    with Path(path).open("rb") as file:
+        return file.read(limit + 1)
+
+
+def _read_text(path: str, limit: int) -> str:
+    """A UTF-8 file of at most ``limit`` bytes; ValueError for a longer one."""
+    data = _read_head(path, limit)
+    if len(data) > limit:
+        raise ValueError(f"file is longer than {limit} bytes")
+    return data.decode("utf-8")
+
 
 def _parse_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path, _CONFIG_FILE_BYTES)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -95,7 +113,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _resolve_config(args: argparse.Namespace) -> tuple[ProtocolConfig, AgePolicy]:
     """Protocol and issuance settings: defaults, then the file's config_keys, then flags."""
-    entries = _parse_config_file(args.config) if args.config else {}
+    entries = _parse_config_file(args.config) if args.config is not None else {}
     entries = {key: value for key, value in entries.items() if key in args.config_keys}
     fields: dict[type, dict[str, object]] = {ProtocolConfig: {}, AgePolicy: {}}
     try:
@@ -154,33 +172,19 @@ def _write_files(files: list[tuple[Path, bytes, int]]) -> None:
         raise
 
 
-def _key_paths(prefix: str) -> tuple[Path, Path]:
-    return Path(prefix + ".pub"), Path(prefix + ".key")
-
-
-def _load_issuer_keys(prefix: str) -> IssuerKeyPair:
-    pub_path, key_path = _key_paths(prefix)
+def _read_key(prefix: str, kind: str) -> bytes:
+    """The 32-byte issuer key, in hex in <prefix>.pub ("public") or <prefix>.key ("private")."""
     try:
-        public = bytes.fromhex(pub_path.read_text().strip())
-        private = bytes.fromhex(key_path.read_text().strip())
-        return IssuerKeyPair(public=public, private=private)
+        key = bytes.fromhex(_read_text(prefix + _KEY_SUFFIX[kind], _KEY_FILE_BYTES).strip())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load issuer keys {prefix!r}: {exc}") from exc
-
-
-def _load_issuer_public(prefix: str) -> bytes:
-    pub_path, _ = _key_paths(prefix)
-    try:
-        public = bytes.fromhex(pub_path.read_text().strip())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load issuer public key {prefix!r}: {exc}") from exc
-    if len(public) != 32:
-        raise CliError(f"issuer public key must be 32 bytes, got {len(public)}")
-    return public
+        raise CliError(f"cannot load issuer {kind} key {prefix!r}: {exc}") from exc
+    if len(key) != 32:
+        raise CliError(f"issuer {kind} key must be 32 bytes, got {len(key)}")
+    return key
 
 
 def cmd_asp_keygen(args: argparse.Namespace) -> int:
-    pub_path, key_path = _key_paths(args.out)
+    pub_path, key_path = (Path(args.out + _KEY_SUFFIX[kind]) for kind in ("public", "private"))
     if not args.force:
         existing = [str(p) for p in (pub_path, key_path) if p.exists()]
         if existing:
@@ -199,12 +203,13 @@ def cmd_asp_keygen(args: argparse.Namespace) -> int:
 def cmd_enroll(args: argparse.Namespace) -> int:
     cfg, policy = _resolve_config(args)
     cfg = replace(cfg, liveness=_liveness(args))
-    keys = _load_issuer_keys(args.keys)
-    asp = InProcessAsp(keys, policy, now=_clock(args))
+    asp = InProcessAsp(IssuerKeyPair(_read_key(args.keys, "private")), policy, now=_clock(args))
     identity = new_identity(args.identity_seed)
     record = device_enroll(identity, asp, cfg, args.seed, evidence=DateOfBirthEvidence(args.dob))
     data = encode_record(record)
     try:
+        if os.path.basename(args.out) in ("", ".", ".."):  # Path would drop a trailing / or .
+            raise IsADirectoryError(f"no file name in {args.out!r}")
         _write_files([(Path(args.out), data, 0o600)])
     except OSError as exc:
         raise CliError(f"cannot write record: {exc}") from exc
@@ -217,12 +222,9 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def _read_record_file(path: str):
     try:
-        with Path(path).open("rb") as file:
-            data = file.read(RECORD_BYTES + 1)  # a byte more shows a file too long
+        return decode_record(_read_head(path, RECORD_BYTES))
     except OSError as exc:
         raise CliError(f"cannot read record: {exc}") from exc
-    try:
-        return decode_record(data)
     except FormatError as exc:
         raise CliError(f"bad record: {exc}") from exc
 
@@ -233,7 +235,7 @@ def cmd_auth(args: argparse.Namespace) -> int:
     if not 0 < args.required_age < MAX_AGE_OVER:
         raise CliError(f"required age must be in (0, {MAX_AGE_OVER}), got {args.required_age}")
     record = _read_record_file(args.record)
-    issuer_public = _load_issuer_public(args.keys)
+    issuer_public = _read_key(args.keys, "public")
     seed = _run_seed(args)
 
     if args.impostor:
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     keygen.set_defaults(handler=cmd_asp_keygen)
 
     enroll = sub.add_parser("enroll", help="enroll an identity and bind a credential")
-    enroll.add_argument("--keys", required=True, help="issuer key path prefix")
+    enroll.add_argument("--keys", required=True, help="issuer key path prefix (.key used)")
     enroll.add_argument("--identity-seed", type=int, required=True,
                         help="seed of the synthetic identity to enroll")
     enroll.add_argument("--dob", type=date.fromisoformat, required=True,

@@ -81,21 +81,19 @@ class AgeCred:
 
 @dataclass(frozen=True)
 class IssuerKeyPair:
-    """Ed25519 signing identity of the attribute service provider."""
+    """Ed25519 signing identity of the attribute service provider: its 32-byte private key."""
 
-    public: bytes
     private: bytes = field(repr=False)
-    # Derived once, so that issuance neither parses the key nor hashes it again.
+    # Derived from it once (the public key by RFC 8032, 5.1.5), so that
+    # issuance neither parses the key nor hashes it again.
+    public: bytes = field(init=False, compare=False)
     signer: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
     issuer_id: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.public) != 32 or len(self.private) != 32:
-            raise ValueError("Ed25519 keys are 32 bytes each")
-        signer = Ed25519PrivateKey.from_private_bytes(self.private)
-        if signer.public_key().public_bytes_raw() != self.public:
-            raise ValueError("public key does not belong to the private key")
+        signer = Ed25519PrivateKey.from_private_bytes(self.private)  # ValueError unless 32 bytes
         object.__setattr__(self, "signer", signer)
+        object.__setattr__(self, "public", signer.public_key().public_bytes_raw())
         object.__setattr__(self, "issuer_id", issuer_id_for(self.public))
 
 
@@ -119,9 +117,7 @@ class Verdict:
 
 def generate_issuer_keys(seed: int | None = None) -> IssuerKeyPair:
     """Fresh issuer keypair; seeded generation is fully deterministic."""
-    private = expand_seed(seed, _KEYGEN_LABEL, 32)
-    key = Ed25519PrivateKey.from_private_bytes(private)
-    return IssuerKeyPair(public=key.public_key().public_bytes_raw(), private=private)
+    return IssuerKeyPair(expand_seed(seed, _KEYGEN_LABEL, 32))
 
 
 def issuer_id_for(public: bytes) -> bytes:

@@ -17,6 +17,8 @@ from bbcreds.cli import (
     EXIT_OK,
     EXIT_RP_DENIED,
     EXIT_USAGE,
+    _CONFIG_FILE_BYTES,
+    _KEY_FILE_BYTES,
     main,
 )
 from bbcreds.ecc import codec_for
@@ -76,6 +78,36 @@ def record_path(tmp_path, keys_prefix):
     )
     assert code == EXIT_OK
     return path
+
+
+@pytest.fixture()
+def read_sizes(monkeypatch):
+    """Counts what each read of a watched file returns: ``read_sizes(path)``
+    watches ``path`` and returns the list its reads append their sizes to."""
+    real_open = Path.open
+    watched: dict[Path, list[int]] = {}
+
+    class Counted:
+        def __init__(self, file, sizes):
+            self.file, self.sizes = file, sizes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def read(self, size=-1):
+            data = self.file.read(size)
+            self.sizes.append(len(data))
+            return data
+
+    def counted_open(path, *args, **kwargs):
+        file = real_open(path, *args, **kwargs)
+        return Counted(file, watched[path]) if path in watched else file
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    return lambda path: watched.setdefault(Path(path), [])
 
 
 class TestKeygen:
@@ -151,8 +183,92 @@ class TestKeygen:
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_known_defect_failed_second_rename_splits_the_pair(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """A --force run whose second rename fails leaves the new .pub next
+        to the old .key. enroll reads only the .key, so it still signs; the
+        split shows where the .pub is read: auth denies the credential."""
+        prefix = str(tmp_path / "k")
+        assert main(["asp-keygen", "--out", prefix, "--seed", "1"]) == EXIT_OK
+        old_key = (tmp_path / "k.key").read_bytes()
+        real_replace, renames = os.replace, []
+
+        def second_fails(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError("replace refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        capsys.readouterr()
+        assert main(["asp-keygen", "--out", prefix, "--seed", "2", "--force"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: cannot write key files: replace refused\n")
+        monkeypatch.undo()
+        assert (tmp_path / "k.key").read_bytes() == old_key
+        record = str(tmp_path / "r.bbc")
+        assert main(["enroll", "--keys", prefix, "--identity-seed", IDENTITY_SEED,
+                     "--dob", ADULT_DOB, "--out", record, "--seed", RUN_SEED,
+                     "--clock", str(NOW)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["auth", "--record", record, "--keys", prefix, "--identity-seed",
+                     IDENTITY_SEED, "--seed", "555", "--clock", str(NOW + 100)]) == EXIT_RP_DENIED
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "DENY BadSignature" and err == ""
+
 
 class TestEnroll:
+    @pytest.mark.parametrize("pub", ["missing", "foreign"])
+    def test_reads_only_the_private_key(self, tmp_path, keys_prefix, record_path, pub):
+        # The public key is derived from the private one, so enroll never
+        # opens the .pub: without it, or with another issuer's, the record
+        # is the one the pair gives.
+        pub_path = Path(keys_prefix + ".pub")
+        if pub == "missing":
+            pub_path.unlink()
+        else:
+            other = str(tmp_path / "other")
+            assert main(["asp-keygen", "--out", other, "--seed", "12"]) == EXIT_OK
+            pub_path.write_bytes(Path(other + ".pub").read_bytes())
+        out = tmp_path / "again.bbc"
+        assert main(["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                     "--dob", ADULT_DOB, "--out", str(out), "--seed", RUN_SEED,
+                     "--clock", str(NOW)]) == EXIT_OK
+        assert out.read_bytes() == Path(record_path).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (bytes(31).hex(), "error: issuer private key must be 32 bytes, got 31\n"),
+            ("not hex", "error: cannot load issuer private key '{prefix}': non-hexadecimal "
+                        "number found in fromhex() arg at position 0\n"),
+        ],
+        ids=["short", "non-hex"],
+    )
+    def test_bad_private_key_file_is_usage_error(self, tmp_path, capsys, text, line):
+        prefix = str(tmp_path / "bad")
+        (tmp_path / "bad.key").write_text(text + "\n")
+        out = tmp_path / "x.bbc"
+        capsys.readouterr()
+        assert main(["enroll", "--keys", prefix, "--identity-seed", IDENTITY_SEED,
+                     "--dob", ADULT_DOB, "--out", str(out), "--seed", RUN_SEED]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", line.format(prefix=prefix))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["", ".", "/", "sub/", "sub/."],
+                             ids=["empty", "dot", "root", "trailing-slash", "slash-dot"])
+    def test_out_without_file_name_is_refused(self, tmp_path, keys_prefix, monkeypatch,
+                                              capsys, out):
+        # Each names a directory, not a record file, and is refused before
+        # any file is written, as eval refuses such an --out.
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
+                     "--dob", ADULT_DOB, "--out", out, "--seed", RUN_SEED,
+                     "--clock", str(NOW)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: cannot write record: no file name in {out!r}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_unseeded_output_cannot_rebuild_the_salt(self, tmp_path, keys_prefix, capsys):
         """A seeded record's public salt is rebuilt from its seed, which
         checks any guess of the seed offline. An unseeded enroll draws the
@@ -608,32 +724,10 @@ class TestEval:
 
 class TestInspect:
     def test_oversized_file_is_read_to_one_byte_past_a_record(self, tmp_path, record_path,
-                                                              keys_prefix, monkeypatch, capsys):
+                                                              keys_prefix, read_sizes, capsys):
         big = tmp_path / "big.bbc"
         big.write_bytes(Path(record_path).read_bytes() + bytes(1 << 20))
-        reads = []
-        real_open = Path.open
-
-        class Counted:
-            def __init__(self, file):
-                self.file = file
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.file.close()
-
-            def read(self, size=-1):
-                data = self.file.read(size)
-                reads.append(len(data))
-                return data
-
-        def counted_open(path, *args, **kwargs):
-            file = real_open(path, *args, **kwargs)
-            return Counted(file) if path == big else file
-
-        monkeypatch.setattr(Path, "open", counted_open)
+        reads = read_sizes(big)
         capsys.readouterr()
         for argv in (["inspect", "--record", str(big)],
                      ["auth", "--record", str(big), "--keys", keys_prefix, "--seed", "1",
@@ -989,22 +1083,73 @@ def test_unusable_path_is_usage_error(tmp_path, keys_prefix, record_path, capsys
     assert not (tmp_path / "missing").exists() and not (tmp_path / "missing.bbc").exists()
 
 
-@pytest.mark.parametrize("command", ["enroll", "auth"])
-def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, capsys, command):
-    config = tmp_path / "utf16.conf"
-    config.write_bytes(b"\xff\xfe" + "sigma_default=0.003\n".encode("utf-16-le"))
-    out_path = tmp_path / "out.file"
-    argv = {
+def _config_argv(command, keys_prefix, record_path, out_path):
+    """An enroll writing ``out_path``, or an auth of ``record_path``, that
+    reads a config file; --seed and --config are left to the caller."""
+    return {
         "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
                    "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
         "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
                  "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth"])
+def test_non_utf8_config_is_usage_error(tmp_path, keys_prefix, record_path, capsys, command):
+    config = tmp_path / "utf16.conf"
+    config.write_bytes(b"\xff\xfe" + "sigma_default=0.003\n".encode("utf-16-le"))
+    out_path = tmp_path / "out.file"
+    argv = _config_argv(command, keys_prefix, record_path, out_path)
     capsys.readouterr()
     assert main(argv + ["--seed", RUN_SEED, "--config", str(config)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot read config file:")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth"])
+def test_empty_config_path_is_usage_error(tmp_path, keys_prefix, record_path, capsys, command):
+    # An empty path names no file; it is not the absence of --config.
+    out_path = tmp_path / "out.file"
+    argv = _config_argv(command, keys_prefix, record_path, out_path)
+    capsys.readouterr()
+    assert main(argv + ["--seed", RUN_SEED, "--config", ""]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read config file:")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, big, line, limit",
+    [("enroll", ["--config", "{tmp}/big.conf"], "big.conf", "cannot read config file: ",
+      _CONFIG_FILE_BYTES),
+     ("auth", ["--config", "{tmp}/big.conf"], "big.conf", "cannot read config file: ",
+      _CONFIG_FILE_BYTES),
+     ("enroll", ["--keys", "{tmp}/big"], "big.key",
+      "cannot load issuer private key '{tmp}/big': ", _KEY_FILE_BYTES),
+     ("auth", ["--keys", "{tmp}/big"], "big.pub",
+      "cannot load issuer public key '{tmp}/big': ", _KEY_FILE_BYTES)],
+    ids=["enroll-config", "auth-config", "enroll-private-key", "auth-public-key"],
+)
+def test_oversized_text_file_is_read_to_one_byte_past_its_limit(
+        tmp_path, keys_prefix, record_path, read_sizes, capsys, command, flag, big, line, limit):
+    """A config or key file longer than its limit is refused once one byte
+    past the limit is read, though the file would parse if read whole."""
+    for suffix in (".pub", ".key"):
+        key = Path(keys_prefix + suffix).read_text()
+        (tmp_path / f"big{suffix}").write_text(key + "\n" * (1 << 20))
+    (tmp_path / "big.conf").write_text("# padding\n" * (1 << 17))
+    out_path = tmp_path / "out.file"
+    argv = _config_argv(command, keys_prefix, record_path, out_path)
+    reads = read_sizes(tmp_path / big)
+    capsys.readouterr()
+    flag = [arg.format(tmp=tmp_path) for arg in flag]
+    assert main(argv + ["--seed", RUN_SEED, *flag]) == EXIT_USAGE
+    line = line.format(tmp=tmp_path)
+    assert capsys.readouterr() == ("", f"error: {line}file is longer than {limit} bytes\n")
+    assert sum(reads) == limit + 1
     assert not out_path.exists()
 
 
@@ -1015,12 +1160,7 @@ def test_unknown_and_repeated_keys_refused_by_every_subcommand(tmp_path, keys_pr
     # so each refuses a key none of them knows, a key stated twice and a
     # line that is no key=value entry.
     out_path = tmp_path / "out.file"
-    argv = {
-        "enroll": ["enroll", "--keys", keys_prefix, "--identity-seed", IDENTITY_SEED,
-                   "--dob", ADULT_DOB, "--out", str(out_path), "--clock", str(NOW)],
-        "auth": ["auth", "--record", record_path, "--keys", keys_prefix,
-                 "--identity-seed", IDENTITY_SEED, "--clock", str(NOW + 100)],
-    }[command]
+    argv = _config_argv(command, keys_prefix, record_path, out_path)
     config = tmp_path / "shared.conf"
     for text, line in [
         ("sigma_default=0.003\nnope=1\n", f"error: {config}:2: unknown config key 'nope'\n"),

@@ -196,25 +196,45 @@ class TestKeyPairs:
         keys = generate_issuer_keys(seed=5)
         assert keys.issuer_id == issuer_id_for(keys.public)
         assert "issuer_id" not in repr(keys) and repr(keys.issuer_id) not in repr(keys)
-        other = IssuerKeyPair(public=keys.public, private=keys.private)
+        other = IssuerKeyPair(keys.private)
         object.__setattr__(other, "issuer_id", bytes(16))
         assert other == keys and hash(other) == hash(keys)
         with pytest.raises(TypeError):
-            IssuerKeyPair(public=keys.public, private=keys.private, issuer_id=keys.issuer_id)
+            IssuerKeyPair(keys.private, issuer_id=keys.issuer_id)
 
-    @pytest.mark.parametrize("short", ["public", "private"])
-    def test_31_byte_key_rejected(self, short):
-        keys = generate_issuer_keys(seed=5)
-        pair = {"public": keys.public, "private": keys.private}
-        pair[short] = pair[short][:31]
-        with pytest.raises(ValueError, match="^Ed25519 keys are 32 bytes each$"):
-            IssuerKeyPair(**pair)
-
-    def test_mismatched_pair_rejected(self):
-        a = generate_issuer_keys(seed=1)
-        b = generate_issuer_keys(seed=2)
-        with pytest.raises(ValueError):
+    def test_public_half_is_no_argument(self):
+        # A pair is its private key, so one whose halves disagree cannot be built.
+        a, b = generate_issuer_keys(seed=1), generate_issuer_keys(seed=2)
+        with pytest.raises(TypeError):
             IssuerKeyPair(public=a.public, private=b.private)
+        with pytest.raises(TypeError):
+            IssuerKeyPair(a.public, b.private)
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_private_key_of_other_length_rejected(self, length):
+        with pytest.raises(ValueError, match="32 bytes"):
+            IssuerKeyPair(bytes(length))
+
+    @pytest.mark.parametrize(
+        "seed, public, issuer_id",
+        [
+            (0, "f31a178f242ec5e4f03cb518e257015d96a4cfc30be6def90d3cb3e1f6ad0b69",
+             "32866b9d4138c96aeb0268931c412c00"),
+            (1, "cb74533c0d4001e24d54996e4375c088adb5b1e3c2e53afef62f10fb66823a03",
+             "e4078eece3e49538e9e10ddab516d78e"),
+            (5, "6d0aabb3205929104cabc3ee6de5a6414206b80928871e3fc316e8b9d67298a3",
+             "11e0a60de2b6359940ef63427f5dc831"),
+            (0xB10C5EED, "64f29af2fc4b589b2763624564fe11331fde575b992852cf1212cdc74e559244",
+             "bb518686ecbe04b72dd9c75cf1114ed1"),
+        ],
+        ids=["0", "1", "5", "b10c5eed"],
+    )
+    def test_derived_halves_pinned(self, seed, public, issuer_id):
+        """The public key and issuer id derived from a seeded private key
+        are the values written when the pair took both halves."""
+        keys = IssuerKeyPair(generate_issuer_keys(seed).private)
+        assert (keys.public.hex(), keys.issuer_id.hex()) == (public, issuer_id)
+        assert keys.private.hex() not in repr(keys) and repr(keys.private) not in repr(keys)
 
 
 class TestCredInvariants:
